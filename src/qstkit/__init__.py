@@ -2,13 +2,13 @@
 
 Submodules:
 
-* ``qcore``: tensor products, partial trace, PSD square root, fidelity.
+* ``qcore``: qubit counts, tensor products, and stacked partial trace, PSD square root and fidelity.
 * ``sampling``: seeded Ginibre / Haar / Hilbert-Schmidt / Bures ensembles.
 * ``tomography``: Pauli-6 measurement simulation and the dataset container.
 * ``cholesky``: tau-vector <-> density-matrix bijection.
 * ``neuralnet``: from-scratch CNN, Adagrad training, checkpoints.
-* ``adapt``: measurement padding and the experiment drivers.
-* ``analytics``: closed-form and Monte Carlo fidelity baselines.
+* ``adapt``: measurement padding, batched reconstruction, experiment drivers.
+* ``analytics``: Monte Carlo average-fidelity baselines.
 * ``cli``: the ``qstkit`` command-line entry point.
 """
 

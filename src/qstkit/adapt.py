@@ -18,37 +18,36 @@ Fictitious qubits occupy the most-significant index positions, so the first
 and the local bases of the real qubits aligned, and the trace-down after
 inference removes qubits 0..m-n-1.
 
+``reconstruct`` is the one reconstruction path: it pads a (count, 6**n)
+block of measurement rows, forwards it through the network in chunks of the
+checkpoint's ``batch_size``, decodes the tau vectors and traces the
+fictitious qubits off, all on stacks. A single state is a batch of one. The
+command line, the experiment drivers and the validation step of training
+all go through it.
+
 Experiment drivers reconstruct test ensembles, compare against ground truth
-(including every successive trace-down), and aggregate per-curve means with
-standard errors into CSV-ready rows.
+(including every successive trace-down) with stacked fidelities, and
+aggregate per-curve means with standard errors into CSV-ready rows.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import analytics, neuralnet, qcore, tomography
+from . import analytics, cholesky, neuralnet, qcore, tomography
 
 PADDING_ENGINEERED = "engineered"
 PADDING_ZERO = "zero"
 PADDING_MODES = (PADDING_ENGINEERED, PADDING_ZERO)
 
 
-def _qubits_from_length(length: int) -> int:
-    n = round(math.log(length, 6))
-    if 6**n != length:
-        raise ValueError(f"measurement length {length} is not a power of six")
-    return n
-
-
 def engineered_pad(values: np.ndarray, target_qubits: int) -> np.ndarray:
     """Extend by fictitious I/2 qubits: replicate blocks, scale by (1/2)**(m-n)."""
-    n = _qubits_from_length(values.shape[0])
+    n = qcore.qubit_count(values.shape[-1], 6)
     extra = target_qubits - n
     if extra < 0:
         raise ValueError(f"cannot pad {n} qubits down to {target_qubits}")
@@ -57,11 +56,11 @@ def engineered_pad(values: np.ndarray, target_qubits: int) -> np.ndarray:
 
 def zero_pad(values: np.ndarray, target_qubits: int) -> np.ndarray:
     """Place the real measurements in the first 6**n slots, zero elsewhere."""
-    n = _qubits_from_length(values.shape[0])
+    n = qcore.qubit_count(values.shape[-1], 6)
     if target_qubits < n:
         raise ValueError(f"cannot pad {n} qubits down to {target_qubits}")
-    out = np.zeros(6**target_qubits)
-    out[: values.shape[0]] = values
+    out = np.zeros(values.shape[:-1] + (6**target_qubits,))
+    out[..., : values.shape[-1]] = values
     return out
 
 
@@ -73,14 +72,24 @@ def pad_measurements(values: np.ndarray, target_qubits: int, mode: str) -> np.nd
     raise ValueError(f"unknown padding mode {mode!r}; expected one of {PADDING_MODES}")
 
 
-def reconstruct_adaptive(net: neuralnet.Network, values: np.ndarray, mode: str) -> np.ndarray:
-    """Pad to the network's frame, infer, and trace off the appended qubits."""
+def reconstruct(net: neuralnet.Network, measurements: np.ndarray, mode: str) -> np.ndarray:
+    """Reconstruct (count, 2**n, 2**n) states from (count, 6**n) measurement rows.
+
+    Rows are padded to the network's m qubits, forwarded in chunks of the
+    checkpoint's ``batch_size`` (so activations never outgrow a training
+    batch), decoded through ``tau_to_rho`` and traced down to the n real
+    qubits.
+    """
     m = net.config.num_qubits
-    n = _qubits_from_length(values.shape[0])
+    n = qcore.qubit_count(measurements.shape[-1], 6)
     if n > m:
         raise ValueError(f"input has {n} qubits but the network was trained on {m}")
-    rho_m = neuralnet.infer(net, pad_measurements(values, m, mode))
-    return qcore.partial_trace(rho_m, range(m - n))
+    grids = neuralnet.grids_from_measurements(pad_measurements(measurements, m, mode))
+    taus = np.empty((len(grids), net.config.tau_width))
+    step = net.config.batch_size
+    for start in range(0, len(grids), step):
+        taus[start : start + step] = net.forward(grids[start : start + step], train=False)
+    return qcore.partial_trace(cholesky.tau_to_rho(taus), range(m - n))
 
 
 @dataclass
@@ -119,23 +128,23 @@ def subsystem_experiment(
     against the matching trace-down of the ground truth.
     """
     m = net.config.num_qubits
-    records = []
-    for state_id, rho in enumerate(states):
-        if qcore.num_qubits(rho) != m:
-            raise ValueError(f"state {state_id} does not have {m} qubits")
-        estimate = neuralnet.infer(net, tomography.measure(rho))
-        fids = [qcore.fidelity(estimate, rho)]
-        for removed in range(1, m):
-            fids.append(
-                qcore.fidelity(
-                    qcore.partial_trace(estimate, range(removed)),
-                    qcore.partial_trace(rho, range(removed)),
-                )
+    truth = np.stack(states)
+    if qcore.num_qubits(truth) != m:
+        raise ValueError(f"test states do not have {m} qubits")
+    values = np.stack([tomography.measure(rho) for rho in truth])
+    estimates = reconstruct(net, values, PADDING_ENGINEERED)
+    levels = [qcore.fidelity(estimates, truth)]
+    for removed in range(1, m):
+        levels.append(
+            qcore.fidelity(
+                qcore.partial_trace(estimates, range(removed)),
+                qcore.partial_trace(truth, range(removed)),
             )
-        records.append(
-            ExperimentRecord("fig2", measure, m, m, "none", state_id, tuple(fids))
         )
-    return records
+    return [
+        ExperimentRecord("fig2", measure, m, m, "none", state_id, tuple(fids))
+        for state_id, fids in enumerate(np.stack(levels, axis=1).tolist())
+    ]
 
 
 def padding_experiment(
@@ -147,9 +156,10 @@ def padding_experiment(
 ) -> tuple[list[ExperimentRecord], list[CurveSummary]]:
     """Reconstruct each n-qubit ensemble through every network with m >= n.
 
-    Both padding modes run for every (m, n) combination. When
-    ``baseline_pairs`` is positive, Monte Carlo baseline curves (random pair
-    and maximally mixed, one per distinct n) are returned alongside.
+    Both padding modes run for every (m, n) combination; records are ordered
+    by (m, n), then state, then mode. When ``baseline_pairs`` is positive,
+    Monte Carlo baseline curves (random pair and maximally mixed, one per
+    distinct n) are returned alongside.
     """
     records = []
     for m in sorted(nets):
@@ -160,16 +170,15 @@ def padding_experiment(
         for n in sorted(ensembles):
             if n > m:
                 continue
-            for state_id, rho in enumerate(ensembles[n]):
-                values = tomography.measure(rho)
-                for mode in PADDING_MODES:
-                    estimate = reconstruct_adaptive(net, values, mode)
-                    records.append(
-                        ExperimentRecord(
-                            "fig3", measure, m, n, mode, state_id,
-                            (qcore.fidelity(estimate, rho),),
-                        )
-                    )
+            truth = np.stack(ensembles[n])
+            values = np.stack([tomography.measure(rho) for rho in truth])
+            by_mode = [qcore.fidelity(reconstruct(net, values, mode), truth)
+                       for mode in PADDING_MODES]
+            for state_id, fids in enumerate(np.stack(by_mode, axis=1).tolist()):
+                records.extend(
+                    ExperimentRecord("fig3", measure, m, n, mode, state_id, (fid,))
+                    for mode, fid in zip(PADDING_MODES, fids)
+                )
     baselines = []
     if baseline_pairs > 0:
         baselines = baseline_curves(sorted(ensembles), measure, baseline_pairs, seed)

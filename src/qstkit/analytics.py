@@ -1,15 +1,10 @@
-"""Closed-form and Monte Carlo baselines for average fidelities.
+"""Monte Carlo baselines for average fidelities.
 
-The closed-form candidate for the mean fidelity between two Hilbert-Schmidt
-random states of dimension N is
-
-    <F>_N = N**-4 [ Tr(X0^-1 X1) + (Tr[X0^-1 X_1/2])**2 - Tr([X0^-1 X_1/2]**2) ]
-
-with (X_n)_{k,l} = Gamma(n+k+l-1) * Gamma(n+1) for k, l in 1..N. The Monte
-Carlo estimate is the authoritative oracle: ``analytic_avg_fidelity_hs``
-cross-checks the closed form against a seeded MC run and reports whether the
-two agree. They do not (see the ``consistent`` flag), so consumers wanting
-the reference numbers 0.67 / 0.59 / 0.57 should use ``mc_avg_fidelity``.
+``mc_avg_fidelity`` estimates the mean fidelity between two independent
+random states of one measure and dimension; ``mc_avg_fidelity_vs_mixed``
+the mean fidelity of a random state against I/dim. These estimates are the
+oracle for the reference values 0.67 / 0.59 / 0.57 (Hilbert-Schmidt, dims
+2 / 4 / 8) and 0.590 (Bures, dim 2).
 
 Every Monte Carlo entry point takes a seed and draws pair i from
 ``sampling.stream(seed, i)``, so estimates are reproducible and identical
@@ -19,87 +14,17 @@ however the pairs are distributed over workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import qcore, sampling
-
-
-def _qubits_from_dim(dim: int) -> int:
-    m = int(dim).bit_length() - 1
-    if dim < 2 or 2**m != dim:
-        raise ValueError(f"dimension {dim} is not a power of two")
-    return m
-
-
-def gamma_matrix(order: float, size: int) -> np.ndarray:
-    """Matrix with entries Gamma(order+k+l-1) * Gamma(order+1), k,l in 1..size."""
-    if size < 1:
-        raise ValueError(f"size must be positive, got {size}")
-    k = np.arange(1, size + 1)
-    args = order + k[:, None] + k[None, :] - 1
-    return np.vectorize(math.gamma)(args) * math.gamma(order + 1)
-
-
-@dataclass(frozen=True)
-class ClosedFormAvgFidelity:
-    """Closed-form value plus the Monte Carlo cross-check verdict."""
-
-    value: float
-    mc_mean: float
-    mc_stderr: float
-    consistent: bool
-
-
-def analytic_avg_fidelity_hs(
-    dim: int, check_pairs: int = 20000, seed: int = 0
-) -> ClosedFormAvgFidelity:
-    """Evaluate the closed form and cross-check it against Monte Carlo.
-
-    ``consistent`` is True when the closed-form value lies within three
-    standard errors of the MC mean. The expression does not reproduce the MC
-    values (0.366 vs 0.67 at dim 2), so expect False; the flag exists so
-    downstream use cannot silently trust the closed form.
-    """
-    x0 = gamma_matrix(0.0, dim)
-    x_half = np.linalg.solve(x0, gamma_matrix(0.5, dim))
-    x_one = np.linalg.solve(x0, gamma_matrix(1.0, dim))
-    value = float(
-        (np.trace(x_one) + np.trace(x_half) ** 2 - np.trace(x_half @ x_half)) / dim**4
-    )
-    mc_mean, mc_stderr = mc_avg_fidelity(sampling.MEASURE_HS, dim, check_pairs, seed)
-    consistent = abs(value - mc_mean) <= 3.0 * mc_stderr
-    return ClosedFormAvgFidelity(value, mc_mean, mc_stderr, consistent)
-
-
-def _sqrt_psd_stack(mats: np.ndarray) -> np.ndarray:
-    """PSD square roots of a (batch, d, d) Hermitian stack."""
-    w, v = np.linalg.eigh(mats)
-    root = np.sqrt(np.clip(w, 0.0, None))
-    return (v * root[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
-
-
-def fidelity_stack(rhos: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
-    """Uhlmann fidelities of paired (batch, d, d) stacks.
-
-    Same quantity as ``qcore.fidelity`` (the unit tests pin the two paths
-    against each other); stacked eigendecompositions keep large Monte Carlo
-    runs inside the baseline-reproduction time budget.
-    """
-    sr = _sqrt_psd_stack(rhos)
-    inner = sr @ sigmas @ sr
-    inner = (inner + np.conj(np.swapaxes(inner, -1, -2))) / 2
-    traces = np.einsum("bii->b", _sqrt_psd_stack(inner)).real
-    return np.clip(traces**2, 0.0, 1.0)
-
 
 _MC_CHUNK = 8192
 
 
 def _mc_fidelities(measure, m, count, seed, against_mixed):
     d = 2**m
-    mixed = np.broadcast_to(qcore.maximally_mixed(m), (1, d, d))
+    mixed = qcore.maximally_mixed(m)
     fids = np.empty(count)
     for start in range(0, count, _MC_CHUNK):
         stop = min(start + _MC_CHUNK, count)
@@ -110,7 +35,7 @@ def _mc_fidelities(measure, m, count, seed, against_mixed):
             rhos[i - start] = sampling.sample_state(m, measure, rng)
             if sigmas is not None:
                 sigmas[i - start] = sampling.sample_state(m, measure, rng)
-        fids[start:stop] = fidelity_stack(rhos, mixed if sigmas is None else sigmas)
+        fids[start:stop] = qcore.fidelity(rhos, mixed if sigmas is None else sigmas)
     return fids
 
 
@@ -122,7 +47,7 @@ def mc_avg_fidelity(measure: str, dim: int, pairs: int, seed: int = 0) -> tuple[
     """
     if pairs < 100:
         raise ValueError(f"need at least 100 pairs for a stable estimate, got {pairs}")
-    fids = _mc_fidelities(measure, _qubits_from_dim(dim), pairs, seed, against_mixed=False)
+    fids = _mc_fidelities(measure, qcore.qubit_count(dim, 2), pairs, seed, against_mixed=False)
     return float(fids.mean()), float(fids.std(ddof=1) / math.sqrt(pairs))
 
 
@@ -132,5 +57,5 @@ def mc_avg_fidelity_vs_mixed(
     """Mean fidelity (and standard error) of random states against I/dim."""
     if count < 100:
         raise ValueError(f"need at least 100 draws for a stable estimate, got {count}")
-    fids = _mc_fidelities(measure, _qubits_from_dim(dim), count, seed, against_mixed=True)
+    fids = _mc_fidelities(measure, qcore.qubit_count(dim, 2), count, seed, against_mixed=True)
     return float(fids.mean()), float(fids.std(ddof=1) / math.sqrt(count))

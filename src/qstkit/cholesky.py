@@ -17,17 +17,9 @@ construction.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-
-def _dim_from_tau(tau: np.ndarray) -> int:
-    n = tau.shape[0]
-    d = math.isqrt(n)
-    if tau.ndim != 1 or d * d != n or d < 2 or d & (d - 1):
-        raise ValueError(f"tau length {n} is not 4**m for m >= 1")
-    return d
+from . import qcore
 
 
 def tau_layout(d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -37,8 +29,7 @@ def tau_layout(d: int) -> tuple[np.ndarray, np.ndarray]:
     p. Position d + j is the j-th strictly-lower entry, holding the complex
     pair (d + 2j, d + 2j + 1).
     """
-    if d < 2 or d & (d - 1):
-        raise ValueError(f"dimension {d} is not a power of two")
+    qcore.qubit_count(d, 2)
     rows = list(range(d))
     cols = list(range(d))
     for offset in range(1, d):
@@ -49,13 +40,13 @@ def tau_layout(d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def tau_to_matrix(tau: np.ndarray) -> np.ndarray:
-    """Assemble the lower-triangular T from a tau vector."""
+    """Assemble the lower-triangular T from a tau vector or a (..., 4**m) stack."""
     tau = np.asarray(tau, dtype=np.float64)
-    d = _dim_from_tau(tau)
+    d = 2 ** qcore.qubit_count(tau.shape[-1], 4)
     rows, cols = tau_layout(d)
-    t = np.zeros((d, d), dtype=complex)
-    t[rows[:d], cols[:d]] = tau[:d]
-    t[rows[d:], cols[d:]] = tau[d::2] + 1j * tau[d + 1 :: 2]
+    t = np.zeros(tau.shape[:-1] + (d, d), dtype=complex)
+    t[..., rows[:d], cols[:d]] = tau[..., :d]
+    t[..., rows[d:], cols[d:]] = tau[..., d::2] + 1j * tau[..., d + 1 :: 2]
     return t
 
 
@@ -72,14 +63,18 @@ def matrix_to_tau(t: np.ndarray) -> np.ndarray:
 
 
 def tau_to_rho(tau: np.ndarray) -> np.ndarray:
-    """rho = T T† / Tr(T T†); raises on an all-zero tau."""
+    """rho = T T† / Tr(T T†) for one tau vector or a (..., 4**m) stack.
+
+    Raises if any tau is all zero.
+    """
+    tau = np.asarray(tau, dtype=np.float64)
     t = tau_to_matrix(tau)
     # Tr(T T†) is the squared Euclidean norm of tau.
-    norm_sq = float(np.vdot(t, t).real)
-    if norm_sq <= 1e-300:
+    norm_sq = np.sum(tau * tau, axis=-1)[..., None, None]
+    if np.any(norm_sq <= 1e-300):
         raise ValueError("tau vector has zero norm; no state is defined")
-    rho = (t @ t.conj().T) / norm_sq
-    return (rho + rho.conj().T) / 2
+    rho = (t @ t.conj().swapaxes(-1, -2)) / norm_sq
+    return (rho + rho.conj().swapaxes(-1, -2)) / 2
 
 
 def rho_to_tau(rho: np.ndarray, shift: float = 1e-12) -> np.ndarray:

@@ -7,6 +7,12 @@ re-executed exactly from its artifacts. All commands are deterministic given
 (config, seed); the only parallel path is dataset generation, whose
 per-state streams make worker count irrelevant to the output bytes.
 
+Reconstructions are deterministic given the checkpoint and the input file.
+Rows are forwarded through the network in chunks of the checkpoint's
+``batch_size``, so the last bits of a row's state (about 1e-15) can depend
+on which rows share its chunk: the same row in another file, or at another
+position, may differ at that level.
+
 Exit codes: 0 success, 1 usage error, 2 data/format error, 3 numerical
 failure.
 """
@@ -23,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import adapt, analytics, cholesky, neuralnet, sampling, tomography
-from .qcore import fidelity, num_qubits
+from .qcore import fidelity, num_qubits, qubit_count
 from .tomography import FormatError
 
 EXIT_OK = 0
@@ -45,16 +51,23 @@ class UsageError(Exception):
     """Bad flag values or inconsistent options."""
 
 
-def write_states(path, states: list[np.ndarray]) -> None:
-    """Binary container of reconstructed density matrices (complex doubles)."""
-    n = num_qubits(states[0])
+def write_states(path, states) -> None:
+    """Binary container of reconstructed density matrices (complex doubles).
+
+    ``states`` is a (count, 2**n, 2**n) stack, or anything indexable that
+    stacks into one.
+    """
+    states = np.asarray(states, dtype="<c16")
+    if states.ndim != 3:
+        raise ValueError(f"expected a (count, d, d) stack of states, got shape {states.shape}")
+    n = num_qubits(states)
     with open(path, "wb") as fh:
         fh.write(_STATES_HEADER.pack(STATES_MAGIC, STATES_VERSION, n, len(states)))
-        for rho in states:
-            fh.write(np.ascontiguousarray(rho, dtype="<c16").tobytes())
+        fh.write(states.tobytes())
 
 
-def read_states(path) -> list[np.ndarray]:
+def read_states(path) -> np.ndarray:
+    """Read a states container back as a (count, 2**n, 2**n) stack."""
     raw = Path(path).read_bytes()
     if len(raw) < _STATES_HEADER.size:
         raise FormatError(f"{path}: file shorter than header")
@@ -67,11 +80,8 @@ def read_states(path) -> list[np.ndarray]:
     expected = _STATES_HEADER.size + count * d * d * 16
     if len(raw) != expected:
         raise FormatError(f"{path}: payload is {len(raw)} bytes, expected {expected}")
-    out = []
-    for i in range(count):
-        offset = _STATES_HEADER.size + i * d * d * 16
-        out.append(np.frombuffer(raw, dtype="<c16", count=d * d, offset=offset).reshape(d, d).copy())
-    return out
+    states = np.frombuffer(raw, dtype="<c16", offset=_STATES_HEADER.size)
+    return states.reshape(count, d, d).copy()
 
 
 def _read_config_file(path) -> dict:
@@ -234,17 +244,13 @@ def cmd_reconstruct(args) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    states, rows = [], []
-    for i in range(ds.count):
-        estimate = adapt.reconstruct_adaptive(net, ds.measurements[i], mode)
-        states.append(estimate)
-        truth = cholesky.tau_to_rho(ds.taus[i])
-        rows.append((i, fidelity(estimate, truth)))
+    states = adapt.reconstruct(net, ds.measurements, mode)
+    fids = fidelity(states, cholesky.tau_to_rho(ds.taus))
     write_states(out_dir / "states.qstst", states)
     with open(out_dir / "fidelity.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["state_id", "fidelity"])
-        for state_id, f in rows:
+        for state_id, f in enumerate(fids):
             writer.writerow([state_id, f"{f:.12f}"])
     _write_resolved_config(
         out_dir / "config.ini",
@@ -252,7 +258,7 @@ def cmd_reconstruct(args) -> int:
         {"checkpoint": args.checkpoint, "input": args.input, "n": n, "m": m, "mode": mode,
          "count": ds.count, "states_format_version": STATES_VERSION},
     )
-    mean_f = float(np.mean([f for _, f in rows]))
+    mean_f = float(np.mean(fids))
     print(f"reconstructed {ds.count} states (n={n} via m={m}, {mode}); mean fidelity {mean_f:.4f}")
     return EXIT_OK
 
@@ -309,7 +315,7 @@ def _experiment_baselines(args, out_dir, seed, measure) -> list:
     dims = [int(d) for d in str(_resolve(args, "dims", str, "2,4,8")).split(",")]
     summaries = []
     for dim in dims:
-        n = dim.bit_length() - 1
+        n = qubit_count(dim, 2)
         mean, err = analytics.mc_avg_fidelity(
             measure, dim, pairs, seed=sampling.sub_seed(seed, f"baseline-pair-{measure}-{dim}")
         )

@@ -50,21 +50,10 @@ def grid_shape(m: int) -> tuple[int, int]:
     return 6 ** math.ceil(m / 2), 6 ** (m // 2)
 
 
-def reshape_input(values: np.ndarray) -> np.ndarray:
-    """Lay a 6**m measurement vector out row-major on its 2-D grid."""
-    m = round(math.log(values.shape[-1], 6))
-    if 6**m != values.shape[-1]:
-        raise ValueError(f"length {values.shape[-1]} is not a power of six")
-    return values.reshape(grid_shape(m))
-
-
 def grids_from_measurements(measurements: np.ndarray) -> np.ndarray:
-    """Stack (count, 6**m) measurement rows into (count, 1, rows, cols) grids."""
+    """Lay (count, 6**m) measurement rows out row-major as (count, 1, rows, cols) grids."""
     count, width = measurements.shape
-    m = round(math.log(width, 6))
-    if 6**m != width:
-        raise ValueError(f"row length {width} is not a power of six")
-    rows, cols = grid_shape(m)
+    rows, cols = grid_shape(qcore.qubit_count(width, 6))
     return measurements.reshape(count, 1, rows, cols)
 
 
@@ -347,14 +336,12 @@ class TrainingHistory:
     best_epoch: int = 0  # 0-based index of the epoch whose parameters were kept
 
 
-def mean_reconstruction_fidelity(net: Network, grids: np.ndarray, taus: np.ndarray) -> float:
-    """Mean fidelity between predicted states and the targets' states."""
-    preds = net.forward(grids, train=False)
-    fids = [
-        qcore.fidelity(cholesky.tau_to_rho(p), cholesky.tau_to_rho(t))
-        for p, t in zip(preds, taus)
-    ]
-    return float(np.mean(fids))
+def mean_reconstruction_fidelity(net: Network, measurements: np.ndarray, taus: np.ndarray) -> float:
+    """Mean fidelity between the reconstructed states and the targets' states."""
+    from . import adapt  # adapt builds on this module
+
+    estimates = adapt.reconstruct(net, measurements, adapt.PADDING_ENGINEERED)
+    return float(np.mean(qcore.fidelity(estimates, cholesky.tau_to_rho(taus))))
 
 
 def train(
@@ -385,7 +372,6 @@ def train(
             dst[...] = src
 
     grids = grids_from_measurements(train_measurements)
-    val_grids = grids_from_measurements(val_measurements)
     count = grids.shape[0]
 
     history = TrainingHistory()
@@ -400,7 +386,7 @@ def train(
             value, grads = compute_gradients(net, grids[idx], train_taus[idx], rng)
             opt.step(grads)
             batch_losses.append(value)
-        val_fid = mean_reconstruction_fidelity(net, val_grids, val_taus)
+        val_fid = mean_reconstruction_fidelity(net, val_measurements, val_taus)
         history.losses.append(float(np.mean(batch_losses)))
         history.val_fidelities.append(val_fid)
         if val_fid > best_fid:
@@ -413,20 +399,6 @@ def train(
     for dst, src in zip(opt.accumulators, best_accums, strict=True):
         dst[...] = src
     return net, opt, history
-
-
-def predict_taus(net: Network, measurements: np.ndarray) -> np.ndarray:
-    """Deterministic inference-mode tau predictions for stacked measurements."""
-    return net.forward(grids_from_measurements(measurements), train=False)
-
-
-def infer(net: Network, values: np.ndarray) -> np.ndarray:
-    """Reconstruct one density matrix from one measurement vector."""
-    width = 6**net.config.num_qubits
-    if values.shape != (width,):
-        raise ValueError(f"expected a length-{width} measurement vector, got {values.shape}")
-    tau = net.forward(values.reshape(1, 1, *grid_shape(net.config.num_qubits)), train=False)[0]
-    return cholesky.tau_to_rho(tau)
 
 
 def save_checkpoint(path, config: NetworkConfig, params, accumulators) -> None:
@@ -515,6 +487,8 @@ def load_checkpoint(path):
     payload = 8 * 2 * sum(counts)
     if len(raw) - off != payload:
         raise FormatError(f"{path}: payload is {len(raw) - off} bytes, expected {payload}")
+    if not np.all(np.isfinite(np.frombuffer(raw, dtype="<f8", offset=off))):
+        raise FormatError(f"{path}: non-finite parameter or accumulator values")
 
     def read_block():
         nonlocal off

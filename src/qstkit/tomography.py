@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import qcore
+from . import qcore, sampling
 
 PAULI_SETTINGS = ("X+", "X-", "Y+", "Y-", "Z+", "Z-")
 SETTING_ORDER_TAG = "".join(PAULI_SETTINGS)
@@ -150,13 +150,19 @@ def read_dataset(path) -> Dataset:
     if order != SETTING_ORDER_TAG:
         raise FormatError(f"{path}: unknown setting order {order!r}")
     measure_tag = measure_raw.rstrip(b"\x00").decode("ascii", "replace")
+    if measure_tag not in sampling.MEASURES:
+        raise FormatError(f"{path}: unknown measure tag {measure_tag!r}")
     if not 1 <= m <= 16:
         raise FormatError(f"{path}: implausible qubit count {m}")
     width = 6**m + 4**m
     expected = _HEADER.size + count * width * 8
     if len(raw) != expected:
         raise FormatError(f"{path}: payload is {len(raw)} bytes, expected {expected}")
+    if count == 0:
+        raise FormatError(f"{path}: dataset holds no records")
     records = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).reshape(count, width)
+    if not np.all(np.isfinite(records)):
+        raise FormatError(f"{path}: non-finite measurement or tau values")
     return Dataset(
         num_qubits=m,
         measure=measure_tag,

@@ -59,21 +59,15 @@ def desk_networks():
 def mean_test_fidelity(net, measure):
     m = net.config.num_qubits
     states, meas, _ = make_dataset(m, measure, TEST_COUNT, f"test-{measure}-{m}")
-    return float(np.mean([
-        qcore.fidelity(neuralnet.infer(net, v), rho) for v, rho in zip(meas, states)
-    ]))
+    estimates = adapt.reconstruct(net, meas, "engineered")
+    return float(np.mean(qcore.fidelity(estimates, np.stack(states))))
 
 
 def padding_means(net, measure):
     states, meas, _ = make_dataset(1, measure, TEST_COUNT, f"test-{measure}-1")
-    eng = np.mean([
-        qcore.fidelity(adapt.reconstruct_adaptive(net, v, "engineered"), rho)
-        for v, rho in zip(meas, states)
-    ])
-    zero = np.mean([
-        qcore.fidelity(adapt.reconstruct_adaptive(net, v, "zero"), rho)
-        for v, rho in zip(meas, states)
-    ])
+    truth = np.stack(states)
+    eng = np.mean(qcore.fidelity(adapt.reconstruct(net, meas, "engineered"), truth))
+    zero = np.mean(qcore.fidelity(adapt.reconstruct(net, meas, "zero"), truth))
     return float(eng), float(zero)
 
 

@@ -85,37 +85,54 @@ class TestZeroPad:
         assert max(abs(s - 1.0) for s in sums) > 0.5
 
 
+def plain_inference(net, values):
+    """The unpadded network path written out: forward the rows, decode each tau."""
+    taus = net.forward(neuralnet.grids_from_measurements(values), train=False)
+    return cholesky.tau_to_rho(taus)
+
+
 class TestReconstructAdaptive:
     def test_same_size_equals_plain_inference(self):
         net = tiny_net()
-        v = tomography.measure(sampling.sample_hs(2, sampling.stream(708)))
+        v = tomography.measure(sampling.sample_hs(2, sampling.stream(708)))[None]
         for mode in adapt.PADDING_MODES:
-            np.testing.assert_array_equal(
-                adapt.reconstruct_adaptive(net, v, mode), neuralnet.infer(net, v)
-            )
+            np.testing.assert_array_equal(adapt.reconstruct(net, v, mode), plain_inference(net, v))
 
     def test_output_dimension_and_physicality(self):
         net = tiny_net()
         rng = sampling.stream(709)
         for n in (1, 2):
-            rho = sampling.sample_hs(n, rng)
-            out = adapt.reconstruct_adaptive(net, tomography.measure(rho), "engineered")
-            assert out.shape == (2**n, 2**n)
-            assert qcore.is_physical(out)
+            rhos = [sampling.sample_hs(n, rng) for _ in range(3)]
+            values = np.stack([tomography.measure(rho) for rho in rhos])
+            out = adapt.reconstruct(net, values, "engineered")
+            assert out.shape == (3, 2**n, 2**n)
+            assert all(qcore.is_physical(rho) for rho in out)
 
     def test_modes_differ_for_padded_input(self):
         net = tiny_net()
-        v = tomography.measure(sampling.sample_hs(1, sampling.stream(710)))
-        a = adapt.reconstruct_adaptive(net, v, "engineered")
-        b = adapt.reconstruct_adaptive(net, v, "zero")
+        v = tomography.measure(sampling.sample_hs(1, sampling.stream(710)))[None]
+        a = adapt.reconstruct(net, v, "engineered")
+        b = adapt.reconstruct(net, v, "zero")
         assert np.abs(a - b).max() > 1e-12
 
     def test_oversized_input_rejected(self):
         net = tiny_net()
         with pytest.raises(ValueError, match="trained on"):
-            adapt.reconstruct_adaptive(net, np.zeros(216), "engineered")
+            adapt.reconstruct(net, np.zeros((1, 216)), "engineered")
         with pytest.raises(ValueError, match="mode"):
-            adapt.reconstruct_adaptive(net, np.zeros(36), "reflect")
+            adapt.reconstruct(net, np.zeros((1, 36)), "reflect")
+
+    def test_chunked_rows_match_one_row_calls(self):
+        """250 rows at batch size 100 (last chunk partial) against 250 one-row calls."""
+        net = tiny_net()
+        assert net.config.batch_size == 100
+        states = sampling.sample_ensemble(sampling.EnsembleSpec(2, "hilbert-schmidt", 250), 711)
+        values = np.stack([tomography.measure(rho) for rho in states])
+        batched = adapt.reconstruct(net, values, "engineered")
+        rows = np.stack([adapt.reconstruct(net, v[None], "engineered")[0] for v in values])
+        assert batched.shape == (250, 4, 4)
+        assert np.abs(batched - rows).max() <= 1e-12
+        np.testing.assert_array_equal(adapt.reconstruct(net, values, "engineered"), batched)
 
 
 class TestExperiments:
@@ -141,6 +158,10 @@ class TestExperiments:
         assert baselines == []
         keys = {(r.m, r.n, r.mode) for r in records}
         assert keys == {(2, n, mode) for n in (1, 2) for mode in adapt.PADDING_MODES}
+        order = [(r.n, r.state_id, r.mode) for r in records]
+        assert order == [
+            (n, i, mode) for n in (1, 2) for i in range(3) for mode in adapt.PADDING_MODES
+        ]
 
     def test_summarize_levels(self):
         records = [

@@ -1,71 +1,25 @@
 """Unit tests for the fidelity baselines."""
 
-import math
-
 import numpy as np
 import pytest
 
-from qstkit import analytics, sampling
-
-
-class TestGammaMatrix:
-    def test_order_zero_size_two(self):
-        np.testing.assert_allclose(analytics.gamma_matrix(0.0, 2), [[1, 1], [1, 2]])
-
-    def test_order_one_size_two(self):
-        np.testing.assert_allclose(analytics.gamma_matrix(1.0, 2), [[1, 2], [2, 6]])
-
-    def test_half_order_corner(self):
-        """Entry (1,1) at order 1/2 is Gamma(3/2)^2 = pi/4."""
-        out = analytics.gamma_matrix(0.5, 2)
-        assert out[0, 0] == pytest.approx(math.pi / 4, rel=1e-12)
-
-    def test_symmetric_positive_finite(self):
-        for order in (0.0, 0.5, 1.0):
-            x = analytics.gamma_matrix(order, 8)
-            np.testing.assert_array_equal(x, x.T)
-            assert np.all(x > 0) and np.all(np.isfinite(x))
-
-
-class TestClosedForm:
-    def test_matches_exact_arithmetic_oracle(self):
-        """The closed-form expression, evaluated exactly for dim 2.
-
-        With X0 = [[1,1],[1,2]], X1 = [[1,2],[2,6]] and X_1/2 built from
-        half-integer Gamma values, B = X0^-1 X_1/2 has trace 11*pi/16 and
-        Tr(B^2) = (pi/8)^2 - 2*(3pi/16)(pi/8) + (9pi/16)^2, giving
-        <F>_2 = (4 + (11pi/16)^2 - Tr(B^2)) / 16.
-        """
-        tr_b = 11 * math.pi / 16
-        tr_b2 = (math.pi / 8) ** 2 + 2 * (-3 * math.pi / 16) * (math.pi / 8) + (9 * math.pi / 16) ** 2
-        want = (4.0 + tr_b**2 - tr_b2) / 16.0
-        got = analytics.analytic_avg_fidelity_hs(2, check_pairs=200)
-        assert got.value == pytest.approx(want, rel=1e-12)
-
-    def test_flag_reports_disagreement_with_monte_carlo(self):
-        """The closed-form expression does not reproduce the MC reference values."""
-        for dim in (2, 4):
-            result = analytics.analytic_avg_fidelity_hs(dim, check_pairs=2000)
-            assert not result.consistent
-            assert abs(result.value - result.mc_mean) > 3 * result.mc_stderr
-
-    def test_mc_cross_check_is_sane(self):
-        result = analytics.analytic_avg_fidelity_hs(2, check_pairs=2000)
-        assert result.mc_mean == pytest.approx(0.67, abs=0.03)
+from qstkit import analytics, qcore, sampling
 
 
 class TestFidelityStack:
     def test_matches_scalar_fidelity(self):
-        """The stacked path must agree with qcore.fidelity pair by pair."""
-        from qstkit import qcore
-
+        """Stacked qcore.fidelity must agree with the per-pair loop."""
         rng = sampling.stream(909)
         for m in (1, 2, 3):
             rhos = np.stack([sampling.sample_hs(m, rng) for _ in range(40)])
             sigmas = np.stack([sampling.sample_bures(m, rng) for _ in range(40)])
-            batch = analytics.fidelity_stack(rhos, sigmas)
+            batch = qcore.fidelity(rhos, sigmas)
             loop = [qcore.fidelity(r, s) for r, s in zip(rhos, sigmas)]
+            assert batch.shape == (40,)
             np.testing.assert_allclose(batch, loop, atol=1e-12)
+            mixed = qcore.maximally_mixed(m)
+            against_mixed = [qcore.fidelity(r, mixed) for r in rhos]
+            np.testing.assert_allclose(qcore.fidelity(rhos, mixed), against_mixed, atol=1e-12)
 
 
 class TestMonteCarlo:

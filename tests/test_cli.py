@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import csv
+import struct
 
 import numpy as np
 import pytest
@@ -133,7 +134,7 @@ class TestReconstruct:
         states = cli.read_states(out_dir / "states.qstst")
         ds = tomography.read_dataset(data)
         net, _ = neuralnet.network_from_checkpoint(checkpoint)
-        np.testing.assert_array_equal(states[0], neuralnet.infer(net, ds.measurements[0]))
+        np.testing.assert_array_equal(states, adapt.reconstruct(net, ds.measurements, "engineered"))
         rows = read_csv(out_dir / "fidelity.csv")
         assert rows[0] == ["state_id", "fidelity"]
         assert len(rows) == 1 + ds.count
@@ -213,6 +214,35 @@ class TestExperiments:
         assert run("experiment", "--name", "fig2", "--out-dir", tmp_path / "x") == cli.EXIT_USAGE
 
 
+CORRUPTIONS = ("garbage", "truncated", "zero-records", "nan-measurement", "inf-tau",
+               "unknown-measure", "nan-checkpoint")
+
+
+def corrupt(kind, data, checkpoint, tmp_path):
+    """(dataset, checkpoint) paths, one of them carrying a defect of the given kind."""
+    bad = tmp_path / "bad"
+    if kind == "garbage":
+        bad.write_bytes(b"not a dataset at all")
+    elif kind == "truncated":
+        bad.write_bytes(data.read_bytes()[:-8])
+    elif kind == "nan-checkpoint":
+        raw = checkpoint.read_bytes()
+        bad.write_bytes(raw[:-8] + struct.pack("<d", np.nan))  # last accumulator entry
+        return data, bad
+    else:
+        ds = tomography.read_dataset(data)
+        if kind == "zero-records":
+            ds.measurements, ds.taus = ds.measurements[:0], ds.taus[:0]
+        elif kind == "nan-measurement":
+            ds.measurements[0, 5] = np.nan
+        elif kind == "inf-tau":
+            ds.taus[3, 2] = np.inf
+        else:
+            ds.measure = "garbage"
+        tomography.write_dataset(bad, ds)
+    return bad, checkpoint
+
+
 class TestExitCodes:
     def test_unknown_flag(self):
         assert run("generate", "--nope") == cli.EXIT_USAGE
@@ -220,10 +250,19 @@ class TestExitCodes:
     def test_unknown_command(self):
         assert run("destroy") == cli.EXIT_USAGE
 
-    def test_corrupt_dataset_is_data_error(self, tmp_path):
-        bad = tmp_path / "bad.qst"
-        bad.write_bytes(b"not a dataset at all")
-        assert run("train", "--dataset", bad, "--out-dir", tmp_path / "x") == cli.EXIT_DATA
+    @pytest.mark.parametrize("command", ["train", "reconstruct"])
+    @pytest.mark.parametrize("corruption", CORRUPTIONS)
+    def test_corrupt_dataset_is_data_error(self, trained, tmp_path, capsys, command, corruption):
+        root, checkpoint = trained
+        data, checkpoint = corrupt(corruption, root / "train.qst", checkpoint, tmp_path)
+        if command == "train":
+            argv = ["train", "--dataset", data, "--val-count", 10, "--epochs", 1,
+                    "--init-checkpoint", checkpoint]
+        else:
+            argv = ["reconstruct", "--checkpoint", checkpoint, "--input", data]
+        capsys.readouterr()
+        assert run(*argv, "--out-dir", tmp_path / "x") == cli.EXIT_DATA
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_bad_val_count_is_usage_error(self, tmp_path):
         data = tmp_path / "d.qst"

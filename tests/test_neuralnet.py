@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qstkit import cholesky, neuralnet, qcore, sampling, tomography
+from qstkit import adapt, cholesky, neuralnet, qcore, sampling, tomography
 
 TINY = dict(num_qubits=2, conv_filters=2, dense_widths=(8, 4))
 
@@ -30,14 +30,16 @@ class TestReshape:
 
     def test_row_major_placement(self):
         """Joint index 28 lands at grid position (4, 4) for m=2."""
-        v = np.zeros(36)
-        v[28] = 1.0
-        grid = neuralnet.reshape_input(v)
+        v = np.zeros((1, 36))
+        v[0, 28] = 1.0
+        grid = neuralnet.grids_from_measurements(v)[0, 0]
         assert grid[4, 4] == 1.0 and grid.sum() == 1.0
 
     def test_flatten_roundtrip(self):
-        v = sampling.stream(501).random(216)
-        np.testing.assert_array_equal(neuralnet.reshape_input(v).ravel(), v)
+        v = sampling.stream(501).random((1, 216))
+        grids = neuralnet.grids_from_measurements(v)
+        assert grids.shape == (1, 1, 36, 6)
+        np.testing.assert_array_equal(grids.ravel(), v[0])
 
     def test_single_qubit_rejected(self):
         with pytest.raises(ValueError, match="too narrow"):
@@ -236,9 +238,7 @@ class TestTraining:
         )
         net, _, history = neuralnet.train(cfg, meas[:40], taus[:40], meas[40:], taus[40:])
         assert all(0.0 <= f <= 1.0 for f in history.val_fidelities)
-        best = neuralnet.mean_reconstruction_fidelity(
-            net, neuralnet.grids_from_measurements(meas[40:]), taus[40:]
-        )
+        best = neuralnet.mean_reconstruction_fidelity(net, meas[40:], taus[40:])
         assert best == pytest.approx(max(history.val_fidelities), abs=1e-12)
 
     def test_best_epoch_beats_first_epoch(self):
@@ -258,17 +258,19 @@ class TestTraining:
 
 
 class TestInfer:
+    """Inference goes through the one batched path, ``adapt.reconstruct``."""
+
     def test_untrained_output_is_physical(self):
         _, net = tiny_net()
-        rng = sampling.stream(606)
-        for _ in range(20):
-            rho = neuralnet.infer(net, rng.random(36))
-            assert qcore.is_physical(rho)
+        rhos = adapt.reconstruct(net, sampling.stream(606).random((20, 36)), "engineered")
+        assert all(qcore.is_physical(rho) for rho in rhos)
 
     def test_bitwise_repeatable(self):
         _, net = tiny_net()
-        v = sampling.stream(607).random(36)
-        np.testing.assert_array_equal(neuralnet.infer(net, v), neuralnet.infer(net, v))
+        v = sampling.stream(607).random((1, 36))
+        np.testing.assert_array_equal(
+            adapt.reconstruct(net, v, "engineered"), adapt.reconstruct(net, v, "engineered")
+        )
 
     def test_trained_network_beats_mixed_state_guess(self):
         """After a short training run, reconstruction beats the I/4 baseline."""
@@ -276,17 +278,18 @@ class TestInfer:
         cfg = neuralnet.NetworkConfig(num_qubits=2, max_epochs=20, seed=4)
         net, _, _ = neuralnet.train(cfg, meas[:1000], taus[:1000], meas[1000:], taus[1000:])
         held_states, held_meas, _ = small_dataset(2, 40, 609)
-        mixed = qcore.maximally_mixed(2)
-        net_fid = np.mean(
-            [qcore.fidelity(neuralnet.infer(net, v), r) for v, r in zip(held_meas, held_states)]
-        )
-        mixed_fid = np.mean([qcore.fidelity(mixed, r) for r in held_states])
+        held_states = np.stack(held_states)
+        estimates = adapt.reconstruct(net, held_meas, "engineered")
+        net_fid = np.mean(qcore.fidelity(estimates, held_states))
+        mixed_fid = np.mean(qcore.fidelity(held_states, qcore.maximally_mixed(2)))
         assert net_fid > mixed_fid
 
     def test_wrong_length_rejected(self):
         _, net = tiny_net()
-        with pytest.raises(ValueError, match="length-36"):
-            neuralnet.infer(net, np.zeros(6))
+        with pytest.raises(ValueError, match="power of six"):
+            adapt.reconstruct(net, np.zeros((1, 7)), "engineered")
+        with pytest.raises(ValueError, match="trained on"):
+            adapt.reconstruct(net, np.zeros((1, 216)), "engineered")
 
 
 class TestCheckpoints:
@@ -297,8 +300,10 @@ class TestCheckpoints:
         path = tmp_path / "model.qstck"
         neuralnet.save_checkpoint(path, cfg, net.parameters(), opt.accumulators)
         loaded, opt2 = neuralnet.network_from_checkpoint(path)
-        v = sampling.stream(610).random(36)
-        np.testing.assert_array_equal(neuralnet.infer(net, v), neuralnet.infer(loaded, v))
+        v = sampling.stream(610).random((3, 36))
+        np.testing.assert_array_equal(
+            adapt.reconstruct(net, v, "engineered"), adapt.reconstruct(loaded, v, "engineered")
+        )
         for a, b in zip(opt.accumulators, opt2.accumulators):
             np.testing.assert_array_equal(a, b)
         assert loaded.config == cfg

@@ -125,6 +125,19 @@ class TestSqrtPsd:
         with pytest.raises(ValueError, match="Hermitian"):
             qcore.sqrt_psd(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
 
+    def test_stack_with_one_bad_member_rejected(self):
+        """Every member of a stack is checked, not only the first."""
+        good = np.stack([np.eye(2, dtype=complex) / 2] * 3)
+        non_psd = good.copy()
+        non_psd[2] = np.diag([1.0, -0.5])
+        with pytest.raises(np.linalg.LinAlgError, match="positive semidefinite"):
+            qcore.sqrt_psd(non_psd)
+        non_hermitian = good.copy()
+        non_hermitian[1] = [[0.0, 1.0], [0.0, 0.0]]
+        with pytest.raises(ValueError, match="Hermitian"):
+            qcore.sqrt_psd(non_hermitian)
+        np.testing.assert_allclose(qcore.sqrt_psd(good), good * np.sqrt(2), atol=1e-15)
+
     def test_clamps_roundoff_negatives(self):
         out = qcore.sqrt_psd(np.diag([1.0, -5e-11]).astype(complex))
         np.testing.assert_allclose(out, np.diag([1.0, 0.0]), atol=1e-15)
@@ -210,6 +223,19 @@ class TestChecks:
             qcore.assert_physical(np.eye(2, dtype=complex))
         with pytest.raises(ValueError, match="eigenvalue"):
             qcore.assert_physical(np.diag([1.5, -0.5]).astype(complex))
+
+    def test_qubit_count_table(self):
+        accepted = [
+            (2, 2, 1), (4, 2, 2), (8, 2, 3), (1024, 2, 10),
+            (4, 4, 1), (16, 4, 2), (64, 4, 3),
+            (6, 6, 1), (36, 6, 2), (216, 6, 3), (6**8, 6, 8),
+        ]
+        for size, base, k in accepted:
+            assert qcore.qubit_count(size, base) == k
+        for base in (2, 4, 6):
+            for size in (0, 1, 35, 37, 215, 217):
+                with pytest.raises(ValueError, match=rf"{base}\*\*m"):
+                    qcore.qubit_count(size, base)
 
     def test_num_qubits_validation(self):
         assert qcore.num_qubits(np.eye(8)) == 3

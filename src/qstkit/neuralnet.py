@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import cholesky, qcore, sampling
 from .tomography import FormatError
@@ -89,7 +90,12 @@ class NetworkConfig:
 
 
 class Conv2D:
-    """Valid-boundary stride-1 convolution; weights (filters, channels, k, k)."""
+    """Valid-boundary stride-1 convolution; weights (filters, channels, k, k).
+
+    Each pass is one GEMM over a sliding-window view of the input (im2col).
+    Outputs have shape (n, f, oh, ow) but channels-last memory, so the pool's
+    strided taps and the next layer's windows step over contiguous channels.
+    """
 
     def __init__(self, channels: int, filters: int, kernel: int, rng=None):
         self.kernel = kernel
@@ -101,32 +107,25 @@ class Conv2D:
         self.b = np.zeros(filters)
 
     def forward(self, x, train=False, rng=None):
-        self.x = x
         k = self.kernel
-        n, _, h, w = x.shape
-        oh, ow = h - k + 1, w - k + 1
-        out = np.broadcast_to(self.b[None, :, None, None], (n, self.w.shape[0], oh, ow)).copy()
-        for p in range(k):
-            for q in range(k):
-                out += np.einsum(
-                    "nchw,fc->nfhw", x[:, :, p : p + oh, q : q + ow], self.w[:, :, p, q]
-                )
-        return out
+        # (n, c, oh, ow, k, k) view of every k x k window; no copy, kept for backward.
+        self.windows = sliding_window_view(x, (k, k), axis=(2, 3))
+        out = np.tensordot(self.windows, self.w, axes=([1, 4, 5], [1, 2, 3]))
+        out += self.b
+        return out.transpose(0, 3, 1, 2)  # channels-last memory, (n, f, oh, ow) shape
 
     def backward(self, dout):
         k = self.kernel
-        oh, ow = dout.shape[2], dout.shape[3]
-        self.dw = np.empty_like(self.w)
-        self.db = dout.sum(axis=(0, 2, 3))
-        dx = np.zeros_like(self.x)
+        n, c, oh, ow = self.windows.shape[:4]
+        self.dw = np.tensordot(dout, self.windows, axes=([0, 2, 3], [0, 2, 3]))
+        self.db = np.einsum("nfhw->f", dout)  # twice as fast as sum() on channels-last dout
+        # Columns (n, oh, ow, c, k, k), then col2im: add each tap back at its offset.
+        cols = np.tensordot(dout, self.w, axes=([1], [0]))
+        dx = np.zeros((n, oh + k - 1, ow + k - 1, c))
         for p in range(k):
             for q in range(k):
-                window = self.x[:, :, p : p + oh, q : q + ow]
-                self.dw[:, :, p, q] = np.einsum("nfhw,nchw->fc", dout, window)
-                dx[:, :, p : p + oh, q : q + ow] += np.einsum(
-                    "nfhw,fc->nchw", dout, self.w[:, :, p, q]
-                )
-        return dx
+                dx[:, p : p + oh, q : q + ow] += cols[..., p, q]
+        return dx.transpose(0, 3, 1, 2)
 
 
 class ReLU:
@@ -139,30 +138,44 @@ class ReLU:
 
 
 class MaxPool2D:
-    """Square max pooling, stride equal to size, floor division (no padding)."""
+    """Square max pooling, stride equal to size, floor division (no padding).
+
+    The maximum is taken elementwise over size**2 strided views of the input
+    ("taps"), one per position in the window, each of shape (n, c, ph, pw).
+    """
 
     def __init__(self, size: int):
         self.size = size
 
-    def forward(self, x, train=False, rng=None):
+    def _taps(self, x):
+        """The s*s strided views x[:, :, p::s, q::s] over whole windows, row-major."""
         s = self.size
-        n, c, h, w = x.shape
-        ph, pw = h // s, w // s
+        ph, pw = x.shape[2] // s, x.shape[3] // s
+        return [x[:, :, p : ph * s : s, q : pw * s : s] for p in range(s) for q in range(s)]
+
+    def forward(self, x, train=False, rng=None):
+        taps = self._taps(x)
+        out = taps[0].copy(order="K")
+        for tap in taps[1:]:
+            np.maximum(out, tap, out=out)
         self.in_shape = x.shape
-        win = x[:, :, : ph * s, : pw * s].reshape(n, c, ph, s, pw, s)
-        win = win.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, ph, pw, s * s)
-        self.argmax = win.argmax(axis=-1)
-        return np.take_along_axis(win, self.argmax[..., None], axis=-1)[..., 0]
+        # One mask per tap marking each window's first maximum in row-major
+        # order, the one argmax picks; the backward pass routes dout through it.
+        unclaimed = np.ones_like(out, dtype=bool)
+        self.masks = []
+        for tap in taps:
+            first = (tap == out) & unclaimed
+            unclaimed &= ~first
+            self.masks.append(first)
+        return out
 
     def backward(self, dout):
-        s = self.size
         n, c, h, w = self.in_shape
-        ph, pw = dout.shape[2], dout.shape[3]
-        dwin = np.zeros((n, c, ph, pw, s * s))
-        np.put_along_axis(dwin, self.argmax[..., None], dout[..., None], axis=-1)
-        dwin = dwin.reshape(n, c, ph, pw, s, s).transpose(0, 1, 2, 4, 3, 5)
-        dx = np.zeros(self.in_shape)
-        dx[:, :, : ph * s, : pw * s] = dwin.reshape(n, c, ph * s, pw * s)
+        # Channels-last like the conv output; rows and columns dropped by the
+        # floor division stay zero.
+        dx = np.zeros((n, h, w, c)).transpose(0, 3, 1, 2)
+        for first, dtap in zip(self.masks, self._taps(dx)):
+            np.multiply(dout, first, out=dtap)
         return dx
 
 
@@ -395,6 +408,8 @@ def train(
             best_params = [p.copy() for p in net.parameters()]
             best_accums = [a.copy() for a in opt.accumulators]
 
+    if not best_params:
+        raise ArithmeticError("no epoch produced a finite validation fidelity")
     net.set_parameters(best_params)
     for dst, src in zip(opt.accumulators, best_accums, strict=True):
         dst[...] = src

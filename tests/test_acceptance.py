@@ -16,6 +16,8 @@ import pytest
 
 from qstkit import adapt, analytics, cholesky, cli, neuralnet, qcore, sampling, tomography
 
+pytestmark = pytest.mark.acceptance
+
 DATA_SEED = 11
 NET_SEED = 11
 DESK_TRAIN = 4000

@@ -89,7 +89,7 @@ class TestTauToRho:
         )
 
     def test_zero_tau_rejected(self):
-        with pytest.raises(ValueError, match="zero norm"):
+        with pytest.raises(ArithmeticError, match="zero norm"):
             cholesky.tau_to_rho(np.zeros(16))
 
 

@@ -264,6 +264,32 @@ class TestExitCodes:
         assert run(*argv, "--out-dir", tmp_path / "x") == cli.EXIT_DATA
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_all_zero_checkpoint_is_numerical_error(self, trained, tmp_path, capsys):
+        """Zero weights give all-zero taus, which define no state."""
+        root, _ = trained
+        config = neuralnet.NetworkConfig(num_qubits=2)
+        params = neuralnet.Network.build(config).parameters()
+        checkpoint = tmp_path / "zero.qstck"
+        neuralnet.save_checkpoint(checkpoint, config, params, [np.zeros_like(p) for p in params])
+        capsys.readouterr()
+        code = run("reconstruct", "--checkpoint", checkpoint, "--input", root / "train.qst",
+                   "--out-dir", tmp_path / "x")
+        assert code == cli.EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "zero norm" in err and "Traceback" not in err
+
+    def test_no_finite_validation_epoch_is_numerical_error(self, trained, tmp_path, capsys,
+                                                           monkeypatch):
+        root, _ = trained
+        monkeypatch.setattr(neuralnet, "mean_reconstruction_fidelity", lambda *a: float("nan"))
+        capsys.readouterr()
+        code = run("train", "--dataset", root / "train.qst", "--out-dir", tmp_path / "x",
+                   "--val-count", 60, "--epochs", 2)
+        assert code == cli.EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "no epoch produced a finite validation fidelity" in err
+        assert "Traceback" not in err
+
     def test_bad_val_count_is_usage_error(self, tmp_path):
         data = tmp_path / "d.qst"
         assert run("generate", "--out", data, "--m", 2, "--count", 10, "--seed", 1) == 0

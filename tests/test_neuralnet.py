@@ -86,8 +86,13 @@ class TestForward:
 
     def test_pool_floor_discards_trailing_row(self):
         x = np.arange(15.0).reshape(1, 1, 5, 3)
-        out = neuralnet.MaxPool2D(2).forward(x)
+        pool = neuralnet.MaxPool2D(2)
+        out = pool.forward(x)
         np.testing.assert_array_equal(out[0, 0], [[4.0], [10.0]])
+        dx = pool.backward(np.array([[[[2.0], [3.0]]]]))
+        want = np.zeros((5, 3))
+        want[1, 1], want[3, 1] = 2.0, 3.0
+        np.testing.assert_array_equal(dx[0, 0], want)  # dropped row 4 and column 2 stay zero
 
     def test_dropout_train_versus_infer(self):
         layer = neuralnet.Dropout(0.5)
@@ -97,6 +102,74 @@ class TestForward:
         assert set(np.unique(masked)) <= {0.0, 2.0}
         with pytest.raises(ValueError, match="generator"):
             layer.forward(x, train=True)
+
+
+def conv_oracle(x, w, b, dout):
+    """Scalar nested loops: output, dw, db and dx of a valid stride-1 convolution."""
+    n, c, h, wd = x.shape
+    f, _, k, _ = w.shape
+    oh, ow = h - k + 1, wd - k + 1
+    out = np.zeros((n, f, oh, ow))
+    dw, db, dx = np.zeros_like(w), np.zeros_like(b), np.zeros_like(x)
+    for i, j, r, t in np.ndindex(n, f, oh, ow):
+        out[i, j, r, t] = b[j]
+        db[j] += dout[i, j, r, t]
+        for ch, p, q in np.ndindex(c, k, k):
+            out[i, j, r, t] += w[j, ch, p, q] * x[i, ch, r + p, t + q]
+            dw[j, ch, p, q] += dout[i, j, r, t] * x[i, ch, r + p, t + q]
+            dx[i, ch, r + p, t + q] += dout[i, j, r, t] * w[j, ch, p, q]
+    return out, dw, db, dx
+
+
+def pool_oracle(x, s, dout):
+    """Scalar loops: each window's maximum, its gradient to the first maximum (row-major)."""
+    n, c, h, w = x.shape
+    out = np.zeros((n, c, h // s, w // s))
+    dx = np.zeros_like(x)
+    for i, ch, r, t in np.ndindex(out.shape):
+        best = None
+        for p, q in np.ndindex(s, s):
+            if best is None or x[i, ch, r * s + p, t * s + q] > x[best]:
+                best = (i, ch, r * s + p, t * s + q)
+        out[i, ch, r, t] = x[best]
+        dx[best] = dout[i, ch, r, t]
+    return out, dx
+
+
+class TestKernels:
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_conv_matches_loop_oracle(self, k):
+        rng = sampling.stream(520 + k)
+        x = rng.standard_normal((2, 3, 7, 4))
+        conv = neuralnet.Conv2D(3, 2, k, rng)
+        conv.b[:] = rng.standard_normal(2)
+        out = conv.forward(x)
+        dout = rng.standard_normal(out.shape)
+        dx = conv.backward(dout)
+        want = conv_oracle(x, conv.w, conv.b, dout)
+        for got, ref in zip((out, conv.dw, conv.db, dx), want):
+            assert got.shape == ref.shape
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+
+    def test_pool_tie_goes_to_first_maximum(self):
+        """Windows [[1, 3], [3, 0]] and all-zero (dead ReLU) ties."""
+        x = np.array([[[[1.0, 3.0, 0.0, 0.0], [3.0, 0.0, 0.0, 0.0]]]])
+        pool = neuralnet.MaxPool2D(2)
+        np.testing.assert_array_equal(pool.forward(x), [[[[3.0, 0.0]]]])
+        dx = pool.backward(np.array([[[[5.0, 7.0]]]]))
+        np.testing.assert_array_equal(dx, [[[[0.0, 5.0, 7.0, 0.0], [0.0, 0.0, 0.0, 0.0]]]])
+
+    @pytest.mark.parametrize("size, shape", [(2, (5, 3)), (2, (36, 6)), (3, (7, 8))])
+    def test_pool_matches_loop_oracle(self, size, shape):
+        rng = sampling.stream(530 + size)
+        # Rounded non-negative values: many ties, as after a ReLU.
+        x = np.maximum(np.round(rng.standard_normal((2, 3) + shape), 1), 0.0)
+        pool = neuralnet.MaxPool2D(size)
+        out = pool.forward(x)
+        dout = rng.standard_normal(out.shape)
+        want_out, want_dx = pool_oracle(x, size, dout)
+        np.testing.assert_array_equal(out, want_out)
+        np.testing.assert_array_equal(pool.backward(dout), want_dx)
 
 
 class TestLoss:

@@ -21,6 +21,8 @@ import numpy as np
 
 from . import qcore
 
+_CHOLESKY_SHIFT = 1e-12
+
 
 def tau_layout(d: int) -> tuple[np.ndarray, np.ndarray]:
     """Matrix positions of each layout slot, as (rows, cols) arrays.
@@ -51,14 +53,14 @@ def tau_to_matrix(tau: np.ndarray) -> np.ndarray:
 
 
 def matrix_to_tau(t: np.ndarray) -> np.ndarray:
-    """Read a lower-triangular matrix back into tau layout order."""
-    d = t.shape[0]
+    """Read a lower-triangular matrix, or a (..., d, d) stack, back into tau layout order."""
+    d = t.shape[-1]
     rows, cols = tau_layout(d)
-    tau = np.empty(d * d, dtype=np.float64)
-    tau[:d] = t[rows[:d], cols[:d]].real
-    lower = t[rows[d:], cols[d:]]
-    tau[d::2] = lower.real
-    tau[d + 1 :: 2] = lower.imag
+    tau = np.empty(t.shape[:-2] + (d * d,), dtype=np.float64)
+    tau[..., :d] = t[..., rows[:d], cols[:d]].real
+    lower = t[..., rows[d:], cols[d:]]
+    tau[..., d::2] = lower.real
+    tau[..., d + 1 :: 2] = lower.imag
     return tau
 
 
@@ -77,16 +79,16 @@ def tau_to_rho(tau: np.ndarray) -> np.ndarray:
     return (rho + rho.conj().swapaxes(-1, -2)) / 2
 
 
-def rho_to_tau(rho: np.ndarray, shift: float = 1e-12) -> np.ndarray:
-    """Canonical tau target for a physical state.
+def rho_to_tau(rho: np.ndarray) -> np.ndarray:
+    """Canonical tau target for a physical state or a (..., d, d) stack of them.
 
-    Cholesky-factorizes rho + shift*I (the Tikhonov shift keeps rank-deficient
+    Cholesky-factorizes rho + 1e-12*I (the Tikhonov shift keeps rank-deficient
     targets factorizable), then scales tau to unit Euclidean norm. numpy's
     factorization returns a positive diagonal, which removes the sign
     ambiguity, so targets are unique.
     """
-    d = rho.shape[0]
-    h = (rho + rho.conj().T) / 2
-    t = np.linalg.cholesky(h + shift * np.eye(d))
+    h = (rho + rho.conj().swapaxes(-1, -2)) / 2
+    t = np.linalg.cholesky(h + _CHOLESKY_SHIFT * np.eye(rho.shape[-1]))
     tau = matrix_to_tau(t)
-    return tau / np.linalg.norm(tau)
+    # A vector dot per row, the same sum as a 1-D np.linalg.norm.
+    return tau / np.sqrt(tau[..., None, :] @ tau[..., :, None])[..., 0]

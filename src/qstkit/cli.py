@@ -4,8 +4,7 @@ Every command resolves its configuration from (defaults, optional INI config
 file, explicit flags; later wins), validates it, and writes the fully
 resolved values as an INI file next to its outputs, so any run can be
 re-executed exactly from its artifacts. All commands are deterministic given
-(config, seed); the only parallel path is dataset generation, whose
-per-state streams make worker count irrelevant to the output bytes.
+(config, seed).
 
 Reconstructions are deterministic given the checkpoint and the input file.
 Rows are forwarded through the network in chunks of the checkpoint's
@@ -117,12 +116,10 @@ def _write_resolved_config(path, command: str, values: dict) -> None:
         parser.write(fh)
 
 
-def _generate_dataset(m, measure, count, seed, workers=1) -> tomography.Dataset:
-    spec = sampling.EnsembleSpec(m, measure, count)
-    states = sampling.sample_ensemble(spec, seed, workers=workers)
+def _generate_dataset(m, measure, count, seed) -> tomography.Dataset:
+    states = sampling.sample_ensemble(sampling.EnsembleSpec(m, measure, count), seed)
     measurements = np.stack([tomography.measure(rho) for rho in states])
-    taus = np.stack([cholesky.rho_to_tau(rho) for rho in states])
-    return tomography.Dataset(m, measure, seed, measurements, taus)
+    return tomography.Dataset(m, measure, seed, measurements, cholesky.rho_to_tau(states))
 
 
 def cmd_generate(args) -> int:
@@ -130,16 +127,15 @@ def cmd_generate(args) -> int:
     measure = _resolve(args, "measure", str, sampling.MEASURE_HS)
     count = _resolve(args, "count", int, 100)
     seed = _resolve(args, "seed", int, 0)
-    workers = _resolve(args, "workers", int, 1)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    dataset = _generate_dataset(m, measure, count, seed, workers)
+    dataset = _generate_dataset(m, measure, count, seed)
     tomography.write_dataset(out, dataset)
     _write_resolved_config(
         str(out) + ".config.ini",
         "generate",
-        {"m": m, "measure": measure, "count": count, "seed": seed, "workers": workers,
-         "out": out, "format_version": tomography.DATASET_VERSION},
+        {"m": m, "measure": measure, "count": count, "seed": seed, "out": out,
+         "format_version": tomography.DATASET_VERSION},
     )
     print(f"wrote {count} states to {out}")
     return EXIT_OK
@@ -378,7 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, help="qubit count (default 2)")
     p.add_argument("--measure", choices=sampling.MEASURES, help="sampling measure")
     p.add_argument("--count", type=int, help="number of states (default 100)")
-    p.add_argument("--workers", type=int, help="parallel workers; output is identical (default 1)")
 
     p = sub.add_parser("train", help="train a network on a dataset file")
     add_common(p)

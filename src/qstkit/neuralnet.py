@@ -40,6 +40,9 @@ TRAIN_STREAM = (1 << 64) - 1
 CHECKPOINT_MAGIC = b"QSTCKPT\x00"
 CHECKPOINT_VERSION = 1
 
+# Adagrad's denominator offset: no 0/0 where every gradient so far was zero.
+_ADAGRAD_EPS = 1e-8
+
 
 def grid_shape(m: int) -> tuple[int, int]:
     """Input grid dimensions for an m-qubit measurement vector."""
@@ -326,18 +329,17 @@ def compute_gradients(net: Network, grids, targets, rng) -> tuple[float, list[np
 
 
 class Adagrad:
-    """accumulator += g**2; parameter -= lr * g / (sqrt(accumulator) + eps)."""
+    """accumulator += g**2; parameter -= lr * g / (sqrt(accumulator) + 1e-8)."""
 
-    def __init__(self, params: list[np.ndarray], learning_rate: float, eps: float = 1e-8):
+    def __init__(self, params: list[np.ndarray], learning_rate: float):
         self.params = list(params)
         self.learning_rate = learning_rate
-        self.eps = eps
         self.accumulators = [np.zeros_like(p) for p in self.params]
 
     def step(self, grads: list[np.ndarray]) -> None:
         for p, g, a in zip(self.params, grads, self.accumulators, strict=True):
             a += g * g
-            p -= self.learning_rate * g / (np.sqrt(a) + self.eps)
+            p -= self.learning_rate * g / (np.sqrt(a) + _ADAGRAD_EPS)
 
 
 @dataclass

@@ -154,25 +154,6 @@ def project_physical(m: np.ndarray) -> np.ndarray:
     return (v * (w / total)) @ v.conj().T
 
 
-def is_physical(
-    rho: np.ndarray,
-    herm_atol: float = HERMITICITY_ATOL,
-    eig_atol: float = EIGENVALUE_ATOL,
-    trace_atol: float = TRACE_ATOL,
-) -> bool:
-    """True when ``rho`` satisfies the density-matrix invariants."""
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        return False
-    if not np.all(np.isfinite(rho.real)) or not np.all(np.isfinite(rho.imag)):
-        return False
-    if not np.all(np.abs(rho - rho.conj().T) <= herm_atol):
-        return False
-    if abs(np.trace(rho) - 1.0) > trace_atol:
-        return False
-    w = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
-    return bool(w[0] >= -eig_atol)
-
-
 def assert_physical(rho: np.ndarray, context: str = "state") -> None:
     """Raise ValueError with a reason when ``rho`` violates an invariant."""
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
@@ -188,3 +169,12 @@ def assert_physical(rho: np.ndarray, context: str = "state") -> None:
     w = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
     if w[0] < -EIGENVALUE_ATOL:
         raise ValueError(f"{context}: negative eigenvalue {w[0]:.3e}")
+
+
+def is_physical(rho: np.ndarray) -> bool:
+    """True when ``rho`` satisfies the density-matrix invariants (``assert_physical``)."""
+    try:
+        assert_physical(rho)
+    except ValueError:
+        return False
+    return True

@@ -6,21 +6,19 @@ Every draw comes from numpy's Philox4x64-10 counter-based generator, which is
 a fixed, platform-independent algorithm. ``stream(seed, index)`` keys the
 cipher with the pair ``(seed, index)``; distinct indices give statistically
 independent streams. Ensembles draw state i from ``stream(seed, i)``, so the
-output is bit-identical no matter how the work is split across workers.
+output does not depend on how the index range is split into chunks.
 
 ``sub_seed(seed, *labels)`` derives further 64-bit seeds from string labels
 via SHA-256 for coarser partitioning (train/validation/test roles and the
 like). Both derivations are part of the on-disk dataset contract: a dataset
 header records the master seed, and ``(seed, i)`` regenerate state i exactly.
 
-A single generator must not be shared across threads; hand each worker its
-own stream instead.
+A single generator must not be shared across threads.
 """
 
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,59 +53,96 @@ def ginibre(d: int, rng: np.random.Generator) -> np.ndarray:
     """d x d matrix with entries (a + ib)/sqrt(2), a and b standard normal."""
     if d < 1:
         raise ValueError(f"dimension must be positive, got {d}")
-    re = rng.standard_normal((d, d))
-    im = rng.standard_normal((d, d))
+    re, im = rng.standard_normal((2, d, d))
     return (re + 1j * im) / np.sqrt(2.0)
 
 
-def _normalized_gram_retry(a: np.ndarray, redraw) -> np.ndarray:
-    w = a @ a.conj().T
-    t = np.trace(w).real
-    if t <= _ZERO_TRACE_TOL:
-        a = redraw()
-        w = a @ a.conj().T
-        t = np.trace(w).real
-        if t <= _ZERO_TRACE_TOL:
-            raise ArithmeticError("degenerate zero-trace draw after retry")
-    w = w / t
-    return (w + w.conj().T) / 2
+def _ginibre_draws(measure: str) -> int:
+    """Ginibre draws per state: the Gram factor, and for Bures the Haar seed."""
+    if measure not in MEASURES:
+        raise ValueError(f"unknown measure {measure!r}; expected one of {MEASURES}")
+    return 1 if measure == MEASURE_HS else 2
+
+
+def _haar(z: np.ndarray) -> np.ndarray:
+    """Haar unitaries from stacked Ginibre draws: Q of the QR, column j times r_jj/|r_jj|.
+
+    The phase fix makes the distribution exactly Haar, not QR-convention dependent.
+    """
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
+
+
+def _gram(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """W = A A† and Tr W, with A = G (HS) or (I + U)G (Bures), G and U from draws 0 and 1."""
+    a = z[..., 0, :, :]
+    if z.shape[-3] == 2:
+        a = (np.eye(z.shape[-1]) + _haar(z[..., 1, :, :])) @ a
+    w = a @ a.conj().swapaxes(-1, -2)
+    return w, np.trace(w, axis1=-2, axis2=-1).real
+
+
+def _normalize(w: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """(W/t + (W/t)†)/2, in place on the stack."""
+    w /= t[..., None, None]
+    w += w.conj().swapaxes(-1, -2)
+    w *= 0.5
+    return w
+
+
+def sample_state(m: int, measure: str, rng: np.random.Generator) -> np.ndarray:
+    """One random m-qubit state of ``measure`` drawn from ``rng`` (see sample_hs/sample_bures).
+
+    A zero-trace draw is redrawn once from ``rng``; a second one raises ArithmeticError.
+    """
+    draws, d = _ginibre_draws(measure), 2**m
+    for _ in range(2):
+        w, t = _gram(np.stack([ginibre(d, rng) for _ in range(draws)]))
+        if t > _ZERO_TRACE_TOL:
+            return _normalize(w, t)
+    raise ArithmeticError("degenerate zero-trace draw after retry")
 
 
 def sample_hs(m: int, rng: np.random.Generator) -> np.ndarray:
     """Random m-qubit state under the Hilbert-Schmidt measure: GG†/Tr(GG†)."""
-    d = 2**m
-    return _normalized_gram_retry(ginibre(d, rng), lambda: ginibre(d, rng))
-
-
-def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random unitary: QR of a Ginibre draw with the phase correction.
-
-    Column j of Q is multiplied by r_jj/|r_jj| so the distribution is exactly
-    Haar rather than QR-convention dependent.
-    """
-    q, r = np.linalg.qr(ginibre(d, rng))
-    diag = np.diagonal(r)
-    return q * (diag / np.abs(diag))
+    return sample_state(m, MEASURE_HS, rng)
 
 
 def sample_bures(m: int, rng: np.random.Generator) -> np.ndarray:
     """Random m-qubit state under the Bures measure: (I+U)GG†(I+U)†, normalized."""
-    d = 2**m
-
-    def draw() -> np.ndarray:
-        g = ginibre(d, rng)
-        u = haar_unitary(d, rng)
-        return (np.eye(d) + u) @ g
-
-    return _normalized_gram_retry(draw(), draw)
+    return sample_state(m, MEASURE_BURES, rng)
 
 
-def sample_state(m: int, measure: str, rng: np.random.Generator) -> np.ndarray:
-    if measure == MEASURE_HS:
-        return sample_hs(m, rng)
-    if measure == MEASURE_BURES:
-        return sample_bures(m, rng)
-    raise ValueError(f"unknown measure {measure!r}; expected one of {MEASURES}")
+def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-random d x d unitary from one Ginibre draw of ``rng``."""
+    return _haar(ginibre(d, rng))
+
+
+def sample_streams(m: int, measure: str, seed: int, start: int, stop: int,
+                   per_stream: int) -> np.ndarray:
+    """States of streams start..stop-1 as a (per_stream, stop - start, d, d) stack.
+
+    Entry [s, j] is the s-th ``sample_state`` call on ``stream(seed, start + j)``,
+    bit for bit. The draws are made stream by stream; the QR, Gram product and
+    normalization run once on the stack. A stream with a zero-trace draw is
+    replayed through ``sample_state`` from a fresh generator.
+    """
+    draws, d = _ginibre_draws(measure), 2**m
+    z = np.empty((per_stream, stop - start, draws, d, d), dtype=complex)
+    for j in range(stop - start):
+        rng = stream(seed, start + j)
+        for s, c in np.ndindex(per_stream, draws):
+            z[s, j, c] = ginibre(d, rng)
+    w, t = _gram(z)
+    del z
+    bad = np.flatnonzero(~np.all(t > _ZERO_TRACE_TOL, axis=0))
+    t[:, bad] = 1.0  # keeps the division finite; these streams are replayed below
+    _normalize(w, t)
+    for j in bad.tolist():
+        rng = stream(seed, start + j)
+        w[:, j] = [sample_state(m, measure, rng) for _ in range(per_stream)]
+    return w
 
 
 @dataclass(frozen=True)
@@ -127,25 +162,6 @@ class EnsembleSpec:
             raise ValueError(f"count must be >= 1, got {self.count}")
 
 
-def _sample_range(spec: EnsembleSpec, seed: int, start: int, stop: int) -> np.ndarray:
-    d = 2**spec.num_qubits
-    out = np.empty((stop - start, d, d), dtype=complex)
-    for i in range(start, stop):
-        out[i - start] = sample_state(spec.num_qubits, spec.measure, stream(seed, i))
-    return out
-
-
-def sample_ensemble(spec: EnsembleSpec, seed: int, workers: int = 1) -> np.ndarray:
-    """Stacked (count, d, d) array of states; state i comes from stream(seed, i).
-
-    ``workers > 1`` splits the index range over processes; the per-state
-    streams make the result identical to a serial run.
-    """
-    if workers <= 1 or spec.count < 4 * workers:
-        return _sample_range(spec, seed, 0, spec.count)
-    bounds = np.linspace(0, spec.count, workers + 1, dtype=int)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunks = list(
-            pool.map(_sample_range, [spec] * workers, [seed] * workers, bounds[:-1], bounds[1:])
-        )
-    return np.concatenate(chunks, axis=0)
+def sample_ensemble(spec: EnsembleSpec, seed: int) -> np.ndarray:
+    """Stacked (count, d, d) array of states; state i comes from stream(seed, i)."""
+    return sample_streams(spec.num_qubits, spec.measure, seed, 0, spec.count, 1)[0]

@@ -77,7 +77,7 @@ def index_settings(index: int, m: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def measure(rho: np.ndarray, validate: bool = True) -> np.ndarray:
+def measure(rho: np.ndarray) -> np.ndarray:
     """Exact Born probabilities for all 6**m joint Pauli settings.
 
     Entry ``joint_index(s)`` is Tr(rho · Π_{s_0} ⊗ ... ⊗ Π_{s_{m-1}}),
@@ -85,8 +85,7 @@ def measure(rho: np.ndarray, validate: bool = True) -> np.ndarray:
     the joint projectors.
     """
     m = qcore.num_qubits(rho)
-    if validate:
-        qcore.assert_physical(rho, "measure input")
+    qcore.assert_physical(rho, "measure input")
     projs = pauli6_projectors()
     t = rho.reshape((2,) * (2 * m))
     for remaining in range(m, 0, -1):

@@ -39,7 +39,7 @@ def make_dataset(m, measure, count, label):
     spec = sampling.EnsembleSpec(m, measure, count)
     states = sampling.sample_ensemble(spec, sampling.sub_seed(DATA_SEED, label))
     meas = np.stack([tomography.measure(rho) for rho in states])
-    taus = np.stack([cholesky.rho_to_tau(rho) for rho in states])
+    taus = cholesky.rho_to_tau(states)
     return states, meas, taus
 
 

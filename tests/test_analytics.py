@@ -52,6 +52,14 @@ class TestMonteCarlo:
             mixed, _ = analytics.mc_avg_fidelity_vs_mixed("hilbert-schmidt", dim, 2000, seed=12)
             assert mixed > pair
 
+    @pytest.mark.parametrize("against_mixed", [False, True])
+    @pytest.mark.parametrize("measure,m", [("hilbert-schmidt", 3), ("bures", 2)])
+    def test_chunking_does_not_change_fidelities(self, monkeypatch, measure, m, against_mixed):
+        default = analytics._mc_fidelities(measure, m, 40, 21, against_mixed)
+        monkeypatch.setattr(analytics, "_MC_CHUNK", 7)
+        chunked = analytics._mc_fidelities(measure, m, 40, 21, against_mixed)
+        assert chunked.tobytes() == default.tobytes()
+
     def test_dimension_validation(self):
         with pytest.raises(ValueError, match="power of two"):
             analytics.mc_avg_fidelity("hilbert-schmidt", 3, 200)

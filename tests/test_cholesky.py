@@ -113,6 +113,23 @@ class TestRhoToTau:
             assert np.linalg.norm(tau) == pytest.approx(1.0, abs=1e-12)
             assert np.all(tau[:4] >= 0)
 
+    def test_stack_equals_per_state_calls(self):
+        """Bitwise: the stack, each row alone, and the per-state formula with a 1-D norm."""
+        for m in (1, 2, 3):
+            spec = sampling.EnsembleSpec(m, sampling.MEASURE_BURES, 200)
+            states = sampling.sample_ensemble(spec, 406)
+            stacked = cholesky.rho_to_tau(states)
+            assert stacked.shape == (200, 4**m)
+            rows = np.stack([cholesky.rho_to_tau(rho) for rho in states])
+            assert stacked.tobytes() == rows.tobytes()
+            reference = []
+            for rho in states:
+                h = (rho + rho.conj().T) / 2
+                t = np.linalg.cholesky(h + 1e-12 * np.eye(2**m))
+                tau = cholesky.matrix_to_tau(t)
+                reference.append(tau / np.linalg.norm(tau))
+            assert stacked.tobytes() == np.stack(reference).tobytes()
+
     def test_roundtrip_fidelity(self):
         """Full-rank states reconstruct with fidelity deficit below 1e-9."""
         rng = sampling.stream(405)

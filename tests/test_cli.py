@@ -58,12 +58,20 @@ class TestGenerate:
         config = (tmp_path / "d.qst.config.ini").read_text()
         assert "seed = 5" in config and "m = 3" in config
 
-    def test_worker_count_is_invisible_in_output(self, tmp_path):
+    def test_config_with_removed_workers_key_still_runs(self, tmp_path):
+        """A .config.ini written when generate still took --workers re-executes unchanged."""
+        cfg = tmp_path / "old.qst.config.ini"
+        cfg.write_text("[run]\ncommand = generate\nm = 2\nmeasure = bures\ncount = 30\n"
+                       "seed = 4\nworkers = 2\nout = old.qst\nformat_version = 1\n\n")
         a, b = tmp_path / "a.qst", tmp_path / "b.qst"
-        assert run("generate", "--out", a, "--m", 2, "--count", 30, "--seed", 4) == 0
-        assert run("generate", "--out", b, "--m", 2, "--count", 30, "--seed", 4,
-                   "--workers", 2) == 0
+        assert run("generate", "--out", a, "--m", 2, "--measure", "bures", "--count", 30,
+                   "--seed", 4) == 0
+        assert run("generate", "--config", cfg, "--out", b) == 0
         assert a.read_bytes() == b.read_bytes()
+        assert "workers" not in (tmp_path / "b.qst.config.ini").read_text()
+
+    def test_workers_flag_is_a_usage_error(self, tmp_path):
+        assert run("generate", "--out", tmp_path / "a.qst", "--workers", 2) == cli.EXIT_USAGE
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "run.ini"
@@ -289,6 +297,13 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "no epoch produced a finite validation fidelity" in err
         assert "Traceback" not in err
+
+    def test_zero_trace_draws_are_numerical_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(sampling, "ginibre", lambda d, rng: np.zeros((d, d), dtype=complex))
+        capsys.readouterr()
+        assert run("generate", "--out", tmp_path / "z.qst", "--count", 3) == cli.EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "zero-trace" in err and "Traceback" not in err
 
     def test_bad_val_count_is_usage_error(self, tmp_path):
         data = tmp_path / "d.qst"

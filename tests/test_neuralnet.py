@@ -18,7 +18,7 @@ def small_dataset(m, count, seed, measure=sampling.MEASURE_HS):
     spec = sampling.EnsembleSpec(m, measure, count)
     states = sampling.sample_ensemble(spec, seed)
     meas = np.stack([tomography.measure(rho) for rho in states])
-    taus = np.stack([cholesky.rho_to_tau(rho) for rho in states])
+    taus = cholesky.rho_to_tau(states)
     return states, meas, taus
 
 

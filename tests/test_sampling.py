@@ -57,6 +57,15 @@ class TestHilbertSchmidt:
             sampling.sample_hs(2, sampling.stream(9)), sampling.sample_hs(2, sampling.stream(9))
         )
 
+    def test_matches_per_state_formula(self):
+        """Bitwise equal to G G† / Tr(G G†), hermitized as (W + W†)/2."""
+        for m in (1, 2, 3):
+            g = sampling.ginibre(2**m, sampling.stream(13, m))
+            w = g @ g.conj().T
+            w = w / np.trace(w).real
+            expected = (w + w.conj().T) / 2
+            assert sampling.sample_hs(m, sampling.stream(13, m)).tobytes() == expected.tobytes()
+
     def test_mean_pair_fidelity_single_qubit(self):
         """10^4 independent pairs reproduce the 0.67 reference value."""
         fids = np.empty(10000)
@@ -123,6 +132,19 @@ class TestBures:
             sampling.sample_bures(2, sampling.stream(12)),
         )
 
+    def test_matches_per_state_formula(self):
+        """Bitwise equal to A A† / Tr(A A†), A = (I + U)G, hermitized as (W + W†)/2."""
+        for m in (1, 2, 3):
+            d, rng = 2**m, sampling.stream(14, m)
+            g = sampling.ginibre(d, rng)
+            q, r = np.linalg.qr(sampling.ginibre(d, rng))
+            u = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+            a = (np.eye(d) + u) @ g
+            w = a @ a.conj().T
+            w = w / np.trace(w).real
+            expected = (w + w.conj().T) / 2
+            assert sampling.sample_bures(m, sampling.stream(14, m)).tobytes() == expected.tobytes()
+
     def test_mean_pair_fidelity_single_qubit(self):
         """10^4 independent pairs reproduce the 0.590 reference value."""
         fids = np.empty(10000)
@@ -151,12 +173,79 @@ class TestEnsembles:
         """State i depends only on (seed, i), not on how the range is split."""
         spec = sampling.EnsembleSpec(1, sampling.MEASURE_HS, 10)
         full = sampling.sample_ensemble(spec, 3)
-        lo = sampling._sample_range(spec, 3, 0, 4)
-        hi = sampling._sample_range(spec, 3, 4, 10)
+        lo = sampling.sample_streams(1, sampling.MEASURE_HS, 3, 0, 4, 1)[0]
+        hi = sampling.sample_streams(1, sampling.MEASURE_HS, 3, 4, 10, 1)[0]
         np.testing.assert_array_equal(full, np.concatenate([lo, hi]))
 
-    def test_worker_count_does_not_change_output(self):
-        spec = sampling.EnsembleSpec(2, sampling.MEASURE_HS, 24)
-        serial = sampling.sample_ensemble(spec, 5, workers=1)
-        parallel = sampling.sample_ensemble(spec, 5, workers=2)
-        np.testing.assert_array_equal(serial, parallel)
+    @pytest.mark.parametrize("measure", sampling.MEASURES)
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_rows_equal_batch_of_one(self, m, measure):
+        """Row i of the stacked sampler is sample_state on stream(seed, i), bit for bit."""
+        states = sampling.sample_ensemble(sampling.EnsembleSpec(m, measure, 40), 17)
+        for i, rho in enumerate(states):
+            expected = sampling.sample_state(m, measure, sampling.stream(17, i))
+            assert rho.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("measure", sampling.MEASURES)
+    def test_pairs_are_consecutive_draws_of_one_stream(self, measure):
+        pairs = sampling.sample_streams(2, measure, 8, 5, 25, 2)
+        assert pairs.shape == (2, 20, 4, 4)
+        assert pairs[0].flags.c_contiguous and pairs[1].flags.c_contiguous
+        for j in range(20):
+            rng = sampling.stream(8, 5 + j)
+            for s in range(2):
+                assert pairs[s, j].tobytes() == sampling.sample_state(2, measure, rng).tobytes()
+
+
+def zero_first_draw(monkeypatch, index):
+    """Zero the first Ginibre draw of stream ``index``, for any seed.
+
+    The zeroed draw is still taken from the generator, as a degenerate draw is.
+    """
+    original = sampling.ginibre
+
+    def ginibre(d, rng):
+        state = rng.bit_generator.state["state"]
+        first = not state["counter"].any() and state["key"][1] == index
+        g = original(d, rng)
+        return np.zeros_like(g) if first else g
+
+    monkeypatch.setattr(sampling, "ginibre", ginibre)
+
+
+def states_after_first_draw(m, measure, rng, count):
+    """The states ``rng`` yields once the draws of its first state are skipped."""
+    for _ in range(1 if measure == sampling.MEASURE_HS else 2):
+        sampling.ginibre(2**m, rng)
+    return [sampling.sample_state(m, measure, rng) for _ in range(count)]
+
+
+class TestZeroTraceRetry:
+    @pytest.mark.parametrize("measure", sampling.MEASURES)
+    def test_batch_of_one_redraws_once(self, monkeypatch, measure):
+        expected = states_after_first_draw(2, measure, sampling.stream(30, 0), 1)[0]
+        zero_first_draw(monkeypatch, index=0)
+        rho = sampling.sample_state(2, measure, sampling.stream(30, 0))
+        assert rho.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("measure", sampling.MEASURES)
+    def test_stacked_sampler_replays_the_degenerate_stream(self, monkeypatch, measure):
+        clean = sampling.sample_streams(2, measure, 31, 0, 5, 2)
+        replayed = states_after_first_draw(2, measure, sampling.stream(31, 2), 2)
+        zero_first_draw(monkeypatch, index=2)
+        states = sampling.sample_ensemble(sampling.EnsembleSpec(2, measure, 5), 31)
+        pairs = sampling.sample_streams(2, measure, 31, 1, 5, 2)
+        for j in (0, 1, 3, 4):
+            assert states[j].tobytes() == clean[0, j].tobytes()
+        for j in (1, 3, 4):
+            assert pairs[:, j - 1].tobytes() == clean[:, j].tobytes()
+        assert states[2].tobytes() == replayed[0].tobytes()
+        assert pairs[0, 1].tobytes() == replayed[0].tobytes()
+        assert pairs[1, 1].tobytes() == replayed[1].tobytes()
+
+    def test_second_zero_trace_draw_raises(self, monkeypatch):
+        monkeypatch.setattr(sampling, "ginibre", lambda d, rng: np.zeros((d, d), dtype=complex))
+        with pytest.raises(ArithmeticError, match="zero-trace"):
+            sampling.sample_state(2, sampling.MEASURE_HS, sampling.stream(32))
+        with pytest.raises(ArithmeticError, match="zero-trace"):
+            sampling.sample_ensemble(sampling.EnsembleSpec(2, sampling.MEASURE_HS, 3), 32)

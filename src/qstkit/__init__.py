@@ -2,7 +2,8 @@
 
 Submodules:
 
-* ``qcore``: qubit counts, tensor products, and stacked partial trace, PSD square root and fidelity.
+* ``qcore``: qubit counts, physicality checks, and stacked partial trace, PSD square
+  root and fidelity.
 * ``sampling``: seeded Ginibre / Haar / Hilbert-Schmidt / Bures ensembles.
 * ``tomography``: Pauli-6 measurement simulation and the dataset container.
 * ``cholesky``: tau-vector <-> density-matrix bijection.

@@ -1,10 +1,11 @@
 """Command-line entry point: generate, train, reconstruct, experiment, baselines.
 
-Every command resolves its configuration from (defaults, optional INI config
-file, explicit flags; later wins), validates it, and writes the fully
-resolved values as an INI file next to its outputs, so any run can be
-re-executed exactly from its artifacts. All commands are deterministic given
-(config, seed).
+Each option is declared once, with its default, in ``build_parser``. The
+settings (``CONFIG_KEYS``) found in a ``--config`` INI file become the
+chosen command's defaults, and explicit flags override them; paths and other
+keys in the file are ignored. Every command writes its options and the facts
+of the run as an INI file next to its outputs, so any run can be re-executed
+from its artifacts. All commands are deterministic given (config, seed).
 
 Reconstructions are deterministic given the checkpoint and the input file.
 Rows are forwarded through the network in chunks of the checkpoint's
@@ -12,8 +13,8 @@ Rows are forwarded through the network in chunks of the checkpoint's
 on which rows share its chunk: the same row in another file, or at another
 position, may differ at that level.
 
-Exit codes: 0 success, 1 usage error, 2 data/format error, 3 numerical
-failure.
+Exit codes: 0 success, 1 usage error (bad flags or config values, unreadable
+or unwritable paths), 2 data/format error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -40,10 +41,18 @@ STATES_MAGIC = b"QSTSTATE"
 STATES_VERSION = 1
 _STATES_HEADER = struct.Struct("<8sIIQ")
 
+# Defaults of ``train --epochs`` and ``--val-count`` for each ``--profile``.
 PROFILES = {
-    "desk": {"train_count": 4000, "val_count": 200, "epochs": 50},
-    "full": {"train_count": 35000, "val_count": 500, "epochs": 300},
+    "desk": {"val_count": 200, "epochs": 50},
+    "full": {"val_count": 500, "epochs": 300},
 }
+
+# The options a config file may set. Paths in it are ignored, so a written
+# config.ini re-runs against the inputs and outputs given as flags.
+CONFIG_KEYS = frozenset({
+    "m", "measure", "count", "seed", "profile", "epochs", "val_count", "dense_widths",
+    "filters", "dropout", "learning_rate", "batch_size", "mode", "test_count", "pairs", "dims",
+})
 
 
 class UsageError(Exception):
@@ -85,33 +94,25 @@ def read_states(path) -> np.ndarray:
 
 def _read_config_file(path) -> dict:
     parser = configparser.ConfigParser()
-    if not parser.read(path):
-        raise UsageError(f"config file not found: {path}")
+    try:
+        if not parser.read(path):
+            raise UsageError(f"config file not found: {path}")
+    except configparser.Error as exc:
+        raise UsageError(f"bad config file: {exc}") from exc
     merged = {}
     for section in parser.sections():
         merged.update(dict(parser[section]))
     return merged
 
 
-def _resolve(args, key, cast, default=None):
-    """defaults < config file < explicit CLI flag."""
-    cli_value = getattr(args, key, None)
-    if cli_value is not None:
-        return cli_value
-    file_values = getattr(args, "_file_values", {})
-    if key in file_values:
-        raw = file_values[key]
-        try:
-            return cast(raw)
-        except ValueError as exc:
-            raise UsageError(f"config key {key}={raw!r}: {exc}") from exc
-    return default
-
-
-def _write_resolved_config(path, command: str, values: dict) -> None:
+def _write_config(path, args, **facts) -> None:
+    """Write every option of ``args`` (but ``--config``), then the facts of the run."""
+    values = {k: v for k, v in vars(args).items() if k != "config"} | facts
     parser = configparser.ConfigParser()
-    parser["run"] = {"command": command}
-    parser["run"].update({k: str(v) for k, v in values.items()})
+    parser["run"] = {
+        k: "" if v is None else ",".join(map(str, v)) if isinstance(v, (list, tuple)) else str(v)
+        for k, v in values.items()
+    }
     with open(path, "w") as fh:
         parser.write(fh)
 
@@ -123,25 +124,16 @@ def _generate_dataset(m, measure, count, seed) -> tomography.Dataset:
 
 
 def cmd_generate(args) -> int:
-    m = _resolve(args, "m", int, 2)
-    measure = _resolve(args, "measure", str, sampling.MEASURE_HS)
-    count = _resolve(args, "count", int, 100)
-    seed = _resolve(args, "seed", int, 0)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    dataset = _generate_dataset(m, measure, count, seed)
+    dataset = _generate_dataset(args.m, args.measure, args.count, args.seed)
     tomography.write_dataset(out, dataset)
-    _write_resolved_config(
-        str(out) + ".config.ini",
-        "generate",
-        {"m": m, "measure": measure, "count": count, "seed": seed, "out": out,
-         "format_version": tomography.DATASET_VERSION},
-    )
-    print(f"wrote {count} states to {out}")
+    _write_config(str(out) + ".config.ini", args, format_version=tomography.DATASET_VERSION)
+    print(f"wrote {args.count} states to {out}")
     return EXIT_OK
 
 
-def _load_train_val(args, val_count):
+def _load_train_val(args):
     train_ds = tomography.read_dataset(args.dataset)
     if args.val_dataset is not None:
         val_ds = tomography.read_dataset(args.val_dataset)
@@ -150,11 +142,10 @@ def _load_train_val(args, val_count):
                 f"validation set has m={val_ds.num_qubits}, training set m={train_ds.num_qubits}"
             )
         return train_ds, train_ds.measurements, train_ds.taus, val_ds.measurements, val_ds.taus
-    if val_count >= train_ds.count:
-        raise UsageError(
-            f"val_count {val_count} must be smaller than the dataset ({train_ds.count} states)"
-        )
-    split = train_ds.count - val_count
+    if args.val_count >= train_ds.count:
+        raise UsageError(f"val_count {args.val_count} must be smaller than the dataset "
+                         f"({train_ds.count} states)")
+    split = train_ds.count - args.val_count
     return (
         train_ds,
         train_ds.measurements[:split],
@@ -165,25 +156,22 @@ def _load_train_val(args, val_count):
 
 
 def cmd_train(args) -> int:
-    profile = _resolve(args, "profile", str, "desk")
-    if profile not in PROFILES:
-        raise UsageError(f"unknown profile {profile!r}; expected one of {sorted(PROFILES)}")
-    epochs = _resolve(args, "epochs", int, PROFILES[profile]["epochs"])
-    val_count = _resolve(args, "val_count", int, PROFILES[profile]["val_count"])
-    seed = _resolve(args, "seed", int, 0)
-    dense_widths = _resolve(args, "dense_widths", str, "512,256")
-    widths = tuple(int(w) for w in str(dense_widths).split(","))
+    if args.profile not in PROFILES:
+        raise UsageError(f"unknown profile {args.profile!r}; expected one of {sorted(PROFILES)}")
+    for key, value in PROFILES[args.profile].items():
+        if getattr(args, key) is None:
+            setattr(args, key, value)
 
-    train_ds, tr_meas, tr_taus, va_meas, va_taus = _load_train_val(args, val_count)
+    train_ds, tr_meas, tr_taus, va_meas, va_taus = _load_train_val(args)
     config = neuralnet.NetworkConfig(
         num_qubits=train_ds.num_qubits,
-        conv_filters=_resolve(args, "filters", int, 25),
-        dense_widths=widths,
-        dropout_rate=_resolve(args, "dropout", float, 0.5),
-        learning_rate=_resolve(args, "learning_rate", float, 0.01),
-        batch_size=_resolve(args, "batch_size", int, 100),
-        max_epochs=epochs,
-        seed=seed,
+        conv_filters=args.filters,
+        dense_widths=args.dense_widths,
+        dropout_rate=args.dropout,
+        learning_rate=args.learning_rate,
+        batch_size=args.batch_size,
+        max_epochs=args.epochs,
+        seed=args.seed,
     )
 
     init_params = init_accums = None
@@ -207,18 +195,10 @@ def cmd_train(args) -> int:
         writer.writerow(["epoch", "mean_loss", "val_mean_fidelity"])
         for epoch, (lo, fi) in enumerate(zip(history.losses, history.val_fidelities), start=1):
             writer.writerow([epoch, f"{lo:.12e}", f"{fi:.12f}"])
-    _write_resolved_config(
-        out_dir / "config.ini",
-        "train",
-        {"dataset": args.dataset, "val_dataset": args.val_dataset or "", "val_count": val_count,
-         "profile": profile, "m": config.num_qubits, "filters": config.conv_filters,
-         "dense_widths": dense_widths, "dropout": config.dropout_rate,
-         "learning_rate": config.learning_rate, "batch_size": config.batch_size,
-         "epochs": epochs, "seed": seed, "init_checkpoint": args.init_checkpoint or "",
-         "best_epoch": history.best_epoch + 1, "serial_mode": True},
-    )
+    _write_config(out_dir / "config.ini", args, m=config.num_qubits,
+                  best_epoch=history.best_epoch + 1)
     print(
-        f"trained m={config.num_qubits} for {epochs} epochs; "
+        f"trained m={config.num_qubits} for {args.epochs} epochs; "
         f"best epoch {history.best_epoch + 1} "
         f"(val fidelity {max(history.val_fidelities):.4f}); wrote {ck_path}"
     )
@@ -226,21 +206,20 @@ def cmd_train(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    net, _ = neuralnet.network_from_checkpoint(args.checkpoint)
+    net = neuralnet.network_from_checkpoint(args.checkpoint)
     m = net.config.num_qubits
     ds = tomography.read_dataset(args.input)
     n = ds.num_qubits
-    if args.n is not None and args.n != n:
-        raise UsageError(f"--n {args.n} does not match the input file (n={n})")
     if n > m:
         raise UsageError(f"input has n={n} qubits but the checkpoint was trained on m={m}")
-    mode = _resolve(args, "mode", str, adapt.PADDING_ENGINEERED)
-    if mode not in adapt.PADDING_MODES:
-        raise UsageError(f"unknown padding mode {mode!r}; expected one of {adapt.PADDING_MODES}")
+    if args.mode not in adapt.PADDING_MODES:
+        raise UsageError(
+            f"unknown padding mode {args.mode!r}; expected one of {adapt.PADDING_MODES}"
+        )
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    states = adapt.reconstruct(net, ds.measurements, mode)
+    states = adapt.reconstruct(net, ds.measurements, args.mode)
     fids = fidelity(states, cholesky.tau_to_rho(ds.taus))
     write_states(out_dir / "states.qstst", states)
     with open(out_dir / "fidelity.csv", "w", newline="") as fh:
@@ -248,22 +227,21 @@ def cmd_reconstruct(args) -> int:
         writer.writerow(["state_id", "fidelity"])
         for state_id, f in enumerate(fids):
             writer.writerow([state_id, f"{f:.12f}"])
-    _write_resolved_config(
-        out_dir / "config.ini",
-        "reconstruct",
-        {"checkpoint": args.checkpoint, "input": args.input, "n": n, "m": m, "mode": mode,
-         "count": ds.count, "states_format_version": STATES_VERSION},
-    )
+    _write_config(out_dir / "config.ini", args, n=n, m=m, count=ds.count,
+                  states_format_version=STATES_VERSION)
     mean_f = float(np.mean(fids))
-    print(f"reconstructed {ds.count} states (n={n} via m={m}, {mode}); mean fidelity {mean_f:.4f}")
+    print(f"reconstructed {ds.count} states (n={n} via m={m}, {args.mode}); "
+          f"mean fidelity {mean_f:.4f}")
     return EXIT_OK
 
 
-def _parse_checkpoint_args(entries) -> dict[int, neuralnet.Network]:
+def _parse_checkpoint_args(args) -> dict[int, neuralnet.Network]:
+    if not args.checkpoints:
+        raise UsageError(f"{args.name} needs --checkpoint entries (path or m=path, repeatable)")
     nets = {}
-    for entry in entries or []:
+    for entry in args.checkpoints:
         path = entry.split("=", 1)[1] if "=" in entry else entry
-        net, _ = neuralnet.network_from_checkpoint(path)
+        net = neuralnet.network_from_checkpoint(path)
         m = net.config.num_qubits
         if "=" in entry and int(entry.split("=", 1)[0]) != m:
             raise UsageError(f"checkpoint {path} is for m={m}, not m={entry.split('=', 1)[0]}")
@@ -273,44 +251,38 @@ def _parse_checkpoint_args(entries) -> dict[int, neuralnet.Network]:
     return nets
 
 
-def _experiment_fig2(args, out_dir, seed, measure) -> list:
-    nets = _parse_checkpoint_args(args.checkpoint)
-    if not nets:
-        raise UsageError("fig2 needs at least one --checkpoint")
-    count = _resolve(args, "test_count", int, 500)
+def _experiment_fig2(args, out_dir) -> list:
+    nets = _parse_checkpoint_args(args)
     records = []
     for m, net in sorted(nets.items()):
-        spec = sampling.EnsembleSpec(m, measure, count)
-        states = sampling.sample_ensemble(spec, sampling.sub_seed(seed, f"fig2-test-{measure}-{m}"))
-        records.extend(adapt.subsystem_experiment(net, states, measure))
+        spec = sampling.EnsembleSpec(m, args.measure, args.test_count)
+        seed = sampling.sub_seed(args.seed, f"fig2-test-{args.measure}-{m}")
+        records.extend(adapt.subsystem_experiment(net, sampling.sample_ensemble(spec, seed),
+                                                  args.measure))
     adapt.write_records_csv(out_dir / "records.csv", records)
     return adapt.summarize(records)
 
 
-def _experiment_fig3(args, out_dir, seed, measure) -> list:
-    nets = _parse_checkpoint_args(args.checkpoint)
-    if not nets:
-        raise UsageError("fig3 needs --checkpoint entries (e.g. 2=path 3=path)")
-    count = _resolve(args, "test_count", int, 500)
-    pairs = _resolve(args, "pairs", int, 20000)
+def _experiment_fig3(args, out_dir) -> list:
+    nets = _parse_checkpoint_args(args)
     ensembles = {}
     for n in range(1, max(nets) + 1):
-        spec = sampling.EnsembleSpec(n, measure, count)
+        spec = sampling.EnsembleSpec(n, args.measure, args.test_count)
         ensembles[n] = sampling.sample_ensemble(
-            spec, sampling.sub_seed(seed, f"fig3-test-{measure}-{n}")
+            spec, sampling.sub_seed(args.seed, f"fig3-test-{args.measure}-{n}")
         )
     records, baselines = adapt.padding_experiment(
-        nets, ensembles, measure, baseline_pairs=pairs, seed=sampling.sub_seed(seed, "fig3-baseline")
+        nets, ensembles, args.measure, baseline_pairs=args.pairs,
+        seed=sampling.sub_seed(args.seed, "fig3-baseline"),
     )
     adapt.write_records_csv(out_dir / "records.csv", records)
     return adapt.summarize(records) + baselines
 
 
-def _experiment_baselines(args, out_dir, seed, measure) -> list:
-    pairs = _resolve(args, "pairs", int, 100000)
-    dims = [int(d) for d in str(_resolve(args, "dims", str, "2,4,8")).split(",")]
+def _experiment_baselines(args, out_dir) -> list:
+    measure, pairs, seed = args.measure, args.pairs, args.seed
     summaries = []
-    for dim in dims:
+    for dim in args.dims:
         n = qubit_count(dim, 2)
         mean, err = analytics.mc_avg_fidelity(
             measure, dim, pairs, seed=sampling.sub_seed(seed, f"baseline-pair-{measure}-{dim}")
@@ -323,134 +295,151 @@ def _experiment_baselines(args, out_dir, seed, measure) -> list:
     return summaries
 
 
-def cmd_experiment(args) -> int:
-    name = args.name
-    seed = _resolve(args, "seed", int, 0)
-    measure = _resolve(args, "measure", str, sampling.MEASURE_HS)
-    if measure not in sampling.MEASURES:
-        raise UsageError(f"unknown measure {measure!r}; expected one of {sampling.MEASURES}")
+def _run_experiment(args, experiment) -> int:
+    """Run ``experiment(args, out_dir)``; write its summary.csv and config.ini."""
+    if args.measure not in sampling.MEASURES:
+        raise UsageError(f"unknown measure {args.measure!r}; expected one of {sampling.MEASURES}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    if name == "fig2":
-        summaries = _experiment_fig2(args, out_dir, seed, measure)
-    elif name == "fig3":
-        summaries = _experiment_fig3(args, out_dir, seed, measure)
-    elif name == "baselines":
-        summaries = _experiment_baselines(args, out_dir, seed, measure)
-    else:
-        raise UsageError(f"unknown experiment {name!r}; expected fig2, fig3 or baselines")
-
+    summaries = experiment(args, out_dir)
     adapt.write_summary_csv(out_dir / "summary.csv", summaries)
-    _write_resolved_config(
-        out_dir / "config.ini",
-        "experiment",
-        {"name": name, "seed": seed, "measure": measure,
-         "checkpoints": ",".join(args.checkpoint or []),
-         "test_count": _resolve(args, "test_count", int, 500),
-         "pairs": _resolve(args, "pairs", int, 100000 if name == "baselines" else 20000),
-         "dims": _resolve(args, "dims", str, "2,4,8")},
-    )
+    _write_config(out_dir / "config.ini", args)
     for s in summaries:
         print(f"{s.experiment} {s.measure} m={s.m} n={s.n} {s.mode}: "
               f"{s.mean:.4f} +- {s.stderr:.4f} ({s.count})")
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def cmd_experiment(args) -> int:
+    return _run_experiment(args, _experiment_fig2 if args.name == "fig2" else _experiment_fig3)
+
+
+def cmd_baselines(args) -> int:
+    return _run_experiment(args, _experiment_baselines)
+
+
+def _ints(text: str) -> tuple[int, ...]:
+    """A comma-separated list of integers, e.g. ``1,2,3``."""
+    return tuple(int(part) for part in text.split(","))
+
+
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The ``qstkit`` parser and its command subparsers, keyed by command name."""
     parser = argparse.ArgumentParser(
         prog="qstkit",
         description="Quantum state tomography with a dimension-adaptive CNN reconstructor.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    net = neuralnet.NetworkConfig
 
-    def add_common(p):
-        p.add_argument("--config", help="INI file; explicit flags override its values")
-        p.add_argument("--seed", type=int, help="master seed (default 0)")
+    def add_command(name, help_text):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", help="INI file whose settings become defaults; "
+                                        "flags override them")
+        return p
 
-    p = sub.add_parser("generate", help="sample an ensemble and write a dataset file")
-    add_common(p)
+    def add_seed(p):
+        p.add_argument("--seed", type=int, default=0, help="master seed (default %(default)s)")
+
+    def add_measure(p):
+        p.add_argument("--measure", choices=sampling.MEASURES, default=sampling.MEASURE_HS,
+                       help="sampling measure (default %(default)s)")
+
+    p = add_command("generate", "sample an ensemble and write a dataset file")
+    p.add_argument("--m", type=int, default=2, help="qubit count (default %(default)s)")
+    add_measure(p)
+    p.add_argument("--count", type=int, default=100,
+                   help="number of states (default %(default)s)")
+    add_seed(p)
     p.add_argument("--out", required=True, help="output dataset path")
-    p.add_argument("--m", type=int, help="qubit count (default 2)")
-    p.add_argument("--measure", choices=sampling.MEASURES, help="sampling measure")
-    p.add_argument("--count", type=int, help="number of states (default 100)")
 
-    p = sub.add_parser("train", help="train a network on a dataset file")
-    add_common(p)
+    p = add_command("train", "train a network on a dataset file")
     p.add_argument("--dataset", required=True, help="training dataset path")
     p.add_argument("--val-dataset", dest="val_dataset", help="separate validation dataset")
     p.add_argument("--val-count", dest="val_count", type=int,
-                   help="validation split size when no --val-dataset is given")
-    p.add_argument("--out-dir", dest="out_dir", required=True)
-    p.add_argument("--profile", choices=sorted(PROFILES),
-                   help="desk (4000/200/50) or full (35000/500/300) defaults")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--filters", type=int)
-    p.add_argument("--dense-widths", dest="dense_widths", help="e.g. 512,256")
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
+                   help="validation split size when no --val-dataset is given "
+                        "(default from --profile)")
+    p.add_argument("--profile", choices=sorted(PROFILES), default="desk",
+                   help="sets the --epochs/--val-count defaults: " + ", ".join(
+                       f"{name} {d['epochs']}/{d['val_count']}" for name, d in PROFILES.items())
+                   + " (default %(default)s)")
+    p.add_argument("--filters", type=int, default=net.conv_filters,
+                   help="conv filters (default %(default)s)")
+    p.add_argument("--dense-widths", dest="dense_widths", type=_ints, default=net.dense_widths,
+                   help="the two dense layer widths (default %(default)s)")
+    p.add_argument("--dropout", type=float, default=net.dropout_rate,
+                   help="dropout rate (default %(default)s)")
+    p.add_argument("--learning-rate", dest="learning_rate", type=float,
+                   default=net.learning_rate, help="Adagrad learning rate (default %(default)s)")
+    p.add_argument("--batch-size", dest="batch_size", type=int, default=net.batch_size,
+                   help="batch size (default %(default)s)")
+    p.add_argument("--epochs", type=int, help="epochs (default from --profile)")
+    add_seed(p)
     p.add_argument("--init-checkpoint", dest="init_checkpoint",
                    help="initialize parameters and accumulators from a checkpoint")
+    p.add_argument("--out-dir", dest="out_dir", required=True)
 
-    p = sub.add_parser("reconstruct", help="reconstruct states from a measurement dataset")
-    add_common(p)
+    p = add_command("reconstruct", "reconstruct states from a measurement dataset")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--input", required=True, help="dataset file of n-qubit measurements")
-    p.add_argument("--n", type=int, help="expected qubit count of the input (validated)")
-    p.add_argument("--mode", choices=adapt.PADDING_MODES)
+    p.add_argument("--mode", choices=adapt.PADDING_MODES, default=adapt.PADDING_ENGINEERED,
+                   help="measurement padding (default %(default)s)")
     p.add_argument("--out-dir", dest="out_dir", required=True)
 
-    p = sub.add_parser("experiment", help="run fig2 / fig3 / baselines and write CSVs")
-    add_common(p)
-    p.add_argument("--name", required=True, choices=("fig2", "fig3", "baselines"))
-    p.add_argument("--out-dir", dest="out_dir", required=True)
-    p.add_argument("--measure", choices=sampling.MEASURES)
-    p.add_argument("--checkpoint", action="append",
+    p = add_command("experiment", "run fig2 / fig3 and write CSVs")
+    p.add_argument("--name", required=True, choices=("fig2", "fig3"))
+    add_seed(p)
+    add_measure(p)
+    p.add_argument("--checkpoint", dest="checkpoints", action="append",
                    help="checkpoint path, optionally m=path; repeatable")
-    p.add_argument("--test-count", dest="test_count", type=int)
-    p.add_argument("--pairs", type=int, help="Monte Carlo pairs for baselines")
-    p.add_argument("--dims", help="baseline dimensions, e.g. 2,4,8")
-
-    p = sub.add_parser("baselines", help="shorthand for experiment --name baselines")
-    add_common(p)
+    p.add_argument("--test-count", dest="test_count", type=int, default=500,
+                   help="test states per qubit count (default %(default)s)")
+    p.add_argument("--pairs", type=int, default=20000,
+                   help="Monte Carlo pairs of the fig3 baselines (default %(default)s)")
     p.add_argument("--out-dir", dest="out_dir", required=True)
-    p.add_argument("--measure", choices=sampling.MEASURES)
-    p.add_argument("--pairs", type=int)
-    p.add_argument("--dims", help="dimensions, e.g. 2,4,8")
 
-    return parser
+    p = add_command("baselines", "Monte Carlo random-pair and maximally-mixed fidelities")
+    add_seed(p)
+    add_measure(p)
+    p.add_argument("--pairs", type=int, default=100000,
+                   help="Monte Carlo pairs (default %(default)s)")
+    p.add_argument("--dims", type=_ints, default="2,4,8",
+                   help="Hilbert-space dimensions (default %(default)s)")
+    p.add_argument("--out-dir", dest="out_dir", required=True)
+
+    return parser, sub.choices
+
+
+def _parse_args(argv=None) -> argparse.Namespace:
+    """Parse ``argv``; the settings of a ``--config`` file become the command's defaults."""
+    parser, subparsers = build_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        settings = {k: v for k, v in _read_config_file(args.config).items()
+                    if k in CONFIG_KEYS and k in vars(args)}
+        subparsers[args.command].set_defaults(**settings)
+        args = parser.parse_args(argv)
+    return args
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = _parse_args(argv)
+        # Built per call, so a patched module attribute (a tracer's wrapper) is the one run.
+        commands = {"generate": cmd_generate, "train": cmd_train, "reconstruct": cmd_reconstruct,
+                    "experiment": cmd_experiment, "baselines": cmd_baselines}
+        return commands[args.command](args)
+    except SystemExit as exc:  # argparse: --help, or a bad flag or config value
         return EXIT_OK if not exc.code else EXIT_USAGE
-    try:
-        args._file_values = _read_config_file(args.config) if args.config else {}
-        if args.command == "generate":
-            return cmd_generate(args)
-        if args.command == "train":
-            return cmd_train(args)
-        if args.command == "reconstruct":
-            return cmd_reconstruct(args)
-        if args.command == "baselines":
-            args.name = "baselines"
-            args.checkpoint = None
-            args.test_count = None
-            return cmd_experiment(args)
-        return cmd_experiment(args)
-    except (UsageError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except (np.linalg.LinAlgError, ArithmeticError) as exc:  # LinAlgError is a ValueError
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except FormatError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (np.linalg.LinAlgError, ArithmeticError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    except (UsageError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def main_entry() -> None:

@@ -518,12 +518,9 @@ def load_checkpoint(path):
     return config, read_block(), read_block()
 
 
-def network_from_checkpoint(path) -> tuple[Network, Adagrad]:
-    """Rebuild a ready-to-infer network (and its optimizer state) from disk."""
-    config, params, accums = load_checkpoint(path)
+def network_from_checkpoint(path) -> Network:
+    """Rebuild a ready-to-infer network from disk."""
+    config, params, _ = load_checkpoint(path)
     net = Network.build(config)
     net.set_parameters(params)
-    opt = Adagrad(net.parameters(), config.learning_rate)
-    for dst, src in zip(opt.accumulators, accums, strict=True):
-        dst[...] = src
-    return net, opt
+    return net

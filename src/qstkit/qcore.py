@@ -5,12 +5,12 @@ Conventions used throughout the package:
 * A k-qubit state lives in a 2**k dimensional Hilbert space and is held as a
   plain complex ndarray. Qubit 0 is the most-significant tensor factor: basis
   index i carries the bit of qubit q at place value 2**(k-1-q), and
-  ``tensor_product(a, b)`` puts ``a`` on the high-order qubits.
+  ``np.kron(a, b)`` puts ``a`` on the high-order qubits.
 * ``partial_trace``, ``sqrt_psd`` and ``fidelity`` work on (..., d, d)
   stacks of states; a single state is the 2-D case.
 * Physicality means Hermitian within 1e-10 elementwise, eigenvalues above
-  -1e-10, and trace within 1e-10 of one. ``is_physical`` / ``assert_physical``
-  check this; the numerical kernels otherwise trust their callers.
+  -1e-10, and trace within 1e-10 of one. ``assert_physical`` checks this;
+  the numerical kernels otherwise trust their callers.
 
 All functions are pure and safe for concurrent use.
 """
@@ -59,11 +59,6 @@ def maximally_mixed(k: int) -> np.ndarray:
     """I/2**k, the uniform-ignorance state on k qubits."""
     d = 2**k
     return np.eye(d, dtype=complex) / d
-
-
-def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with ``a`` on the most-significant indices."""
-    return np.kron(a, b)
 
 
 def partial_trace(rho: np.ndarray, remove: Iterable[int]) -> np.ndarray:
@@ -169,12 +164,3 @@ def assert_physical(rho: np.ndarray, context: str = "state") -> None:
     w = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
     if w[0] < -EIGENVALUE_ATOL:
         raise ValueError(f"{context}: negative eigenvalue {w[0]:.3e}")
-
-
-def is_physical(rho: np.ndarray) -> bool:
-    """True when ``rho`` satisfies the density-matrix invariants (``assert_physical``)."""
-    try:
-        assert_physical(rho)
-    except ValueError:
-        return False
-    return True

@@ -67,16 +67,6 @@ def joint_index(settings) -> int:
     return index
 
 
-def index_settings(index: int, m: int) -> tuple[int, ...]:
-    """Inverse of ``joint_index`` for an m-qubit joint setting."""
-    if not 0 <= index < 6**m:
-        raise ValueError(f"joint index {index} out of range for m={m}")
-    out = []
-    for k in range(m):
-        out.append(index // 6 ** (m - 1 - k) % 6)
-    return tuple(out)
-
-
 def measure(rho: np.ndarray) -> np.ndarray:
     """Exact Born probabilities for all 6**m joint Pauli settings.
 

@@ -147,7 +147,7 @@ def test_c03_padding_oracle():
             rho = sampling.sample_hs(n, rng)
             extended = rho
             for _ in range(m - n):
-                extended = qcore.tensor_product(qcore.maximally_mixed(1), extended)
+                extended = np.kron(qcore.maximally_mixed(1), extended)
             got = adapt.engineered_pad(tomography.measure(rho), m)
             want = tomography.measure(extended)
             worst = max(worst, float(np.abs(got - want).max()))

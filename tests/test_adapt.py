@@ -37,7 +37,7 @@ class TestEngineeredPad:
                 rho = sampling.sample_hs(n, rng)
                 extended = rho
                 for _ in range(m - n):
-                    extended = qcore.tensor_product(qcore.maximally_mixed(1), extended)
+                    extended = np.kron(qcore.maximally_mixed(1), extended)
                 got = adapt.engineered_pad(tomography.measure(rho), m)
                 want = tomography.measure(extended)
                 assert np.abs(got - want).max() <= 1e-13
@@ -106,7 +106,8 @@ class TestReconstructAdaptive:
             values = np.stack([tomography.measure(rho) for rho in rhos])
             out = adapt.reconstruct(net, values, "engineered")
             assert out.shape == (3, 2**n, 2**n)
-            assert all(qcore.is_physical(rho) for rho in out)
+            for rho in out:
+                qcore.assert_physical(rho)
 
     def test_modes_differ_for_padded_input(self):
         net = tiny_net()
@@ -139,7 +140,7 @@ class TestExperiments:
     def test_subsystem_records_bookkeeping(self):
         """A single product test state yields one record with m fidelities."""
         net = tiny_net()
-        rho = qcore.tensor_product(np.diag([1.0, 0.0]), np.diag([0.5, 0.5])).astype(complex)
+        rho = np.kron(np.diag([1.0, 0.0]), np.diag([0.5, 0.5])).astype(complex)
         records = adapt.subsystem_experiment(net, [rho], sampling.MEASURE_HS)
         assert len(records) == 1
         rec = records[0]

@@ -1,11 +1,18 @@
 """End-to-end tests of the command-line interface."""
 
+import configparser
 import csv
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import qstkit
 from qstkit import adapt, cli, neuralnet, sampling, tomography
 
 
@@ -91,7 +98,7 @@ class TestTrain:
         assert len(rows) == 1 + 4
         assert all(0.0 <= float(r[2]) <= 1.0 for r in rows[1:])
         config = (checkpoint.parent / "config.ini").read_text()
-        assert "best_epoch" in config and "serial_mode = True" in config
+        assert "best_epoch" in config
 
     def test_separate_validation_dataset(self, tmp_path):
         tr, va = tmp_path / "tr.qst", tmp_path / "va.qst"
@@ -141,7 +148,7 @@ class TestReconstruct:
                    "--out-dir", out_dir, "--mode", "engineered") == 0
         states = cli.read_states(out_dir / "states.qstst")
         ds = tomography.read_dataset(data)
-        net, _ = neuralnet.network_from_checkpoint(checkpoint)
+        net = neuralnet.network_from_checkpoint(checkpoint)
         np.testing.assert_array_equal(states, adapt.reconstruct(net, ds.measurements, "engineered"))
         rows = read_csv(out_dir / "fidelity.csv")
         assert rows[0] == ["state_id", "fidelity"]
@@ -167,7 +174,7 @@ class TestReconstruct:
         assert run("reconstruct", "--checkpoint", checkpoint, "--input", small,
                    "--out-dir", tmp_path / "rec") == 0
         for rho in cli.read_states(tmp_path / "rec" / "states.qstst"):
-            assert qcore.is_physical(rho)
+            qcore.assert_physical(rho)
 
     def test_n_larger_than_m_rejected(self, trained, tmp_path):
         root, checkpoint = trained
@@ -311,5 +318,164 @@ class TestExitCodes:
         assert run("train", "--dataset", data, "--out-dir", tmp_path / "x",
                    "--val-count", 10, "--epochs", 1) == cli.EXIT_USAGE
 
+    def test_profile_from_config_sets_val_count(self, trained, tmp_path, capsys):
+        """``profile = full`` asks for 500 validation states, more than the dataset has."""
+        root, _ = trained
+        cfg = tmp_path / "full.ini"
+        cfg.write_text("[run]\nprofile = full\nepochs = 1\n")
+        capsys.readouterr()
+        assert run("train", "--config", cfg, "--dataset", root / "train.qst",
+                   "--out-dir", tmp_path / "x") == cli.EXIT_USAGE
+        assert "val_count 500 must be smaller" in capsys.readouterr().err
+
     def test_help_exits_zero(self):
         assert run("--help") == cli.EXIT_OK
+
+    def test_python_m_qstkit(self):
+        """``python -m qstkit`` runs the command line, with no warning from runpy."""
+        src = str(Path(qstkit.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "qstkit", "--help"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "usage: qstkit" in proc.stdout
+
+    @pytest.mark.parametrize("case", ["linalg-error", "missing-dataset", "missing-checkpoint",
+                                      "out-under-a-file", "config-without-section"])
+    def test_failures_get_their_exit_code(self, trained, tmp_path, capsys, monkeypatch, case):
+        root, checkpoint = trained
+        data, regular = root / "train.qst", tmp_path / "regular"
+        regular.write_text("m = 2\n")
+        argv, code, named = {
+            "linalg-error": (["reconstruct", "--checkpoint", checkpoint, "--input", data,
+                              "--out-dir", tmp_path / "x"], cli.EXIT_NUMERICAL, "eigh failed"),
+            "missing-dataset": (["train", "--dataset", tmp_path / "missing.qst",
+                                 "--out-dir", tmp_path / "x"], cli.EXIT_USAGE, "missing.qst"),
+            "missing-checkpoint": (["reconstruct", "--checkpoint", tmp_path / "missing.qstck",
+                                    "--input", data, "--out-dir", tmp_path / "x"],
+                                   cli.EXIT_USAGE, "missing.qstck"),
+            "out-under-a-file": (["generate", "--out", regular / "x.qst"], cli.EXIT_USAGE,
+                                 "regular"),
+            "config-without-section": (["generate", "--config", regular, "--out",
+                                        tmp_path / "d.qst"], cli.EXIT_USAGE, "section"),
+        }[case]
+        if case == "linalg-error":
+            def eigh(*_):
+                raise np.linalg.LinAlgError("eigh failed")
+            monkeypatch.setattr(np.linalg, "eigh", eigh)
+        capsys.readouterr()
+        assert run(*argv) == code
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, setting, option", [
+        (["generate", "--out", "d.qst"], "m = two", "--m"),
+        (["train", "--dataset", "d.qst", "--out-dir", "x"], "dropout = x", "--dropout"),
+    ])
+    def test_bad_config_value_is_usage_error(self, tmp_path, capsys, argv, setting, option):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(f"[run]\n{setting}\n")
+        capsys.readouterr()
+        assert run(*argv, "--config", cfg) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"argument {option}: invalid" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("removed", ["reconstruct --seed", "reconstruct --n",
+                                         "experiment --name baselines"])
+    def test_removed_routes_are_usage_errors(self, trained, tmp_path, removed):
+        root, checkpoint = trained
+        if removed == "experiment --name baselines":
+            argv = ["experiment", "--name", "baselines", "--pairs", 300, "--dims", "2"]
+        else:
+            argv = ["reconstruct", "--checkpoint", checkpoint, "--input", root / "train.qst",
+                    removed.split()[1], 2]
+        assert run(*argv, "--out-dir", tmp_path / "x") == cli.EXIT_USAGE
+
+
+@pytest.fixture(scope="module")
+def rerun_inputs(trained, tmp_path_factory):
+    """Input files for re-running each command from a config file."""
+    root, checkpoint = trained
+    tmp = tmp_path_factory.mktemp("cli-rerun")
+    io = SimpleNamespace(data=root / "train.qst", checkpoint=checkpoint,
+                         val=tmp / "val.qst", small=tmp / "n1.qst")
+    assert run("generate", "--out", io.val, "--m", 2, "--count", 30, "--seed", 2) == 0
+    assert run("generate", "--out", io.small, "--m", 1, "--count", 5, "--seed", 3) == 0
+    return io
+
+
+# Per command: the argv head, settings off their defaults, the path flags, and
+# a config file with the same settings in the format earlier versions wrote
+# (removed and unknown keys, path keys pointing elsewhere or left empty).
+RERUN_CASES = {
+    "generate": (
+        ["generate"], ["--m", 1, "--measure", "bures", "--count", 7, "--seed", 3],
+        lambda io, out: ["--out", out / "d.qst"],
+        "command = generate\nm = 1\nmeasure = bures\ncount = 7\nseed = 3\nworkers = 2\n"
+        "out = elsewhere.qst\nformat_version = 1\n",
+    ),
+    "train": (
+        ["train"], ["--profile", "full", "--val-count", 60, "--epochs", 2, "--filters", 3,
+                    "--dense-widths", "8,4", "--dropout", 0.25, "--learning-rate", 0.05,
+                    "--batch-size", 32, "--seed", 4],
+        lambda io, out: ["--dataset", io.data, "--out-dir", out],
+        "command = train\ndataset = elsewhere.qst\nval_dataset = \nval_count = 60\n"
+        "profile = full\nm = 2\nfilters = 3\ndense_widths = 8,4\ndropout = 0.25\n"
+        "learning_rate = 0.05\nbatch_size = 32\nepochs = 2\nseed = 4\ninit_checkpoint = \n"
+        "best_epoch = 1\nserial_mode = True\n",
+    ),
+    "train-resumed": (
+        ["train"], ["--epochs", 1, "--learning-rate", 0.02, "--batch-size", 50, "--seed", 5],
+        lambda io, out: ["--dataset", io.data, "--val-dataset", io.val,
+                         "--init-checkpoint", io.checkpoint, "--out-dir", out],
+        "command = train\ndataset = elsewhere.qst\nval_dataset = elsewhere-val.qst\n"
+        "val_count = 200\nprofile = desk\nm = 2\nfilters = 25\ndense_widths = 512,256\n"
+        "dropout = 0.5\nlearning_rate = 0.02\nbatch_size = 50\nepochs = 1\nseed = 5\n"
+        "init_checkpoint = elsewhere.qstck\nbest_epoch = 1\nserial_mode = True\n",
+    ),
+    "reconstruct": (
+        ["reconstruct"], ["--mode", "zero"],
+        lambda io, out: ["--checkpoint", io.checkpoint, "--input", io.small, "--out-dir", out],
+        "command = reconstruct\ncheckpoint = elsewhere.qstck\ninput = elsewhere.qst\nn = 1\n"
+        "m = 2\nmode = zero\ncount = 5\nstates_format_version = 1\n",
+    ),
+    "experiment-fig2": (
+        ["experiment", "--name", "fig2"], ["--measure", "bures", "--test-count", 4, "--seed", 2],
+        lambda io, out: ["--checkpoint", io.checkpoint, "--out-dir", out],
+        "command = experiment\nname = fig2\nseed = 2\nmeasure = bures\n"
+        "checkpoints = elsewhere.qstck\ntest_count = 4\npairs = 20000\ndims = 2,4,8\n",
+    ),
+    "baselines": (
+        ["baselines"], ["--measure", "bures", "--pairs", 150, "--dims", "2,4", "--seed", 6],
+        lambda io, out: ["--out-dir", out],
+        "command = experiment\nname = baselines\nseed = 6\nmeasure = bures\ncheckpoints = \n"
+        "test_count = 500\npairs = 150\ndims = 2,4\n",
+    ),
+}
+
+
+def outputs(out_dir):
+    """(bytes of every artifact but the config file, by name; settings of the config file)."""
+    files = {p.name: p.read_bytes() for p in out_dir.iterdir()
+             if not p.name.endswith("config.ini")}
+    (config,) = out_dir.glob("*config.ini")
+    parser = configparser.ConfigParser()
+    parser.read(config)
+    return files, {k: v for k, v in parser["run"].items() if k in cli.CONFIG_KEYS}
+
+
+class TestConfigRerun:
+    @pytest.mark.parametrize("case", list(RERUN_CASES))
+    def test_config_reruns_are_byte_identical(self, rerun_inputs, tmp_path, case):
+        """The written config.ini, or an old-format one, plus the paths repeats a run."""
+        head, settings, paths, old_config = RERUN_CASES[case]
+        assert run(*head, *settings, *paths(rerun_inputs, tmp_path / "flags")) == 0
+        expected = outputs(tmp_path / "flags")
+        assert expected[0]
+        (written,) = (tmp_path / "flags").glob("*config.ini")
+        old = tmp_path / "old.ini"
+        old.write_text("[run]\n" + old_config)
+        for name, config in (("written", written), ("old", old)):
+            assert run(*head, "--config", config, *paths(rerun_inputs, tmp_path / name)) == 0
+            assert outputs(tmp_path / name) == expected

@@ -50,7 +50,7 @@ class TestHilbertSchmidt:
             rho = sampling.sample_hs(m, rng)
             assert abs(np.trace(rho) - 1.0) <= 1e-12
             assert np.linalg.eigvalsh(rho)[0] >= -1e-12
-            assert qcore.is_physical(rho)
+            qcore.assert_physical(rho)
 
     def test_deterministic(self):
         np.testing.assert_array_equal(
@@ -124,7 +124,7 @@ class TestBures:
     def test_construction_invariants(self):
         rng = sampling.stream(10)
         for m in (1, 2, 3):
-            assert qcore.is_physical(sampling.sample_bures(m, rng))
+            qcore.assert_physical(sampling.sample_bures(m, rng))
 
     def test_deterministic(self):
         np.testing.assert_array_equal(

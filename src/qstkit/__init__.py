@@ -4,7 +4,7 @@ Submodules:
 
 * ``qcore``: qubit counts, physicality checks, and stacked partial trace, PSD square
   root and fidelity.
-* ``sampling``: seeded Ginibre / Haar / Hilbert-Schmidt / Bures ensembles.
+* ``sampling``: seeded Ginibre / Hilbert-Schmidt / Bures ensembles.
 * ``tomography``: Pauli-6 measurement simulation and the dataset container.
 * ``cholesky``: tau-vector <-> density-matrix bijection.
 * ``neuralnet``: from-scratch CNN, Adagrad training, checkpoints.

@@ -28,6 +28,8 @@ all go through it.
 Experiment drivers reconstruct test ensembles, compare against ground truth
 (including every successive trace-down) with stacked fidelities, and
 aggregate per-curve means with standard errors into CSV-ready rows.
+``baseline_curves`` builds the Monte Carlo baseline rows of both the fig3
+experiment and the ``baselines`` command.
 """
 
 from __future__ import annotations
@@ -151,15 +153,11 @@ def padding_experiment(
     nets: Mapping[int, neuralnet.Network],
     ensembles: Mapping[int, Sequence[np.ndarray]],
     measure: str,
-    baseline_pairs: int = 0,
-    seed: int = 0,
-) -> tuple[list[ExperimentRecord], list[CurveSummary]]:
+) -> list[ExperimentRecord]:
     """Reconstruct each n-qubit ensemble through every network with m >= n.
 
     Both padding modes run for every (m, n) combination; records are ordered
-    by (m, n), then state, then mode. When ``baseline_pairs`` is positive,
-    Monte Carlo baseline curves (random pair and maximally mixed, one per
-    distinct n) are returned alongside.
+    by (m, n), then state, then mode.
     """
     records = []
     for m in sorted(nets):
@@ -179,21 +177,22 @@ def padding_experiment(
                     ExperimentRecord("fig3", measure, m, n, mode, state_id, (fid,))
                     for mode, fid in zip(PADDING_MODES, fids)
                 )
-    baselines = []
-    if baseline_pairs > 0:
-        baselines = baseline_curves(sorted(ensembles), measure, baseline_pairs, seed)
-    return records, baselines
+    return records
 
 
 def baseline_curves(
-    qubit_counts: Sequence[int], measure: str, pairs: int, seed: int
+    measure: str, pairs: int, seeds: Mapping[int, tuple[int, int]]
 ) -> list[CurveSummary]:
-    """Random-pair and maximally-mixed Monte Carlo baselines per qubit count."""
+    """Random-pair and maximally-mixed Monte Carlo rows for each qubit count.
+
+    ``seeds`` maps a qubit count to the seeds of its (random-pair, max-mixed)
+    estimates; rows follow its order.
+    """
     out = []
-    for n in qubit_counts:
-        mean, err = analytics.mc_avg_fidelity(measure, 2**n, pairs, seed=seed)
+    for n, (pair_seed, mixed_seed) in seeds.items():
+        mean, err = analytics.mc_avg_fidelity(measure, 2**n, pairs, seed=pair_seed)
         out.append(CurveSummary("baseline", measure, n, n, "random-pair", mean, err, pairs))
-        mean, err = analytics.mc_avg_fidelity_vs_mixed(measure, 2**n, pairs, seed=seed)
+        mean, err = analytics.mc_avg_fidelity_vs_mixed(measure, 2**n, pairs, seed=mixed_seed)
         out.append(CurveSummary("baseline", measure, n, n, "max-mixed", mean, err, pairs))
     return out
 

@@ -3,9 +3,10 @@
 Each option is declared once, with its default, in ``build_parser``. The
 settings (``CONFIG_KEYS``) found in a ``--config`` INI file become the
 chosen command's defaults, and explicit flags override them; paths and other
-keys in the file are ignored. Every command writes its options and the facts
-of the run as an INI file next to its outputs, so any run can be re-executed
-from its artifacts. All commands are deterministic given (config, seed).
+keys in the file are ignored. Every command writes the options it read and
+the facts of the run as an INI file next to its outputs, so any run can be
+re-executed from its artifacts. All commands are deterministic given (config,
+seed).
 
 Reconstructions are deterministic given the checkpoint and the input file.
 Rows are forwarded through the network in chunks of the checkpoint's
@@ -28,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import adapt, analytics, cholesky, neuralnet, sampling, tomography
+from . import adapt, cholesky, neuralnet, sampling, tomography
 from .qcore import fidelity, num_qubits, qubit_count
 from .tomography import FormatError
 
@@ -105,9 +106,10 @@ def _read_config_file(path) -> dict:
     return merged
 
 
-def _write_config(path, args, **facts) -> None:
-    """Write every option of ``args`` (but ``--config``), then the facts of the run."""
-    values = {k: v for k, v in vars(args).items() if k != "config"} | facts
+def _write_config(path, args, unread=(), **facts) -> None:
+    """Write the options of ``args`` but ``--config`` and the ones the run left ``unread``,
+    then the facts of the run."""
+    values = {k: v for k, v in vars(args).items() if k not in ("config", *unread)} | facts
     parser = configparser.ConfigParser()
     parser["run"] = {
         k: "" if v is None else ",".join(map(str, v)) if isinstance(v, (list, tuple)) else str(v)
@@ -195,7 +197,8 @@ def cmd_train(args) -> int:
         writer.writerow(["epoch", "mean_loss", "val_mean_fidelity"])
         for epoch, (lo, fi) in enumerate(zip(history.losses, history.val_fidelities), start=1):
             writer.writerow([epoch, f"{lo:.12e}", f"{fi:.12f}"])
-    _write_config(out_dir / "config.ini", args, m=config.num_qubits,
+    unread = ("val_count",) if args.val_dataset is not None else ()
+    _write_config(out_dir / "config.ini", args, unread, m=config.num_qubits,
                   best_epoch=history.best_epoch + 1)
     print(
         f"trained m={config.num_qubits} for {args.epochs} epochs; "
@@ -271,31 +274,25 @@ def _experiment_fig3(args, out_dir) -> list:
         ensembles[n] = sampling.sample_ensemble(
             spec, sampling.sub_seed(args.seed, f"fig3-test-{args.measure}-{n}")
         )
-    records, baselines = adapt.padding_experiment(
-        nets, ensembles, args.measure, baseline_pairs=args.pairs,
-        seed=sampling.sub_seed(args.seed, "fig3-baseline"),
-    )
+    baselines = []
+    if args.pairs > 0:  # first, so a --pairs the estimates reject costs no reconstruction
+        seed = sampling.sub_seed(args.seed, "fig3-baseline")
+        baselines = adapt.baseline_curves(args.measure, args.pairs,
+                                          {n: (seed, seed) for n in ensembles})
+    records = adapt.padding_experiment(nets, ensembles, args.measure)
     adapt.write_records_csv(out_dir / "records.csv", records)
     return adapt.summarize(records) + baselines
 
 
 def _experiment_baselines(args, out_dir) -> list:
-    measure, pairs, seed = args.measure, args.pairs, args.seed
-    summaries = []
-    for dim in args.dims:
-        n = qubit_count(dim, 2)
-        mean, err = analytics.mc_avg_fidelity(
-            measure, dim, pairs, seed=sampling.sub_seed(seed, f"baseline-pair-{measure}-{dim}")
-        )
-        summaries.append(adapt.CurveSummary("baseline", measure, n, n, "random-pair", mean, err, pairs))
-        mean, err = analytics.mc_avg_fidelity_vs_mixed(
-            measure, dim, pairs, seed=sampling.sub_seed(seed, f"baseline-mixed-{measure}-{dim}")
-        )
-        summaries.append(adapt.CurveSummary("baseline", measure, n, n, "max-mixed", mean, err, pairs))
-    return summaries
+    measure, seed = args.measure, args.seed
+    seeds = {qubit_count(dim, 2): (sampling.sub_seed(seed, f"baseline-pair-{measure}-{dim}"),
+                                   sampling.sub_seed(seed, f"baseline-mixed-{measure}-{dim}"))
+             for dim in args.dims}
+    return adapt.baseline_curves(measure, args.pairs, seeds)
 
 
-def _run_experiment(args, experiment) -> int:
+def _run_experiment(args, experiment, unread=()) -> int:
     """Run ``experiment(args, out_dir)``; write its summary.csv and config.ini."""
     if args.measure not in sampling.MEASURES:
         raise UsageError(f"unknown measure {args.measure!r}; expected one of {sampling.MEASURES}")
@@ -303,7 +300,7 @@ def _run_experiment(args, experiment) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     summaries = experiment(args, out_dir)
     adapt.write_summary_csv(out_dir / "summary.csv", summaries)
-    _write_config(out_dir / "config.ini", args)
+    _write_config(out_dir / "config.ini", args, unread)
     for s in summaries:
         print(f"{s.experiment} {s.measure} m={s.m} n={s.n} {s.mode}: "
               f"{s.mean:.4f} +- {s.stderr:.4f} ({s.count})")
@@ -311,7 +308,9 @@ def _run_experiment(args, experiment) -> int:
 
 
 def cmd_experiment(args) -> int:
-    return _run_experiment(args, _experiment_fig2 if args.name == "fig2" else _experiment_fig3)
+    if args.name == "fig2":
+        return _run_experiment(args, _experiment_fig2, unread=("pairs",))
+    return _run_experiment(args, _experiment_fig3)
 
 
 def cmd_baselines(args) -> int:
@@ -395,7 +394,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--test-count", dest="test_count", type=int, default=500,
                    help="test states per qubit count (default %(default)s)")
     p.add_argument("--pairs", type=int, default=20000,
-                   help="Monte Carlo pairs of the fig3 baselines (default %(default)s)")
+                   help="Monte Carlo pairs of the fig3 baselines; 0 skips them "
+                        "(default %(default)s)")
     p.add_argument("--out-dir", dest="out_dir", required=True)
 
     p = add_command("baselines", "Monte Carlo random-pair and maximally-mixed fidelities")

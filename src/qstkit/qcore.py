@@ -136,19 +136,6 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float | np.ndarray:
     return float(f) if f.ndim == 0 else f
 
 
-def project_physical(m: np.ndarray) -> np.ndarray:
-    """Nearest-physical cleanup: hermitize, clamp negative eigenvalues, renormalize."""
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    h = (m + m.conj().T) / 2
-    w, v = np.linalg.eigh(h)
-    w = np.clip(w, 0.0, None)
-    total = w.sum()
-    if total <= 0.0:
-        raise np.linalg.LinAlgError("zero trace after clamping negative eigenvalues")
-    return (v * (w / total)) @ v.conj().T
-
-
 def assert_physical(rho: np.ndarray, context: str = "state") -> None:
     """Raise ValueError with a reason when ``rho`` violates an invariant."""
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:

@@ -1,4 +1,4 @@
-"""Seeded random ensembles: Ginibre matrices, Haar unitaries, HS/Bures states.
+"""Seeded random ensembles: Ginibre matrices and Hilbert-Schmidt / Bures states.
 
 Reproducibility contract
 ------------------------
@@ -92,9 +92,12 @@ def _normalize(w: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def sample_state(m: int, measure: str, rng: np.random.Generator) -> np.ndarray:
-    """One random m-qubit state of ``measure`` drawn from ``rng`` (see sample_hs/sample_bures).
+    """One random m-qubit state of ``measure`` drawn from ``rng``.
 
-    A zero-trace draw is redrawn once from ``rng``; a second one raises ArithmeticError.
+    Hilbert-Schmidt: GG†/Tr(GG†) for one Ginibre draw G. Bures: AA†/Tr(AA†)
+    with A = (I + U)G, G the first Ginibre draw and U the Haar unitary of the
+    second. A zero-trace draw is redrawn once from ``rng``; a second one
+    raises ArithmeticError.
     """
     draws, d = _ginibre_draws(measure), 2**m
     for _ in range(2):
@@ -102,21 +105,6 @@ def sample_state(m: int, measure: str, rng: np.random.Generator) -> np.ndarray:
         if t > _ZERO_TRACE_TOL:
             return _normalize(w, t)
     raise ArithmeticError("degenerate zero-trace draw after retry")
-
-
-def sample_hs(m: int, rng: np.random.Generator) -> np.ndarray:
-    """Random m-qubit state under the Hilbert-Schmidt measure: GG†/Tr(GG†)."""
-    return sample_state(m, MEASURE_HS, rng)
-
-
-def sample_bures(m: int, rng: np.random.Generator) -> np.ndarray:
-    """Random m-qubit state under the Bures measure: (I+U)GG†(I+U)†, normalized."""
-    return sample_state(m, MEASURE_BURES, rng)
-
-
-def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random d x d unitary from one Ginibre draw of ``rng``."""
-    return _haar(ginibre(d, rng))
 
 
 def sample_streams(m: int, measure: str, seed: int, start: int, stop: int,

@@ -56,21 +56,11 @@ def pauli6_projectors() -> np.ndarray:
     return np.einsum("si,sj->sij", kets, kets.conj())
 
 
-def joint_index(settings) -> int:
-    """Base-6 index of a joint setting tuple, qubit 0 most significant."""
-    index = 0
-    for s in settings:
-        s = int(s)
-        if not 0 <= s < 6:
-            raise ValueError(f"setting index out of range: {s}")
-        index = index * 6 + s
-    return index
-
-
 def measure(rho: np.ndarray) -> np.ndarray:
     """Exact Born probabilities for all 6**m joint Pauli settings.
 
-    Entry ``joint_index(s)`` is Tr(rho · Π_{s_0} ⊗ ... ⊗ Π_{s_{m-1}}),
+    Entry sum_q s_q 6**(m-1-q), the base-6 index of the joint setting with
+    qubit 0 most significant, is Tr(rho · Π_{s_0} ⊗ ... ⊗ Π_{s_{m-1}}). It is
     evaluated by contracting one qubit at a time rather than materializing
     the joint projectors.
     """

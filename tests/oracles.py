@@ -1,0 +1,42 @@
+"""Independent oracles the tests compare the library against.
+
+They are written from the definitions, not from the library's code paths:
+the Pauli-6 projectors are built from the Pauli matrices here, not taken
+from ``tomography.pauli6_projectors``.
+"""
+
+import numpy as np
+
+PAULIS = (
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+
+
+def joint_index(settings) -> int:
+    """Base-6 index of a joint setting tuple, qubit 0 most significant."""
+    index = 0
+    for s in settings:
+        s = int(s)
+        if not 0 <= s < 6:
+            raise ValueError(f"setting index out of range: {s}")
+        index = index * 6 + s
+    return index
+
+
+def linear_inversion(probabilities: np.ndarray) -> np.ndarray:
+    """The state with the given exact Pauli-6 probabilities: ρ = Σ_s p_s ⊗_q (Π_{s_q} − I/3).
+
+    Π_{2j} and Π_{2j+1} are (I ± σ_j)/2 for σ = X, Y, Z; Π − I/3 is their
+    dual frame, since Σ_s Tr(ρΠ_s)(Π_s − I/3) = ρ for every one-qubit ρ. The
+    joint frame is built with ``np.kron``, qubit 0 the most-significant
+    factor, so entry ``joint_index(s)`` of ``probabilities`` meets the joint
+    operator of setting s.
+    """
+    eye = np.eye(2)
+    single = [(eye + sign * sigma) / 2 - eye / 3 for sigma in PAULIS for sign in (1, -1)]
+    frame = single
+    while len(frame) < len(probabilities):
+        frame = [np.kron(a, b) for a in frame for b in single]
+    return np.tensordot(probabilities, np.stack(frame), axes=1)

@@ -6,7 +6,10 @@ import itertools
 import numpy as np
 import pytest
 
-from qstkit import adapt, cholesky, neuralnet, qcore, sampling, tomography
+from oracles import joint_index, linear_inversion
+from qstkit import adapt, analytics, cholesky, neuralnet, qcore, sampling, tomography
+
+HS = sampling.MEASURE_HS
 
 
 def tiny_net(m=2, seed=3):
@@ -18,7 +21,7 @@ def tiny_net(m=2, seed=3):
 
 class TestEngineeredPad:
     def test_same_size_is_identity(self):
-        v = tomography.measure(sampling.sample_hs(2, sampling.stream(701)))
+        v = tomography.measure(sampling.sample_state(2, HS, sampling.stream(701)))
         np.testing.assert_array_equal(adapt.engineered_pad(v, 2), v)
 
     def test_zero_state_blocks(self):
@@ -34,7 +37,7 @@ class TestEngineeredPad:
         rng = sampling.stream(702)
         for n, m in [(1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4)]:
             for _ in range(5):
-                rho = sampling.sample_hs(n, rng)
+                rho = sampling.sample_state(n, HS, rng)
                 extended = rho
                 for _ in range(m - n):
                     extended = np.kron(qcore.maximally_mixed(1), extended)
@@ -42,12 +45,22 @@ class TestEngineeredPad:
                 want = tomography.measure(extended)
                 assert np.abs(got - want).max() <= 1e-13
 
+    def test_inverts_to_maximally_mixed_extension(self):
+        """Linear inversion of the padded vector gives I/2**(m-n) ⊗ rho."""
+        rng = sampling.stream(712)
+        for n, m in [(1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4)]:
+            for _ in range(5):
+                rho = sampling.sample_state(n, HS, rng)
+                got = linear_inversion(adapt.engineered_pad(tomography.measure(rho), m))
+                want = np.kron(qcore.maximally_mixed(m - n), rho)
+                assert np.abs(got - want).max() <= 1e-12
+
     def test_preserves_per_axis_normalization(self):
-        rho = sampling.sample_hs(1, sampling.stream(703))
+        rho = sampling.sample_state(1, HS, sampling.stream(703))
         out = adapt.engineered_pad(tomography.measure(rho), 2)
         for axes in itertools.product(range(3), repeat=2):
             total = sum(
-                out[tomography.joint_index([2 * a + o for a, o in zip(axes, outs)])]
+                out[joint_index([2 * a + o for a, o in zip(axes, outs)])]
                 for outs in itertools.product(range(2), repeat=2)
             )
             assert total == pytest.approx(1.0, abs=1e-12)
@@ -59,27 +72,27 @@ class TestEngineeredPad:
 
 class TestZeroPad:
     def test_same_size_is_identity(self):
-        v = tomography.measure(sampling.sample_hs(2, sampling.stream(704)))
+        v = tomography.measure(sampling.sample_state(2, HS, sampling.stream(704)))
         np.testing.assert_array_equal(adapt.zero_pad(v, 2), v)
 
     def test_first_block_carries_values(self):
-        v = tomography.measure(sampling.sample_hs(1, sampling.stream(705)))
+        v = tomography.measure(sampling.sample_state(1, HS, sampling.stream(705)))
         out = adapt.zero_pad(v, 2)
         np.testing.assert_array_equal(out[:6], v)
         assert np.all(out[6:] == 0.0)
 
     def test_mass_conservation(self):
-        v = tomography.measure(sampling.sample_hs(1, sampling.stream(706)))
+        v = tomography.measure(sampling.sample_state(1, HS, sampling.stream(706)))
         assert adapt.zero_pad(v, 3).sum() == pytest.approx(v.sum(), abs=1e-12)
 
     def test_violates_per_axis_normalization(self):
         """Zero padding is not a physical measurement vector for n < m."""
-        rho = sampling.sample_hs(1, sampling.stream(707))
+        rho = sampling.sample_state(1, HS, sampling.stream(707))
         out = adapt.zero_pad(tomography.measure(rho), 2)
         sums = []
         for axes in itertools.product(range(3), repeat=2):
             sums.append(sum(
-                out[tomography.joint_index([2 * a + o for a, o in zip(axes, outs)])]
+                out[joint_index([2 * a + o for a, o in zip(axes, outs)])]
                 for outs in itertools.product(range(2), repeat=2)
             ))
         assert max(abs(s - 1.0) for s in sums) > 0.5
@@ -94,7 +107,7 @@ def plain_inference(net, values):
 class TestReconstructAdaptive:
     def test_same_size_equals_plain_inference(self):
         net = tiny_net()
-        v = tomography.measure(sampling.sample_hs(2, sampling.stream(708)))[None]
+        v = tomography.measure(sampling.sample_state(2, HS, sampling.stream(708)))[None]
         for mode in adapt.PADDING_MODES:
             np.testing.assert_array_equal(adapt.reconstruct(net, v, mode), plain_inference(net, v))
 
@@ -102,7 +115,7 @@ class TestReconstructAdaptive:
         net = tiny_net()
         rng = sampling.stream(709)
         for n in (1, 2):
-            rhos = [sampling.sample_hs(n, rng) for _ in range(3)]
+            rhos = [sampling.sample_state(n, HS, rng) for _ in range(3)]
             values = np.stack([tomography.measure(rho) for rho in rhos])
             out = adapt.reconstruct(net, values, "engineered")
             assert out.shape == (3, 2**n, 2**n)
@@ -111,7 +124,7 @@ class TestReconstructAdaptive:
 
     def test_modes_differ_for_padded_input(self):
         net = tiny_net()
-        v = tomography.measure(sampling.sample_hs(1, sampling.stream(710)))[None]
+        v = tomography.measure(sampling.sample_state(1, HS, sampling.stream(710)))[None]
         a = adapt.reconstruct(net, v, "engineered")
         b = adapt.reconstruct(net, v, "zero")
         assert np.abs(a - b).max() > 1e-12
@@ -154,9 +167,8 @@ class TestExperiments:
             1: sampling.sample_ensemble(sampling.EnsembleSpec(1, "hilbert-schmidt", 3), 4),
             2: sampling.sample_ensemble(sampling.EnsembleSpec(2, "hilbert-schmidt", 3), 5),
         }
-        records, baselines = adapt.padding_experiment(nets, ensembles, "hilbert-schmidt")
+        records = adapt.padding_experiment(nets, ensembles, "hilbert-schmidt")
         assert len(records) == 12  # 2 sizes x 3 states x 2 modes
-        assert baselines == []
         keys = {(r.m, r.n, r.mode) for r in records}
         assert keys == {(2, n, mode) for n in (1, 2) for mode in adapt.PADDING_MODES}
         order = [(r.n, r.state_id, r.mode) for r in records]
@@ -197,7 +209,11 @@ class TestExperiments:
         assert len(rows) == 4
 
     def test_baseline_curves_schema(self):
-        rows = adapt.baseline_curves([1], "hilbert-schmidt", pairs=200, seed=7)
+        rows = adapt.baseline_curves(HS, 200, {1: (7, 8)})
         assert [r.mode for r in rows] == ["random-pair", "max-mixed"]
         assert all(r.experiment == "baseline" and r.m == r.n == 1 for r in rows)
         assert all(0.0 < r.mean < 1.0 for r in rows)
+        assert [(r.mean, r.stderr) for r in rows] == [
+            analytics.mc_avg_fidelity(HS, 2, 200, seed=7),
+            analytics.mc_avg_fidelity_vs_mixed(HS, 2, 200, seed=8),
+        ]

@@ -5,14 +5,17 @@ import pytest
 
 from qstkit import analytics, qcore, sampling
 
+HS = sampling.MEASURE_HS
+BURES = sampling.MEASURE_BURES
+
 
 class TestFidelityStack:
     def test_matches_scalar_fidelity(self):
         """Stacked qcore.fidelity must agree with the per-pair loop."""
         rng = sampling.stream(909)
         for m in (1, 2, 3):
-            rhos = np.stack([sampling.sample_hs(m, rng) for _ in range(40)])
-            sigmas = np.stack([sampling.sample_bures(m, rng) for _ in range(40)])
+            rhos = np.stack([sampling.sample_state(m, HS, rng) for _ in range(40)])
+            sigmas = np.stack([sampling.sample_state(m, BURES, rng) for _ in range(40)])
             batch = qcore.fidelity(rhos, sigmas)
             loop = [qcore.fidelity(r, s) for r, s in zip(rhos, sigmas)]
             assert batch.shape == (40,)

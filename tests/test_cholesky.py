@@ -5,6 +5,8 @@ import pytest
 
 from qstkit import cholesky, qcore, sampling
 
+HS = sampling.MEASURE_HS
+
 
 class TestLayout:
     def test_four_by_four_positions(self):
@@ -109,7 +111,7 @@ class TestRhoToTau:
     def test_unit_norm_and_nonnegative_diagonal(self):
         rng = sampling.stream(404)
         for _ in range(100):
-            tau = cholesky.rho_to_tau(sampling.sample_hs(2, rng))
+            tau = cholesky.rho_to_tau(sampling.sample_state(2, HS, rng))
             assert np.linalg.norm(tau) == pytest.approx(1.0, abs=1e-12)
             assert np.all(tau[:4] >= 0)
 
@@ -135,7 +137,7 @@ class TestRhoToTau:
         rng = sampling.stream(405)
         for m in (2, 3):
             for _ in range(300):
-                rho = sampling.sample_hs(m, rng)
+                rho = sampling.sample_state(m, HS, rng)
                 back = cholesky.tau_to_rho(cholesky.rho_to_tau(rho))
                 assert 1.0 - qcore.fidelity(rho, back) <= 1e-9
 

@@ -196,18 +196,34 @@ class TestExperiments:
         assert curves == {("2", "2"), ("2", "1")}
 
     def test_fig3_schema_includes_baselines(self, trained, tmp_path):
+        """With ``--pairs 0`` fig3 writes its own rows and no baseline rows."""
         _, checkpoint = trained
+        for pairs in (300, 0):
+            out_dir = tmp_path / f"fig3-{pairs}"
+            assert run("experiment", "--name", "fig3", "--checkpoint", f"2={checkpoint}",
+                       "--out-dir", out_dir, "--test-count", 5, "--pairs", pairs,
+                       "--seed", 1) == 0
+            rows = read_csv(out_dir / "summary.csv")
+            modes = {(r[0], r[3], r[4]) for r in rows[1:]}
+            fig3 = {("fig3", n, mode) for n in ("1", "2") for mode in ("engineered", "zero")}
+            baselines = {("baseline", n, mode)
+                         for n in ("1", "2") for mode in ("random-pair", "max-mixed")}
+            assert modes == (fig3 | baselines if pairs else fig3)
+            assert len(rows) == 1 + len(modes)
+            assert len(read_csv(out_dir / "records.csv")) == 1 + 2 * 5 * 2
+
+    def test_fig3_checks_pairs_before_reconstructing(self, trained, tmp_path, monkeypatch):
+        """A --pairs the Monte Carlo estimates reject fails before any reconstruction."""
+        _, checkpoint = trained
+
+        def padding_experiment(*_):
+            raise AssertionError("reconstructed before the baselines were estimated")
+
+        monkeypatch.setattr(adapt, "padding_experiment", padding_experiment)
         out_dir = tmp_path / "fig3"
-        assert run("experiment", "--name", "fig3", "--checkpoint", f"2={checkpoint}",
-                   "--out-dir", out_dir, "--test-count", 5, "--pairs", 300, "--seed", 1) == 0
-        rows = read_csv(out_dir / "summary.csv")
-        modes = {(r[0], r[3], r[4]) for r in rows[1:]}
-        for n in ("1", "2"):
-            assert ("fig3", n, "engineered") in modes
-            assert ("fig3", n, "zero") in modes
-            assert ("baseline", n, "random-pair") in modes
-            assert ("baseline", n, "max-mixed") in modes
-        assert len(read_csv(out_dir / "records.csv")) == 1 + 2 * 5 * 2
+        assert run("experiment", "--name", "fig3", "--checkpoint", checkpoint,
+                   "--pairs", 50, "--out-dir", out_dir) == cli.EXIT_USAGE
+        assert not (out_dir / "records.csv").exists()
 
     def test_baselines_command(self, tmp_path):
         out_dir = tmp_path / "base"
@@ -466,6 +482,17 @@ def outputs(out_dir):
 
 
 class TestConfigRerun:
+    @pytest.mark.parametrize("case, option", [("experiment-fig2", "pairs"),
+                                              ("train-resumed", "val_count")])
+    def test_unread_option_is_not_recorded(self, rerun_inputs, tmp_path, case, option):
+        """fig2 reads no --pairs, and a run with --val-dataset no --val-count."""
+        head, settings, paths, _ = RERUN_CASES[case]
+        flag = "--" + option.replace("_", "-")
+        assert run(*head, *settings, flag, 150, *paths(rerun_inputs, tmp_path)) == 0
+        parser = configparser.ConfigParser()
+        parser.read(tmp_path / "config.ini")
+        assert option not in parser["run"]
+
     @pytest.mark.parametrize("case", list(RERUN_CASES))
     def test_config_reruns_are_byte_identical(self, rerun_inputs, tmp_path, case):
         """The written config.ini, or an old-format one, plus the paths repeats a run."""

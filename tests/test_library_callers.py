@@ -1,0 +1,42 @@
+"""Every public function and class of the package has a caller in the package.
+
+Library code that only tests call is either given a real caller or deleted,
+so this test parses the package's modules and fails on a public top-level
+function or class whose name no module refers to. A reference is a name, an
+attribute or an imported name, matched by name; docstrings do not count.
+"""
+
+import ast
+from pathlib import Path
+
+import qstkit
+
+# Public names whose callers live outside the package's modules, and why.
+OUTSIDE_CALLERS = {
+    "cli.main_entry": "the qstkit console script declared in pyproject.toml",
+    "cli.read_states": "reader of the .qstst format written by reconstruct; "
+                       "perfbench/checks.py reads states back through it",
+}
+
+
+def test_every_public_name_has_a_library_caller():
+    package = Path(qstkit.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+    uncalled = [
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in referenced
+    ]
+    assert [name for name in uncalled if name not in OUTSIDE_CALLERS] == []

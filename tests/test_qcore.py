@@ -5,17 +5,15 @@ import pytest
 
 from qstkit import qcore, sampling
 
+HS = sampling.MEASURE_HS
+BURES = sampling.MEASURE_BURES
+
 KET0 = np.array([1.0, 0.0], dtype=complex)
 KET1 = np.array([0.0, 1.0], dtype=complex)
 
 
 def pure(ket):
     return np.outer(ket, ket.conj())
-
-
-def random_hermitian(d, rng):
-    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return (a + a.conj().T) / 2
 
 
 class TestTensorProduct:
@@ -44,8 +42,8 @@ class TestTensorProduct:
 class TestPartialTrace:
     def test_product_state_factorizes(self):
         rng = sampling.stream(102)
-        rho = sampling.sample_hs(1, rng)
-        sigma = sampling.sample_hs(2, rng)
+        rho = sampling.sample_state(1, HS, rng)
+        sigma = sampling.sample_state(2, HS, rng)
         joint = np.kron(rho, sigma)
         np.testing.assert_allclose(qcore.partial_trace(joint, {1, 2}), rho, atol=1e-14)
         np.testing.assert_allclose(qcore.partial_trace(joint, {0}), sigma, atol=1e-14)
@@ -57,7 +55,7 @@ class TestPartialTrace:
 
     def test_matches_index_summation_oracle(self):
         """Tracing qubits {0, 2} of a 3-qubit state against an explicit loop."""
-        rho = sampling.sample_hs(3, sampling.stream(103))
+        rho = sampling.sample_state(3, HS, sampling.stream(103))
         got = qcore.partial_trace(rho, {0, 2})
         want = np.zeros((2, 2), dtype=complex)
         for i1 in range(2):
@@ -72,26 +70,26 @@ class TestPartialTrace:
     def test_preserves_trace_and_physicality(self):
         rng = sampling.stream(104)
         for _ in range(20):
-            rho = sampling.sample_hs(3, rng)
+            rho = sampling.sample_state(3, HS, rng)
             reduced = qcore.partial_trace(rho, {1})
             assert abs(np.trace(reduced) - 1.0) <= 1e-12
             qcore.assert_physical(reduced)
 
     def test_append_then_trace_recovers_original(self):
         rng = sampling.stream(105)
-        rho = sampling.sample_hs(2, rng)
-        sigma = sampling.sample_hs(1, rng)
+        rho = sampling.sample_state(2, HS, rng)
+        sigma = sampling.sample_state(1, HS, rng)
         joint = np.kron(rho, sigma)
         np.testing.assert_allclose(qcore.partial_trace(joint, {2}), rho, atol=1e-12)
 
     def test_empty_removal_is_a_copy(self):
-        rho = sampling.sample_hs(2, sampling.stream(106))
+        rho = sampling.sample_state(2, HS, sampling.stream(106))
         out = qcore.partial_trace(rho, set())
         np.testing.assert_array_equal(out, rho)
         assert out is not rho
 
     def test_rejects_bad_indices(self):
-        rho = sampling.sample_hs(2, sampling.stream(107))
+        rho = sampling.sample_state(2, HS, sampling.stream(107))
         with pytest.raises(ValueError, match="out of range"):
             qcore.partial_trace(rho, {5})
         with pytest.raises(ValueError, match="every qubit"):
@@ -147,7 +145,7 @@ class TestFidelity:
     def test_self_fidelity_is_one(self):
         rng = sampling.stream(109)
         for m in (1, 2, 3):
-            rho = sampling.sample_hs(m, rng)
+            rho = sampling.sample_state(m, HS, rng)
             assert qcore.fidelity(rho, rho) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_pure_states(self):
@@ -160,14 +158,15 @@ class TestFidelity:
     def test_symmetry(self):
         rng = sampling.stream(110)
         for _ in range(50):
-            rho = sampling.sample_hs(2, rng)
-            sigma = sampling.sample_bures(2, rng)
+            rho = sampling.sample_state(2, HS, rng)
+            sigma = sampling.sample_state(2, BURES, rng)
             assert abs(qcore.fidelity(rho, sigma) - qcore.fidelity(sigma, rho)) <= 1e-10
 
     def test_range(self):
         rng = sampling.stream(111)
         for _ in range(50):
-            f = qcore.fidelity(sampling.sample_hs(2, rng), sampling.sample_hs(2, rng))
+            f = qcore.fidelity(sampling.sample_state(2, HS, rng),
+                               sampling.sample_state(2, HS, rng))
             assert 0.0 <= f <= 1.0
 
     def test_dimension_mismatch(self):
@@ -179,8 +178,8 @@ class TestFidelity:
         rng = sampling.stream(112)
         for m in (2, 3):
             for _ in range(1000):
-                rho = sampling.sample_hs(m, rng)
-                sigma = sampling.sample_hs(m, rng)
+                rho = sampling.sample_state(m, HS, rng)
+                sigma = sampling.sample_state(m, HS, rng)
                 full = qcore.fidelity(rho, sigma)
                 for q in range(m):
                     reduced = qcore.fidelity(
@@ -189,32 +188,11 @@ class TestFidelity:
                     assert full <= reduced + 1e-9
 
 
-class TestProjectPhysical:
-    def test_physical_state_is_fixed_point(self):
-        rho = sampling.sample_hs(2, sampling.stream(113))
-        np.testing.assert_allclose(qcore.project_physical(rho), rho, atol=1e-14)
-
-    def test_clamp_and_renormalize(self):
-        out = qcore.project_physical(np.diag([1.5, -0.5]).astype(complex))
-        np.testing.assert_allclose(out, np.diag([1.0, 0.0]), atol=1e-15)
-
-    def test_perturbed_state_becomes_physical(self):
-        rng = sampling.stream(114)
-        for _ in range(50):
-            rho = sampling.sample_hs(2, rng)
-            noisy = rho + 1e-3 * random_hermitian(4, rng)
-            qcore.assert_physical(qcore.project_physical(noisy))
-
-    def test_zero_trace_rejected(self):
-        with pytest.raises(np.linalg.LinAlgError, match="zero trace"):
-            qcore.project_physical(np.diag([-1.0, -2.0]).astype(complex))
-
-
 class TestChecks:
     def test_assert_physical_accepts_samples(self):
         rng = sampling.stream(115)
-        qcore.assert_physical(sampling.sample_hs(2, rng))
-        qcore.assert_physical(sampling.sample_bures(2, rng))
+        qcore.assert_physical(sampling.sample_state(2, HS, rng))
+        qcore.assert_physical(sampling.sample_state(2, BURES, rng))
 
     def test_assert_physical_messages(self):
         with pytest.raises(ValueError, match="Hermiticity"):

@@ -6,6 +6,9 @@ from scipy import stats
 
 from qstkit import qcore, sampling
 
+HS = sampling.MEASURE_HS
+BURES = sampling.MEASURE_BURES
+
 
 class TestStreams:
     def test_same_key_is_identical(self):
@@ -47,14 +50,15 @@ class TestHilbertSchmidt:
     def test_construction_invariants(self):
         rng = sampling.stream(3)
         for m in (1, 2, 3):
-            rho = sampling.sample_hs(m, rng)
+            rho = sampling.sample_state(m, HS, rng)
             assert abs(np.trace(rho) - 1.0) <= 1e-12
             assert np.linalg.eigvalsh(rho)[0] >= -1e-12
             qcore.assert_physical(rho)
 
     def test_deterministic(self):
         np.testing.assert_array_equal(
-            sampling.sample_hs(2, sampling.stream(9)), sampling.sample_hs(2, sampling.stream(9))
+            sampling.sample_state(2, HS, sampling.stream(9)),
+            sampling.sample_state(2, HS, sampling.stream(9)),
         )
 
     def test_matches_per_state_formula(self):
@@ -64,14 +68,16 @@ class TestHilbertSchmidt:
             w = g @ g.conj().T
             w = w / np.trace(w).real
             expected = (w + w.conj().T) / 2
-            assert sampling.sample_hs(m, sampling.stream(13, m)).tobytes() == expected.tobytes()
+            got = sampling.sample_state(m, HS, sampling.stream(13, m))
+            assert got.tobytes() == expected.tobytes()
 
     def test_mean_pair_fidelity_single_qubit(self):
         """10^4 independent pairs reproduce the 0.67 reference value."""
         fids = np.empty(10000)
         for i in range(10000):
             rng = sampling.stream(200, i)
-            fids[i] = qcore.fidelity(sampling.sample_hs(1, rng), sampling.sample_hs(1, rng))
+            fids[i] = qcore.fidelity(sampling.sample_state(1, HS, rng),
+                                     sampling.sample_state(1, HS, rng))
         assert fids.mean() == pytest.approx(0.67, abs=0.01)
 
     def test_mean_pair_fidelity_two_qubits(self):
@@ -79,7 +85,8 @@ class TestHilbertSchmidt:
         fids = np.empty(10000)
         for i in range(10000):
             rng = sampling.stream(201, i)
-            fids[i] = qcore.fidelity(sampling.sample_hs(2, rng), sampling.sample_hs(2, rng))
+            fids[i] = qcore.fidelity(sampling.sample_state(2, HS, rng),
+                                     sampling.sample_state(2, HS, rng))
         assert fids.mean() == pytest.approx(0.59, abs=0.01)
 
     def test_purity_matches_moment_oracle(self):
@@ -92,7 +99,7 @@ class TestHilbertSchmidt:
         rng = sampling.stream(4)
         purities = np.empty(100000)
         for i in range(purities.size):
-            rho = sampling.sample_hs(1, rng)
+            rho = sampling.sample_state(1, HS, rng)
             purities[i] = np.trace(rho @ rho).real
         stderr = purities.std(ddof=1) / np.sqrt(purities.size)
         assert abs(purities.mean() - 0.8) <= 3 * stderr
@@ -102,19 +109,21 @@ class TestHaarUnitary:
     def test_unitarity(self):
         rng = sampling.stream(6)
         for d in (2, 4, 8):
-            u = sampling.haar_unitary(d, rng)
+            u = sampling._haar(sampling.ginibre(d, rng))
             assert np.abs(u @ u.conj().T - np.eye(d)).max() <= 1e-12
 
     def test_deterministic(self):
         np.testing.assert_array_equal(
-            sampling.haar_unitary(4, sampling.stream(8)), sampling.haar_unitary(4, sampling.stream(8))
+            sampling._haar(sampling.ginibre(4, sampling.stream(8))),
+            sampling._haar(sampling.ginibre(4, sampling.stream(8))),
         )
 
     def test_eigenphase_uniformity(self):
         """Eigenvalue phases of 10^4 Haar draws are uniform on the circle."""
         rng = sampling.stream(7)
         phases = np.concatenate(
-            [np.angle(np.linalg.eigvals(sampling.haar_unitary(2, rng))) for _ in range(10000)]
+            [np.angle(np.linalg.eigvals(sampling._haar(sampling.ginibre(2, rng))))
+             for _ in range(10000)]
         )
         counts, _ = np.histogram(phases, bins=12, range=(-np.pi, np.pi))
         assert stats.chisquare(counts).pvalue > 0.001
@@ -124,12 +133,12 @@ class TestBures:
     def test_construction_invariants(self):
         rng = sampling.stream(10)
         for m in (1, 2, 3):
-            qcore.assert_physical(sampling.sample_bures(m, rng))
+            qcore.assert_physical(sampling.sample_state(m, BURES, rng))
 
     def test_deterministic(self):
         np.testing.assert_array_equal(
-            sampling.sample_bures(2, sampling.stream(12)),
-            sampling.sample_bures(2, sampling.stream(12)),
+            sampling.sample_state(2, BURES, sampling.stream(12)),
+            sampling.sample_state(2, BURES, sampling.stream(12)),
         )
 
     def test_matches_per_state_formula(self):
@@ -143,14 +152,16 @@ class TestBures:
             w = a @ a.conj().T
             w = w / np.trace(w).real
             expected = (w + w.conj().T) / 2
-            assert sampling.sample_bures(m, sampling.stream(14, m)).tobytes() == expected.tobytes()
+            got = sampling.sample_state(m, BURES, sampling.stream(14, m))
+            assert got.tobytes() == expected.tobytes()
 
     def test_mean_pair_fidelity_single_qubit(self):
         """10^4 independent pairs reproduce the 0.590 reference value."""
         fids = np.empty(10000)
         for i in range(10000):
             rng = sampling.stream(202, i)
-            fids[i] = qcore.fidelity(sampling.sample_bures(1, rng), sampling.sample_bures(1, rng))
+            fids[i] = qcore.fidelity(sampling.sample_state(1, BURES, rng),
+                                     sampling.sample_state(1, BURES, rng))
         assert fids.mean() == pytest.approx(0.590, abs=0.01)
 
 

@@ -5,7 +5,10 @@ import itertools
 import numpy as np
 import pytest
 
+from oracles import joint_index, linear_inversion
 from qstkit import qcore, sampling, tomography
+
+HS = sampling.MEASURE_HS
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -39,14 +42,14 @@ class TestProjectors:
 
 class TestJointIndex:
     def test_place_values(self):
-        assert tomography.joint_index((4, 4)) == 28
-        assert tomography.joint_index((0,)) == 0
-        assert tomography.joint_index((1, 0, 5)) == 41
+        assert joint_index((4, 4)) == 28
+        assert joint_index((0,)) == 0
+        assert joint_index((1, 0, 5)) == 41
 
     def test_bijection_exhaustive(self):
         for m in (1, 2, 3):
             seen = {
-                tomography.joint_index(s) for s in itertools.product(range(6), repeat=m)
+                joint_index(s) for s in itertools.product(range(6), repeat=m)
             }
             assert seen == set(range(6**m))
 
@@ -54,11 +57,11 @@ class TestJointIndex:
         """Settings in lexicographic order, qubit 0 first, get indices 0, 1, 2, ..."""
         for m in (1, 2, 3):
             for index, settings in enumerate(itertools.product(range(6), repeat=m)):
-                assert tomography.joint_index(settings) == index
+                assert joint_index(settings) == index
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
-            tomography.joint_index((6,))
+            joint_index((6,))
 
 
 class TestMeasure:
@@ -76,21 +79,21 @@ class TestMeasure:
 
     def test_matches_kronecker_projector_oracle(self):
         """Contraction path equals explicit joint projectors and traces."""
-        rho = sampling.sample_hs(2, sampling.stream(301))
+        rho = sampling.sample_state(2, HS, sampling.stream(301))
         got = tomography.measure(rho)
         projs = tomography.pauli6_projectors()
         for s0 in range(6):
             for s1 in range(6):
                 joint = np.kron(projs[s0], projs[s1])
                 want = np.trace(rho @ joint).real
-                assert abs(got[tomography.joint_index((s0, s1))] - want) <= 1e-13
+                assert abs(got[joint_index((s0, s1))] - want) <= 1e-13
 
     def test_per_axis_normalization(self):
-        rho = sampling.sample_hs(3, sampling.stream(302))
+        rho = sampling.sample_state(3, HS, sampling.stream(302))
         v = tomography.measure(rho)
         for axes in itertools.product(range(3), repeat=3):
             total = sum(
-                v[tomography.joint_index([2 * a + o for a, o in zip(axes, outcomes)])]
+                v[joint_index([2 * a + o for a, o in zip(axes, outcomes)])]
                 for outcomes in itertools.product(range(2), repeat=3)
             )
             assert total == pytest.approx(1.0, abs=1e-12)
@@ -98,8 +101,8 @@ class TestMeasure:
     def test_product_states_factorize(self):
         """Joint measurements of product states are products of marginals."""
         rng = sampling.stream(303)
-        rho = sampling.sample_hs(1, rng)
-        sigma = sampling.sample_hs(1, rng)
+        rho = sampling.sample_state(1, HS, rng)
+        sigma = sampling.sample_state(1, HS, rng)
         joint = tomography.measure(np.kron(rho, sigma))
         np.testing.assert_allclose(
             joint, np.outer(tomography.measure(rho), tomography.measure(sigma)).ravel(),
@@ -108,8 +111,8 @@ class TestMeasure:
 
     def test_linearity(self):
         rng = sampling.stream(304)
-        rho = sampling.sample_hs(2, rng)
-        sigma = sampling.sample_hs(2, rng)
+        rho = sampling.sample_state(2, HS, rng)
+        sigma = sampling.sample_state(2, HS, rng)
         lam = 0.3
         mixed = lam * rho + (1 - lam) * sigma
         np.testing.assert_allclose(
@@ -117,6 +120,14 @@ class TestMeasure:
             lam * tomography.measure(rho) + (1 - lam) * tomography.measure(sigma),
             atol=1e-12,
         )
+
+    def test_inverted_by_linear_inversion_oracle(self):
+        """The dual-frame inversion of the exact probabilities gives the state back."""
+        rng = sampling.stream(305)
+        for m in (1, 2, 3, 4):
+            for _ in range(5):
+                rho = sampling.sample_state(m, HS, rng)
+                assert np.abs(linear_inversion(tomography.measure(rho)) - rho).max() <= 1e-12
 
     def test_rejects_non_physical(self):
         with pytest.raises(ValueError, match="eigenvalue"):

@@ -1,9 +1,10 @@
 """Command-line entry point: generate, train, reconstruct, experiment, baselines.
 
 Each option is declared once, with its default, in ``build_parser``. The
-settings (``CONFIG_KEYS``) found in a ``--config`` INI file become the
-chosen command's defaults, and explicit flags override them; paths and other
-keys in the file are ignored. Every command writes the options it read and
+settings (``CONFIG_KEYS``) found in a ``--config`` INI file are parsed as
+flags ahead of the command line's own, so argparse checks their types and
+choices and explicit flags override them; paths and other keys in the file
+are ignored. Every command writes the options it read and
 the facts of the run as an INI file next to its outputs, so any run can be
 re-executed from its artifacts. All commands are deterministic given (config,
 seed).
@@ -40,7 +41,7 @@ EXIT_NUMERICAL = 3
 
 STATES_MAGIC = b"QSTSTATE"
 STATES_VERSION = 1
-_STATES_HEADER = struct.Struct("<8sIIQ")
+_STATES_HEADER = struct.Struct("<IQ")  # n, count
 
 # Defaults of ``train --epochs`` and ``--val-count`` for each ``--profile``.
 PROFILES = {
@@ -69,28 +70,15 @@ def write_states(path, states) -> None:
     states = np.asarray(states, dtype="<c16")
     if states.ndim != 3:
         raise ValueError(f"expected a (count, d, d) stack of states, got shape {states.shape}")
-    n = num_qubits(states)
-    with open(path, "wb") as fh:
-        fh.write(_STATES_HEADER.pack(STATES_MAGIC, STATES_VERSION, n, len(states)))
-        fh.write(states.tobytes())
+    header = _STATES_HEADER.pack(num_qubits(states), len(states))
+    tomography.write_container(path, STATES_MAGIC, STATES_VERSION, header, [states], "<c16")
 
 
 def read_states(path) -> np.ndarray:
     """Read a states container back as a (count, 2**n, 2**n) stack."""
-    raw = Path(path).read_bytes()
-    if len(raw) < _STATES_HEADER.size:
-        raise FormatError(f"{path}: file shorter than header")
-    magic, version, n, count = _STATES_HEADER.unpack_from(raw)
-    if magic != STATES_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}")
-    if version != STATES_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    d = 2**n
-    expected = _STATES_HEADER.size + count * d * d * 16
-    if len(raw) != expected:
-        raise FormatError(f"{path}: payload is {len(raw)} bytes, expected {expected}")
-    states = np.frombuffer(raw, dtype="<c16", offset=_STATES_HEADER.size)
-    return states.reshape(count, d, d).copy()
+    (n, count), payload = tomography.read_container(path, STATES_MAGIC, STATES_VERSION,
+                                                    _STATES_HEADER)
+    return tomography.payload_array(path, payload, "<c16", (count, 2**n, 2**n)).copy()
 
 
 def _read_config_file(path) -> dict:
@@ -158,8 +146,6 @@ def _load_train_val(args):
 
 
 def cmd_train(args) -> int:
-    if args.profile not in PROFILES:
-        raise UsageError(f"unknown profile {args.profile!r}; expected one of {sorted(PROFILES)}")
     for key, value in PROFILES[args.profile].items():
         if getattr(args, key) is None:
             setattr(args, key, value)
@@ -215,10 +201,6 @@ def cmd_reconstruct(args) -> int:
     n = ds.num_qubits
     if n > m:
         raise UsageError(f"input has n={n} qubits but the checkpoint was trained on m={m}")
-    if args.mode not in adapt.PADDING_MODES:
-        raise UsageError(
-            f"unknown padding mode {args.mode!r}; expected one of {adapt.PADDING_MODES}"
-        )
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -294,8 +276,6 @@ def _experiment_baselines(args, out_dir) -> list:
 
 def _run_experiment(args, experiment, unread=()) -> int:
     """Run ``experiment(args, out_dir)``; write its summary.csv and config.ini."""
-    if args.measure not in sampling.MEASURES:
-        raise UsageError(f"unknown measure {args.measure!r}; expected one of {sampling.MEASURES}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     summaries = experiment(args, out_dir)
@@ -322,8 +302,8 @@ def _ints(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(","))
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The ``qstkit`` parser and its command subparsers, keyed by command name."""
+def build_parser() -> argparse.ArgumentParser:
+    """The ``qstkit`` parser, with one subparser per command."""
     parser = argparse.ArgumentParser(
         prog="qstkit",
         description="Quantum state tomography with a dimension-adaptive CNN reconstructor.",
@@ -407,18 +387,20 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                    help="Hilbert-space dimensions (default %(default)s)")
     p.add_argument("--out-dir", dest="out_dir", required=True)
 
-    return parser, sub.choices
+    return parser
 
 
 def _parse_args(argv=None) -> argparse.Namespace:
-    """Parse ``argv``; the settings of a ``--config`` file become the command's defaults."""
-    parser, subparsers = build_parser()
+    """Parse ``argv``; the settings of a ``--config`` file go in as flags right after the
+    command, so argparse checks them like flags and the command line's own flags win."""
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     if args.config:
-        settings = {k: v for k, v in _read_config_file(args.config).items()
-                    if k in CONFIG_KEYS and k in vars(args)}
-        subparsers[args.command].set_defaults(**settings)
-        args = parser.parse_args(argv)
+        flags = [f"--{k.replace('_', '-')}={v}" for k, v in _read_config_file(args.config).items()
+                 if k in CONFIG_KEYS and k in vars(args)]
+        at = argv.index(args.command) + 1
+        args = parser.parse_args(argv[:at] + flags + argv[at:])
     return args
 
 

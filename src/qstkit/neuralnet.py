@@ -24,13 +24,12 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import cholesky, qcore, sampling
+from . import cholesky, qcore, sampling, tomography
 from .tomography import FormatError
 
 # Stream index reserved for training (weight init, shuffling, dropout); far
@@ -39,6 +38,8 @@ TRAIN_STREAM = (1 << 64) - 1
 
 CHECKPOINT_MAGIC = b"QSTCKPT\x00"
 CHECKPOINT_VERSION = 1
+# The NetworkConfig fields in order (dense widths flattened), then the tensor count.
+_CONFIG = struct.Struct("<6IddIIQI")
 
 # Adagrad's denominator offset: no 0/0 where every gradient so far was zero.
 _ADAGRAD_EPS = 1e-8
@@ -418,104 +419,41 @@ def train(
     return net, opt, history
 
 
+def _shape_table(tensors) -> bytes:
+    """Each tensor's ndim then its dimensions, as little-endian uint32s."""
+    return b"".join(struct.pack(f"<I{t.ndim}I", t.ndim, *t.shape) for t in tensors)
+
+
 def save_checkpoint(path, config: NetworkConfig, params, accumulators) -> None:
     """Versioned binary checkpoint: header, config, shape table, then payload."""
     params = list(params)
     accumulators = list(accumulators)
     if len(params) != len(accumulators):
         raise ValueError("parameter and accumulator lists differ in length")
-    head = [CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION)]
-    head.append(
-        struct.pack(
-            "<6I",
-            config.num_qubits,
-            config.conv_filters,
-            config.kernel_size,
-            config.pool_size,
-            *config.dense_widths,
-        )
-    )
-    head.append(
-        struct.pack(
-            "<ddIIQ",
-            config.dropout_rate,
-            config.learning_rate,
-            config.batch_size,
-            config.max_epochs,
-            config.seed,
-        )
-    )
-    head.append(struct.pack("<I", len(params)))
-    for p in params:
-        head.append(struct.pack("<I", p.ndim))
-        head.append(struct.pack(f"<{p.ndim}I", *p.shape))
-    with open(path, "wb") as fh:
-        fh.write(b"".join(head))
-        for tensor in params + accumulators:
-            fh.write(np.ascontiguousarray(tensor, dtype="<f8").tobytes())
+    m, filters, kernel, pool, widths, *rest = astuple(config)
+    header = _CONFIG.pack(m, filters, kernel, pool, *widths, *rest, len(params))
+    tomography.write_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+                               header + _shape_table(params), params + accumulators, "<f8")
 
 
 def load_checkpoint(path):
     """Read a checkpoint; returns (config, params, accumulators)."""
-    raw = Path(path).read_bytes()
-    off = 0
-
-    def take(fmt):
-        nonlocal off
-        size = struct.calcsize(fmt)
-        if off + size > len(raw):
-            raise FormatError(f"{path}: truncated checkpoint")
-        vals = struct.unpack_from(fmt, raw, off)
-        off += size
-        return vals
-
-    magic, version = take("<8sI")
-    if magic != CHECKPOINT_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}")
-    if version != CHECKPOINT_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    m, filters, kernel, pool, d1, d2 = take("<6I")
-    dropout, lr, batch, epochs, seed = take("<ddIIQ")
-    config = NetworkConfig(
-        num_qubits=m,
-        conv_filters=filters,
-        kernel_size=kernel,
-        pool_size=pool,
-        dense_widths=(d1, d2),
-        dropout_rate=dropout,
-        learning_rate=lr,
-        batch_size=batch,
-        max_epochs=epochs,
-        seed=seed,
-    )
-    (n_tensors,) = take("<I")
-    shapes = []
-    for _ in range(n_tensors):
-        (ndim,) = take("<I")
-        shapes.append(take(f"<{ndim}I"))
-
-    expected = Network.build(config).parameters()
-    if len(expected) != n_tensors or any(
-        e.shape != s for e, s in zip(expected, shapes, strict=True)
-    ):
+    fields, payload = tomography.read_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+                                                _CONFIG)
+    m, filters, kernel, pool, d1, d2, *rest, n_tensors = fields
+    try:
+        config = NetworkConfig(m, filters, kernel, pool, (d1, d2), *rest)
+        expected = Network.build(config).parameters()
+    except (ValueError, MemoryError) as exc:
+        raise FormatError(f"{path}: no network can be built from the header: {exc}") from exc
+    table = _shape_table(expected)
+    if n_tensors != len(expected) or payload[: len(table)] != table:
         raise FormatError(f"{path}: shape table does not match the declared config")
-
-    counts = [int(np.prod(s, dtype=np.int64)) for s in shapes]
-    payload = 8 * 2 * sum(counts)
-    if len(raw) - off != payload:
-        raise FormatError(f"{path}: payload is {len(raw) - off} bytes, expected {payload}")
-    if not np.all(np.isfinite(np.frombuffer(raw, dtype="<f8", offset=off))):
-        raise FormatError(f"{path}: non-finite parameter or accumulator values")
-
-    def read_block():
-        nonlocal off
-        out = []
-        for shape, n in zip(shapes, counts):
-            out.append(np.frombuffer(raw, dtype="<f8", count=n, offset=off).reshape(shape).copy())
-            off += 8 * n
-        return out
-
-    return config, read_block(), read_block()
+    sizes = [p.size for p in expected] * 2
+    values = tomography.payload_array(path, payload[len(table) :], "<f8", (sum(sizes),))
+    blocks = np.split(values.astype(np.float64), np.cumsum(sizes)[:-1])
+    tensors = [b.reshape(p.shape) for b, p in zip(blocks, expected * 2)]
+    return config, tensors[: len(expected)], tensors[len(expected) :]
 
 
 def network_from_checkpoint(path) -> Network:

@@ -10,13 +10,15 @@ most-significant tensor factor) in the highest place value. Measurement
 vectors hold exact Born probabilities (the infinite-measurement limit); no
 shot noise is simulated.
 
-The dataset file format is self-describing: the header embeds the setting
-order tag, sampling measure and master seed alongside the record count, so a
-file fully determines how it was produced and how to interpret the payload.
+The dataset file is one of the binary containers framed by ``write_container``;
+its header embeds the setting order tag, sampling measure and master seed
+alongside the record count, so a file fully determines how it was produced
+and how to interpret the payload.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,12 +33,58 @@ SETTING_ORDER_TAG = "".join(PAULI_SETTINGS)
 DATASET_MAGIC = b"QST6DSET"
 DATASET_VERSION = 1
 
-# magic, version, num_qubits, measure tag, setting-order tag, count, seed
-_HEADER = struct.Struct("<8sII16s16sQQ")
+# Every container starts with its magic and version.
+_FRAME = struct.Struct("<8sI")
+# num_qubits, measure tag, setting-order tag, count, seed
+_HEADER = struct.Struct("<I16s16sQQ")
 
 
 class FormatError(Exception):
     """A binary container is malformed, truncated, or of the wrong version."""
+
+
+def write_container(path, magic: bytes, version: int, header: bytes, blocks, dtype: str) -> None:
+    """Write a container: an 8-byte ``magic``, a uint32 ``version``, the packed ``header``
+    (its first field the uint32 qubit count), then each array of ``blocks`` in order, as
+    the little-endian ``dtype``."""
+    with open(path, "wb") as fh:
+        fh.write(_FRAME.pack(magic, version) + header)
+        for block in blocks:
+            fh.write(np.ascontiguousarray(block, dtype=dtype))
+
+
+def read_container(path, magic: bytes, version: int, header: struct.Struct):
+    """Check a container's magic, version and qubit count (1..16), and unpack its header.
+
+    Returns the header fields and the payload after them, a memoryview of the
+    file's bytes (no copy).
+    """
+    raw = memoryview(Path(path).read_bytes())
+    if len(raw) < _FRAME.size + header.size:
+        raise FormatError(f"{path}: file shorter than header")
+    found, found_version = _FRAME.unpack_from(raw)
+    if found != magic:
+        raise FormatError(f"{path}: bad magic {found!r}")
+    if found_version != version:
+        raise FormatError(f"{path}: unsupported version {found_version}")
+    fields = header.unpack_from(raw, _FRAME.size)
+    if not 1 <= fields[0] <= 16:
+        raise FormatError(f"{path}: implausible qubit count {fields[0]}")
+    return fields, raw[_FRAME.size + header.size :]
+
+
+def payload_array(path, payload, dtype: str, shape: tuple[int, ...]) -> np.ndarray:
+    """``payload`` as a read-only array of ``shape``; it must hold exactly that many
+    values, at least one, and all of them finite."""
+    expected = math.prod(shape) * np.dtype(dtype).itemsize
+    if len(payload) != expected:
+        raise FormatError(f"{path}: payload is {len(payload)} bytes, expected {expected}")
+    if expected == 0:
+        raise FormatError(f"{path}: container holds no records")
+    values = np.frombuffer(payload, dtype=dtype).reshape(shape)
+    if not np.all(np.isfinite(values)):
+        raise FormatError(f"{path}: non-finite values in the payload")
+    return values
 
 
 def pauli6_projectors() -> np.ndarray:
@@ -101,47 +149,28 @@ def write_dataset(path, dataset: Dataset) -> None:
     if dataset.taus.shape != (count, 4**m):
         raise ValueError(f"tau block has shape {dataset.taus.shape}")
     header = _HEADER.pack(
-        DATASET_MAGIC,
-        DATASET_VERSION,
         m,
         dataset.measure.encode("ascii"),
         SETTING_ORDER_TAG.encode("ascii"),
         count,
         dataset.seed,
     )
-    records = np.hstack([dataset.measurements, dataset.taus]).astype("<f8")
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(records.tobytes())
+    records = np.hstack([dataset.measurements, dataset.taus])
+    write_container(path, DATASET_MAGIC, DATASET_VERSION, header, [records], "<f8")
 
 
 def read_dataset(path) -> Dataset:
     """Read and validate a dataset container."""
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size:
-        raise FormatError(f"{path}: file shorter than header")
-    magic, version, m, measure_raw, order_raw, count, seed = _HEADER.unpack_from(raw)
-    if magic != DATASET_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}")
-    if version != DATASET_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
+    (m, measure_raw, order_raw, count, seed), payload = read_container(
+        path, DATASET_MAGIC, DATASET_VERSION, _HEADER
+    )
     order = order_raw.rstrip(b"\x00").decode("ascii", "replace")
     if order != SETTING_ORDER_TAG:
         raise FormatError(f"{path}: unknown setting order {order!r}")
     measure_tag = measure_raw.rstrip(b"\x00").decode("ascii", "replace")
     if measure_tag not in sampling.MEASURES:
         raise FormatError(f"{path}: unknown measure tag {measure_tag!r}")
-    if not 1 <= m <= 16:
-        raise FormatError(f"{path}: implausible qubit count {m}")
-    width = 6**m + 4**m
-    expected = _HEADER.size + count * width * 8
-    if len(raw) != expected:
-        raise FormatError(f"{path}: payload is {len(raw)} bytes, expected {expected}")
-    if count == 0:
-        raise FormatError(f"{path}: dataset holds no records")
-    records = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).reshape(count, width)
-    if not np.all(np.isfinite(records)):
-        raise FormatError(f"{path}: non-finite measurement or tau values")
+    records = payload_array(path, payload, "<f8", (count, 6**m + 4**m))
     return Dataset(
         num_qubits=m,
         measure=measure_tag,

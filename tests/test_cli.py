@@ -184,6 +184,49 @@ class TestReconstruct:
                    "--out-dir", tmp_path / "x") == cli.EXIT_USAGE
 
 
+def states_file(path, states=None):
+    """A two-state one-qubit states container, or one of ``states``."""
+    if states is None:
+        states = np.stack([np.diag([0.75, 0.25]), np.array([[0.5, 0.5j], [-0.5j, 0.5]])])
+    cli.write_states(path, states)
+    return states
+
+
+class TestStatesFormat:
+    def test_little_endian_layout(self, tmp_path):
+        """Header <8sIIQ {magic, version, n, count}, then row-major complex128 matrices."""
+        path = tmp_path / "s.qstst"
+        states = states_file(path)
+        raw = path.read_bytes()
+        assert raw[:24] == struct.pack("<8sIIQ", b"QSTSTATE", 1, 1, 2)
+        assert raw[24:] == states.astype("<c16").tobytes()
+        np.testing.assert_array_equal(cli.read_states(path), states)
+
+    @pytest.mark.parametrize("kind, match", [
+        ("truncated", "payload"), ("bad-magic", "magic"), ("zero-records", "no records"),
+        ("nan", "non-finite"), ("n-40", "implausible"),
+    ])
+    def test_corrupt_states_rejected(self, tmp_path, kind, match):
+        path = tmp_path / "s.qstst"
+        states = states_file(path)
+        raw = bytearray(path.read_bytes())
+        if kind == "truncated":
+            del raw[-8:]
+        elif kind == "bad-magic":
+            raw[:4] = b"NOPE"
+        elif kind == "n-40":
+            struct.pack_into("<I", raw, 12, 40)
+        if kind == "zero-records":
+            states_file(path, states[:0])
+        elif kind == "nan":
+            states[1, 0, 1] = np.nan
+            states_file(path, states)
+        else:
+            path.write_bytes(bytes(raw))
+        with pytest.raises(tomography.FormatError, match=match):
+            cli.read_states(path)
+
+
 class TestExperiments:
     def test_fig2_schema(self, trained, tmp_path):
         _, checkpoint = trained
@@ -245,13 +288,28 @@ class TestExperiments:
         assert run("experiment", "--name", "fig2", "--out-dir", tmp_path / "x") == cli.EXIT_USAGE
 
 
+# Checkpoint headers declaring a config no network can be built from: the
+# offset and format of the one config field each changes, and its new value.
+# m = 12 asks for a dense layer far larger than memory.
+BAD_CHECKPOINT_HEADERS = {
+    "checkpoint-dropout-1.5": (36, "<d", 1.5),
+    "checkpoint-m-1": (12, "<I", 1),
+    "checkpoint-kernel-9": (20, "<I", 9),
+    "checkpoint-m-12": (12, "<I", 12),
+}
 CORRUPTIONS = ("garbage", "truncated", "zero-records", "nan-measurement", "inf-tau",
-               "unknown-measure", "nan-checkpoint")
+               "unknown-measure", "nan-checkpoint", *BAD_CHECKPOINT_HEADERS)
 
 
 def corrupt(kind, data, checkpoint, tmp_path):
     """(dataset, checkpoint) paths, one of them carrying a defect of the given kind."""
     bad = tmp_path / "bad"
+    if kind in BAD_CHECKPOINT_HEADERS:
+        raw = bytearray(checkpoint.read_bytes())
+        offset, fmt, value = BAD_CHECKPOINT_HEADERS[kind]
+        struct.pack_into(fmt, raw, offset, value)
+        bad.write_bytes(bytes(raw))
+        return data, bad
     if kind == "garbage":
         bad.write_bytes(b"not a dataset at all")
     elif kind == "truncated":
@@ -388,6 +446,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv, setting, option", [
         (["generate", "--out", "d.qst"], "m = two", "--m"),
         (["train", "--dataset", "d.qst", "--out-dir", "x"], "dropout = x", "--dropout"),
+        (["train", "--dataset", "d.qst", "--out-dir", "x"], "profile = huge", "--profile"),
+        (["reconstruct", "--checkpoint", "c.qstck", "--input", "d.qst", "--out-dir", "x"],
+         "mode = bogus", "--mode"),
+        (["baselines", "--out-dir", "x"], "measure = uniform", "--measure"),
     ])
     def test_bad_config_value_is_usage_error(self, tmp_path, capsys, argv, setting, option):
         cfg = tmp_path / "bad.ini"

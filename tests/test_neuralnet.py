@@ -1,5 +1,7 @@
 """Unit tests for the from-scratch network, its gradients, and checkpoints."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -382,6 +384,21 @@ class TestCheckpoints:
         for a, b in zip(opt.accumulators, accumulators, strict=True):
             np.testing.assert_array_equal(a, b)
         assert loaded.config == cfg
+
+    def test_little_endian_layout(self, tmp_path):
+        """Header <8sI6IddIIQI {magic, version, m, filters, kernel, pool, two dense widths,
+        dropout, learning rate, batch size, epochs, seed, tensor count}, a <I{ndim}I shape
+        entry per parameter tensor, then every parameter and accumulator as LE doubles."""
+        path = tmp_path / "model.qstck"
+        cfg, net = tiny_net(seed=8)
+        params = net.parameters()
+        accumulators = [np.full_like(p, 0.25) for p in params]
+        neuralnet.save_checkpoint(path, cfg, params, accumulators)
+        header = struct.pack("<8sI6IddIIQI", b"QSTCKPT\x00", 1, 2, 2, 2, 2, 8, 4, 0.5, 0.01,
+                             100, 300, 8, 10)
+        header += b"".join(struct.pack(f"<I{p.ndim}I", p.ndim, *p.shape) for p in params)
+        payload = b"".join(t.astype("<f8").tobytes() for t in params + accumulators)
+        assert path.read_bytes() == header + payload
 
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "model.qstck"

@@ -1,6 +1,7 @@
 """Unit tests for Pauli-6 measurement simulation and the dataset container."""
 
 import itertools
+import struct
 
 import numpy as np
 import pytest
@@ -186,12 +187,16 @@ class TestDatasetFormat:
             tomography.read_dataset(path)
 
     def test_little_endian_layout(self, tmp_path):
-        """Records are per-state measurement doubles then tau doubles, LE."""
+        """Header <8sII16s16sQQ {magic, version, m, measure, setting order, count, seed},
+        then per-state records of measurement doubles then tau doubles, LE."""
         path = tmp_path / "layout.qst"
         ds = self._dataset(m=1, count=2)
         tomography.write_dataset(path, ds)
         raw = path.read_bytes()
-        header = 8 + 4 + 4 + 16 + 16 + 8 + 8
-        first = np.frombuffer(raw, dtype="<f8", count=10, offset=header)
+        assert raw[:64] == struct.pack("<8sII16s16sQQ", b"QST6DSET", 1, 1, b"hilbert-schmidt",
+                                       b"X+X-Y+Y-Z+Z-", 2, 7)
+        records = np.hstack([ds.measurements, ds.taus]).astype("<f8")
+        assert raw[64:] == records.tobytes()
+        first = np.frombuffer(raw, dtype="<f8", count=10, offset=64)
         np.testing.assert_array_equal(first[:6], ds.measurements[0])
         np.testing.assert_array_equal(first[6:], ds.taus[0])

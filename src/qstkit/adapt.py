@@ -212,25 +212,24 @@ def summarize(records: Sequence[ExperimentRecord]) -> list[CurveSummary]:
     return out
 
 
-def write_records_csv(path, records: Sequence[ExperimentRecord]) -> None:
-    depth = max((len(r.fidelities) for r in records), default=1)
-    header = ["experiment", "measure", "m", "n", "mode", "state_id", "fidelity_full"]
-    header += [f"fidelity_trace{i}" for i in range(1, depth)]
+def write_csv(path, header: Sequence[str], rows) -> None:
+    """Write the ``header`` line, then one line per row of ``rows``."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for r in records:
-            fids = [f"{f:.12f}" for f in r.fidelities]
-            fids += [""] * (depth - len(fids))
-            writer.writerow([r.experiment, r.measure, r.m, r.n, r.mode, r.state_id, *fids])
+        writer.writerows(rows)
+
+
+def write_records_csv(path, records: Sequence[ExperimentRecord]) -> None:
+    depth = max((len(r.fidelities) for r in records), default=1)
+    header = ["experiment", "measure", "m", "n", "mode", "state_id", "fidelity_full"]
+    write_csv(path, header + [f"fidelity_trace{i}" for i in range(1, depth)],
+              ([r.experiment, r.measure, r.m, r.n, r.mode, r.state_id,
+                *(f"{f:.12f}" for f in r.fidelities), *[""] * (depth - len(r.fidelities))]
+               for r in records))
 
 
 def write_summary_csv(path, summaries: Sequence[CurveSummary]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["experiment", "measure", "m", "n", "mode", "mean", "stderr", "count"])
-        for s in summaries:
-            writer.writerow(
-                [s.experiment, s.measure, s.m, s.n, s.mode,
-                 f"{s.mean:.12f}", f"{s.stderr:.12f}", s.count]
-            )
+    write_csv(path, ["experiment", "measure", "m", "n", "mode", "mean", "stderr", "count"],
+              ([s.experiment, s.measure, s.m, s.n, s.mode,
+                f"{s.mean:.12f}", f"{s.stderr:.12f}", s.count] for s in summaries))

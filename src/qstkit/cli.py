@@ -1,13 +1,13 @@
 """Command-line entry point: generate, train, reconstruct, experiment, baselines.
 
-Each option is declared once, with its default, in ``build_parser``. The
-settings (``CONFIG_KEYS``) found in a ``--config`` INI file are parsed as
-flags ahead of the command line's own, so argparse checks their types and
-choices and explicit flags override them; paths and other keys in the file
-are ignored. Every command writes the options it read and
-the facts of the run as an INI file next to its outputs, so any run can be
-re-executed from its artifacts. All commands are deterministic given (config,
-seed).
+Each option is declared once, with its default, in ``build_parser``; ``train``
+defaults to the desk recipe (50 epochs, 200 validation states). The settings
+(``CONFIG_KEYS``) of a ``--config`` INI file are parsed as flags ahead of the
+command line's own, so argparse checks their types and choices and explicit
+flags override them; paths and other keys in the file are ignored. Every
+command writes the options it read and the facts of the run as an INI file next
+to its outputs, so any run can be re-executed from its artifacts. All commands
+are deterministic given (config, seed). Checkpoints load as built networks.
 
 Reconstructions are deterministic given the checkpoint and the input file.
 Rows are forwarded through the network in chunks of the checkpoint's
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import struct
 import sys
 from pathlib import Path
@@ -43,16 +42,10 @@ STATES_MAGIC = b"QSTSTATE"
 STATES_VERSION = 1
 _STATES_HEADER = struct.Struct("<IQ")  # n, count
 
-# Defaults of ``train --epochs`` and ``--val-count`` for each ``--profile``.
-PROFILES = {
-    "desk": {"val_count": 200, "epochs": 50},
-    "full": {"val_count": 500, "epochs": 300},
-}
-
 # The options a config file may set. Paths in it are ignored, so a written
 # config.ini re-runs against the inputs and outputs given as flags.
 CONFIG_KEYS = frozenset({
-    "m", "measure", "count", "seed", "profile", "epochs", "val_count", "dense_widths",
+    "m", "measure", "count", "seed", "epochs", "val_count", "dense_widths",
     "filters", "dropout", "learning_rate", "batch_size", "mode", "test_count", "pairs", "dims",
 })
 
@@ -146,10 +139,6 @@ def _load_train_val(args):
 
 
 def cmd_train(args) -> int:
-    for key, value in PROFILES[args.profile].items():
-        if getattr(args, key) is None:
-            setattr(args, key, value)
-
     train_ds, tr_meas, tr_taus, va_meas, va_taus = _load_train_val(args)
     config = neuralnet.NetworkConfig(
         num_qubits=train_ds.num_qubits,
@@ -162,27 +151,22 @@ def cmd_train(args) -> int:
         seed=args.seed,
     )
 
-    init_params = init_accums = None
+    init_state = None
     if args.init_checkpoint is not None:
-        ck_config, init_params, init_accums = neuralnet.load_checkpoint(args.init_checkpoint)
-        if ck_config.num_qubits != config.num_qubits:
-            raise FormatError(
-                f"checkpoint is for m={ck_config.num_qubits}, dataset has m={config.num_qubits}"
-            )
+        ck_net, ck_accumulators = neuralnet.load_checkpoint(args.init_checkpoint)
+        if (ck_m := ck_net.config.num_qubits) != config.num_qubits:
+            raise FormatError(f"checkpoint is for m={ck_m}, dataset has m={config.num_qubits}")
+        init_state = ck_net.parameters() + ck_accumulators
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    net, opt, history = neuralnet.train(
-        config, tr_meas, tr_taus, va_meas, va_taus, init_params, init_accums
-    )
+    net, opt, history = neuralnet.train(config, tr_meas, tr_taus, va_meas, va_taus, init_state)
 
     ck_path = out_dir / "checkpoint.qstck"
-    neuralnet.save_checkpoint(ck_path, config, net.parameters(), opt.accumulators)
-    with open(out_dir / "history.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "mean_loss", "val_mean_fidelity"])
-        for epoch, (lo, fi) in enumerate(zip(history.losses, history.val_fidelities), start=1):
-            writer.writerow([epoch, f"{lo:.12e}", f"{fi:.12f}"])
+    neuralnet.save_checkpoint(ck_path, net, opt.accumulators)
+    adapt.write_csv(out_dir / "history.csv", ["epoch", "mean_loss", "val_mean_fidelity"],
+                    ([epoch, f"{lo:.12e}", f"{fi:.12f}"] for epoch, (lo, fi)
+                     in enumerate(zip(history.losses, history.val_fidelities), start=1)))
     unread = ("val_count",) if args.val_dataset is not None else ()
     _write_config(out_dir / "config.ini", args, unread, m=config.num_qubits,
                   best_epoch=history.best_epoch + 1)
@@ -195,7 +179,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    net = neuralnet.network_from_checkpoint(args.checkpoint)
+    net, _ = neuralnet.load_checkpoint(args.checkpoint)
     m = net.config.num_qubits
     ds = tomography.read_dataset(args.input)
     n = ds.num_qubits
@@ -207,11 +191,8 @@ def cmd_reconstruct(args) -> int:
     states = adapt.reconstruct(net, ds.measurements, args.mode)
     fids = fidelity(states, cholesky.tau_to_rho(ds.taus))
     write_states(out_dir / "states.qstst", states)
-    with open(out_dir / "fidelity.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["state_id", "fidelity"])
-        for state_id, f in enumerate(fids):
-            writer.writerow([state_id, f"{f:.12f}"])
+    adapt.write_csv(out_dir / "fidelity.csv", ["state_id", "fidelity"],
+                    ([state_id, f"{f:.12f}"] for state_id, f in enumerate(fids)))
     _write_config(out_dir / "config.ini", args, n=n, m=m, count=ds.count,
                   states_format_version=STATES_VERSION)
     mean_f = float(np.mean(fids))
@@ -226,7 +207,7 @@ def _parse_checkpoint_args(args) -> dict[int, neuralnet.Network]:
     nets = {}
     for entry in args.checkpoints:
         path = entry.split("=", 1)[1] if "=" in entry else entry
-        net = neuralnet.network_from_checkpoint(path)
+        net, _ = neuralnet.load_checkpoint(path)
         m = net.config.num_qubits
         if "=" in entry and int(entry.split("=", 1)[0]) != m:
             raise UsageError(f"checkpoint {path} is for m={m}, not m={entry.split('=', 1)[0]}")
@@ -335,13 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_command("train", "train a network on a dataset file")
     p.add_argument("--dataset", required=True, help="training dataset path")
     p.add_argument("--val-dataset", dest="val_dataset", help="separate validation dataset")
-    p.add_argument("--val-count", dest="val_count", type=int,
+    p.add_argument("--val-count", dest="val_count", type=int, default=200,
                    help="validation split size when no --val-dataset is given "
-                        "(default from --profile)")
-    p.add_argument("--profile", choices=sorted(PROFILES), default="desk",
-                   help="sets the --epochs/--val-count defaults: " + ", ".join(
-                       f"{name} {d['epochs']}/{d['val_count']}" for name, d in PROFILES.items())
-                   + " (default %(default)s)")
+                        "(default %(default)s)")
     p.add_argument("--filters", type=int, default=net.conv_filters,
                    help="conv filters (default %(default)s)")
     p.add_argument("--dense-widths", dest="dense_widths", type=_ints, default=net.dense_widths,
@@ -352,7 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
                    default=net.learning_rate, help="Adagrad learning rate (default %(default)s)")
     p.add_argument("--batch-size", dest="batch_size", type=int, default=net.batch_size,
                    help="batch size (default %(default)s)")
-    p.add_argument("--epochs", type=int, help="epochs (default from --profile)")
+    p.add_argument("--epochs", type=int, default=50,
+                   help="epochs; the paper's full recipe is 300 with --val-count 500 "
+                        "(default %(default)s)")
     add_seed(p)
     p.add_argument("--init-checkpoint", dest="init_checkpoint",
                    help="initialize parameters and accumulators from a checkpoint")

@@ -18,6 +18,8 @@ with Adagrad, shuffling batches each epoch, and keeps the parameters from
 the epoch with the best mean validation fidelity. Everything random (weight
 init, shuffling, dropout masks) is drawn from one Philox stream derived from
 the config seed, so a (seed, data, config) triple fully determines the run.
+A checkpoint holds a network and its Adagrad accumulators; ``load_checkpoint``
+builds the network once. Its header still records the fixed kernel and pool (2).
 """
 
 from __future__ import annotations
@@ -38,8 +40,11 @@ TRAIN_STREAM = (1 << 64) - 1
 
 CHECKPOINT_MAGIC = b"QSTCKPT\x00"
 CHECKPOINT_VERSION = 1
-# The NetworkConfig fields in order (dense widths flattened), then the tensor count.
+# m, filters, kernel, pool, the other NetworkConfig fields (dense widths flat), tensor count.
 _CONFIG = struct.Struct("<6IddIIQI")
+
+# The one architecture: 2x2 convolution kernels and 2x2 max pooling.
+KERNEL = POOL = 2
 
 # Adagrad's denominator offset: no 0/0 where every gradient so far was zero.
 _ADAGRAD_EPS = 1e-8
@@ -68,8 +73,6 @@ class NetworkConfig:
 
     num_qubits: int
     conv_filters: int = 25
-    kernel_size: int = 2
-    pool_size: int = 2
     dense_widths: tuple[int, int] = (512, 256)
     dropout_rate: float = 0.5
     learning_rate: float = 0.01
@@ -79,8 +82,8 @@ class NetworkConfig:
 
     def __post_init__(self) -> None:
         grid_shape(self.num_qubits)
-        if self.conv_filters < 1 or self.kernel_size < 1 or self.pool_size < 1:
-            raise ValueError("conv filters, kernel and pool sizes must be positive")
+        if self.conv_filters < 1:
+            raise ValueError(f"conv filters must be positive, got {self.conv_filters}")
         if len(self.dense_widths) != 2 or min(self.dense_widths) < 1:
             raise ValueError(f"expected two positive dense widths, got {self.dense_widths}")
         if not 0.0 <= self.dropout_rate < 1.0:
@@ -254,20 +257,15 @@ class Network:
     @classmethod
     def build(cls, config: NetworkConfig, rng=None) -> "Network":
         """Construct the pipeline; ``rng=None`` gives zero weights (for loading)."""
-        k, f = config.kernel_size, config.conv_filters
-        h, w = grid_shape(config.num_qubits)
-        for which in ("first", "second"):
-            if h < k or w < k:
-                raise ValueError(f"{which} conv input {h}x{w} is smaller than the kernel")
-            h, w = h - k + 1, w - k + 1
-            if which == "first":
-                h, w = h // config.pool_size, w // config.pool_size
+        f = config.conv_filters
+        # Map side after conv, pool and conv; at least 1, as every grid side is >= 6.
+        h, w = ((side - KERNEL + 1) // POOL - KERNEL + 1 for side in grid_shape(config.num_qubits))
         d1, d2 = config.dense_widths
         layers = [
-            Conv2D(1, f, k, rng),
+            Conv2D(1, f, KERNEL, rng),
             ReLU(),
-            MaxPool2D(config.pool_size),
-            Conv2D(f, f, k, rng),
+            MaxPool2D(POOL),
+            Conv2D(f, f, KERNEL, rng),
             ReLU(),
             Flatten(),
             Dense(f * h * w, d1, rng),
@@ -303,11 +301,13 @@ class Network:
                 out.extend([layer.dw, layer.db])
         return out
 
-    def set_parameters(self, params: list[np.ndarray]) -> None:
-        for dst, src in zip(self.parameters(), params, strict=True):
-            if dst.shape != src.shape:
-                raise ValueError(f"parameter shape mismatch: {dst.shape} vs {src.shape}")
-            dst[...] = src
+
+def _assign(targets: list[np.ndarray], sources) -> None:
+    """Copy each of ``sources`` into the target array of the same shape, in order."""
+    for dst, src in zip(targets, sources, strict=True):
+        if dst.shape != src.shape:
+            raise ValueError(f"parameter shape mismatch: {dst.shape} vs {src.shape}")
+        dst[...] = src
 
 
 def loss(pred: np.ndarray, target: np.ndarray) -> float:
@@ -366,10 +366,11 @@ def train(
     train_taus: np.ndarray,
     val_measurements: np.ndarray,
     val_taus: np.ndarray,
-    init_params: list[np.ndarray] | None = None,
-    init_accumulators: list[np.ndarray] | None = None,
+    init_state: list[np.ndarray] | None = None,
 ) -> tuple[Network, Adagrad, TrainingHistory]:
-    """Run the full training loop; returns the best-validation-epoch parameters."""
+    """Run the full training loop; returns the best-validation-epoch parameters.
+
+    ``init_state`` (parameters, then accumulators) replaces the drawn initial weights."""
     if len(train_measurements) == 0 or len(val_measurements) == 0:
         raise ValueError("training and validation sets must be non-empty")
     if train_measurements.shape[1] != 6**config.num_qubits:
@@ -380,20 +381,17 @@ def train(
 
     rng = sampling.stream(config.seed, TRAIN_STREAM)
     net = Network.build(config, rng)
-    if init_params is not None:
-        net.set_parameters(init_params)
     opt = Adagrad(net.parameters(), config.learning_rate)
-    if init_accumulators is not None:
-        for dst, src in zip(opt.accumulators, init_accumulators, strict=True):
-            dst[...] = src
+    state = net.parameters() + opt.accumulators  # updated in place by every step
+    if init_state is not None:
+        _assign(state, init_state)
 
     grids = grids_from_measurements(train_measurements)
     count = grids.shape[0]
 
     history = TrainingHistory()
     best_fid = -1.0
-    best_params: list[np.ndarray] = []
-    best_accums: list[np.ndarray] = []
+    best_state: list[np.ndarray] = []
     for epoch in range(config.max_epochs):
         order = rng.permutation(count)
         batch_losses = []
@@ -408,14 +406,11 @@ def train(
         if val_fid > best_fid:
             best_fid = val_fid
             history.best_epoch = epoch
-            best_params = [p.copy() for p in net.parameters()]
-            best_accums = [a.copy() for a in opt.accumulators]
+            best_state = [a.copy() for a in state]
 
-    if not best_params:
+    if not best_state:
         raise ArithmeticError("no epoch produced a finite validation fidelity")
-    net.set_parameters(best_params)
-    for dst, src in zip(opt.accumulators, best_accums, strict=True):
-        dst[...] = src
+    _assign(state, best_state)
     return net, opt, history
 
 
@@ -424,41 +419,37 @@ def _shape_table(tensors) -> bytes:
     return b"".join(struct.pack(f"<I{t.ndim}I", t.ndim, *t.shape) for t in tensors)
 
 
-def save_checkpoint(path, config: NetworkConfig, params, accumulators) -> None:
-    """Versioned binary checkpoint: header, config, shape table, then payload."""
-    params = list(params)
+def save_checkpoint(path, net: Network, accumulators) -> None:
+    """Versioned binary checkpoint: header, config, shape table, then the network's
+    parameters and their Adagrad ``accumulators``."""
+    params = net.parameters()
     accumulators = list(accumulators)
-    if len(params) != len(accumulators):
-        raise ValueError("parameter and accumulator lists differ in length")
-    m, filters, kernel, pool, widths, *rest = astuple(config)
-    header = _CONFIG.pack(m, filters, kernel, pool, *widths, *rest, len(params))
+    if [a.shape for a in accumulators] != [p.shape for p in params]:
+        raise ValueError("accumulators do not match the network's parameters")
+    m, filters, widths, *rest = astuple(net.config)
+    header = _CONFIG.pack(m, filters, KERNEL, POOL, *widths, *rest, len(params))
     tomography.write_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
                                header + _shape_table(params), params + accumulators, "<f8")
 
 
-def load_checkpoint(path):
-    """Read a checkpoint; returns (config, params, accumulators)."""
+def load_checkpoint(path) -> tuple[Network, list[np.ndarray]]:
+    """Read a checkpoint; returns the ready-to-infer network and its Adagrad accumulators."""
     fields, payload = tomography.read_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
                                                 _CONFIG)
     m, filters, kernel, pool, d1, d2, *rest, n_tensors = fields
+    if (kernel, pool) != (KERNEL, POOL):
+        raise FormatError(f"{path}: kernel {kernel} and pool {pool}, expected {KERNEL} and {POOL}")
     try:
-        config = NetworkConfig(m, filters, kernel, pool, (d1, d2), *rest)
-        expected = Network.build(config).parameters()
+        net = Network.build(NetworkConfig(m, filters, (d1, d2), *rest))
     except (ValueError, MemoryError) as exc:
         raise FormatError(f"{path}: no network can be built from the header: {exc}") from exc
-    table = _shape_table(expected)
-    if n_tensors != len(expected) or payload[: len(table)] != table:
+    params = net.parameters()
+    table = _shape_table(params)
+    if n_tensors != len(params) or payload[: len(table)] != table:
         raise FormatError(f"{path}: shape table does not match the declared config")
-    sizes = [p.size for p in expected] * 2
+    sizes = [p.size for p in params] * 2
     values = tomography.payload_array(path, payload[len(table) :], "<f8", (sum(sizes),))
-    blocks = np.split(values.astype(np.float64), np.cumsum(sizes)[:-1])
-    tensors = [b.reshape(p.shape) for b, p in zip(blocks, expected * 2)]
-    return config, tensors[: len(expected)], tensors[len(expected) :]
-
-
-def network_from_checkpoint(path) -> Network:
-    """Rebuild a ready-to-infer network from disk."""
-    config, params, _ = load_checkpoint(path)
-    net = Network.build(config)
-    net.set_parameters(params)
-    return net
+    blocks = [b.reshape(p.shape) for b, p in zip(np.split(values, np.cumsum(sizes)[:-1]),
+                                                  params * 2)]
+    _assign(params, blocks[: len(params)])
+    return net, [b.astype(np.float64) for b in blocks[len(params) :]]

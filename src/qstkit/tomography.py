@@ -46,11 +46,15 @@ class FormatError(Exception):
 def write_container(path, magic: bytes, version: int, header: bytes, blocks, dtype: str) -> None:
     """Write a container: an 8-byte ``magic``, a uint32 ``version``, the packed ``header``
     (its first field the uint32 qubit count), then each array of ``blocks`` in order, as
-    the little-endian ``dtype``."""
+    the little-endian ``dtype``. Empty ``blocks`` are a ``ValueError`` before the file is
+    opened, as ``payload_array`` rejects a container that holds no records."""
+    blocks = [np.ascontiguousarray(block, dtype=dtype) for block in blocks]
+    if not any(block.size for block in blocks):
+        raise ValueError(f"{path}: no records to write")
     with open(path, "wb") as fh:
         fh.write(_FRAME.pack(magic, version) + header)
         for block in blocks:
-            fh.write(np.ascontiguousarray(block, dtype=dtype))
+            fh.write(block)
 
 
 def read_container(path, magic: bytes, version: int, header: struct.Struct):

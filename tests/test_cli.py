@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
 import configparser
 import csv
 import os
@@ -148,7 +149,7 @@ class TestReconstruct:
                    "--out-dir", out_dir, "--mode", "engineered") == 0
         states = cli.read_states(out_dir / "states.qstst")
         ds = tomography.read_dataset(data)
-        net = neuralnet.network_from_checkpoint(checkpoint)
+        net, _ = neuralnet.load_checkpoint(checkpoint)
         np.testing.assert_array_equal(states, adapt.reconstruct(net, ds.measurements, "engineered"))
         rows = read_csv(out_dir / "fidelity.csv")
         assert rows[0] == ["state_id", "fidelity"]
@@ -176,6 +177,16 @@ class TestReconstruct:
         for rho in cli.read_states(tmp_path / "rec" / "states.qstst"):
             qcore.assert_physical(rho)
 
+    def test_checkpoint_network_is_built_once(self, trained, tmp_path, monkeypatch):
+        """``load_checkpoint`` builds the network it returns, and nothing builds another."""
+        root, checkpoint = trained
+        build, built = neuralnet.Network.build, []
+        monkeypatch.setattr(neuralnet.Network, "build",
+                            lambda config, rng=None: built.append(config) or build(config, rng))
+        assert run("reconstruct", "--checkpoint", checkpoint, "--input", root / "train.qst",
+                   "--out-dir", tmp_path / "rec") == 0
+        assert len(built) == 1
+
     def test_n_larger_than_m_rejected(self, trained, tmp_path):
         root, checkpoint = trained
         big = tmp_path / "n3.qst"
@@ -188,7 +199,10 @@ def states_file(path, states=None):
     """A two-state one-qubit states container, or one of ``states``."""
     if states is None:
         states = np.stack([np.diag([0.75, 0.25]), np.array([[0.5, 0.5j], [-0.5j, 0.5]])])
-    cli.write_states(path, states)
+    if len(states):
+        cli.write_states(path, states)
+    else:  # no writer makes a zero-record file: the header alone, count 0
+        path.write_bytes(struct.pack("<8sIIQ", b"QSTSTATE", 1, 1, 0))
     return states
 
 
@@ -225,6 +239,12 @@ class TestStatesFormat:
             path.write_bytes(bytes(raw))
         with pytest.raises(tomography.FormatError, match=match):
             cli.read_states(path)
+
+    def test_zero_records_not_written(self, tmp_path):
+        path = tmp_path / "s.qstst"
+        with pytest.raises(ValueError, match="no records"):
+            cli.write_states(path, np.zeros((0, 2, 2)))
+        assert not path.exists()
 
 
 class TestExperiments:
@@ -295,6 +315,7 @@ BAD_CHECKPOINT_HEADERS = {
     "checkpoint-dropout-1.5": (36, "<d", 1.5),
     "checkpoint-m-1": (12, "<I", 1),
     "checkpoint-kernel-9": (20, "<I", 9),
+    "checkpoint-pool-3": (24, "<I", 3),
     "checkpoint-m-12": (12, "<I", 12),
 }
 CORRUPTIONS = ("garbage", "truncated", "zero-records", "nan-measurement", "inf-tau",
@@ -318,11 +339,13 @@ def corrupt(kind, data, checkpoint, tmp_path):
         raw = checkpoint.read_bytes()
         bad.write_bytes(raw[:-8] + struct.pack("<d", np.nan))  # last accumulator entry
         return data, bad
+    elif kind == "zero-records":  # no writer makes one: the header with count 0, no payload
+        raw = bytearray(data.read_bytes()[:64])
+        struct.pack_into("<Q", raw, 48, 0)  # count, after magic, version, m and both tags
+        bad.write_bytes(bytes(raw))
     else:
         ds = tomography.read_dataset(data)
-        if kind == "zero-records":
-            ds.measurements, ds.taus = ds.measurements[:0], ds.taus[:0]
-        elif kind == "nan-measurement":
+        if kind == "nan-measurement":
             ds.measurements[0, 5] = np.nan
         elif kind == "inf-tau":
             ds.taus[3, 2] = np.inf
@@ -356,10 +379,9 @@ class TestExitCodes:
     def test_all_zero_checkpoint_is_numerical_error(self, trained, tmp_path, capsys):
         """Zero weights give all-zero taus, which define no state."""
         root, _ = trained
-        config = neuralnet.NetworkConfig(num_qubits=2)
-        params = neuralnet.Network.build(config).parameters()
+        net = neuralnet.Network.build(neuralnet.NetworkConfig(num_qubits=2))
         checkpoint = tmp_path / "zero.qstck"
-        neuralnet.save_checkpoint(checkpoint, config, params, [np.zeros_like(p) for p in params])
+        neuralnet.save_checkpoint(checkpoint, net, [np.zeros_like(p) for p in net.parameters()])
         capsys.readouterr()
         code = run("reconstruct", "--checkpoint", checkpoint, "--input", root / "train.qst",
                    "--out-dir", tmp_path / "x")
@@ -391,16 +413,6 @@ class TestExitCodes:
         assert run("generate", "--out", data, "--m", 2, "--count", 10, "--seed", 1) == 0
         assert run("train", "--dataset", data, "--out-dir", tmp_path / "x",
                    "--val-count", 10, "--epochs", 1) == cli.EXIT_USAGE
-
-    def test_profile_from_config_sets_val_count(self, trained, tmp_path, capsys):
-        """``profile = full`` asks for 500 validation states, more than the dataset has."""
-        root, _ = trained
-        cfg = tmp_path / "full.ini"
-        cfg.write_text("[run]\nprofile = full\nepochs = 1\n")
-        capsys.readouterr()
-        assert run("train", "--config", cfg, "--dataset", root / "train.qst",
-                   "--out-dir", tmp_path / "x") == cli.EXIT_USAGE
-        assert "val_count 500 must be smaller" in capsys.readouterr().err
 
     def test_help_exits_zero(self):
         assert run("--help") == cli.EXIT_OK
@@ -446,7 +458,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv, setting, option", [
         (["generate", "--out", "d.qst"], "m = two", "--m"),
         (["train", "--dataset", "d.qst", "--out-dir", "x"], "dropout = x", "--dropout"),
-        (["train", "--dataset", "d.qst", "--out-dir", "x"], "profile = huge", "--profile"),
+        (["train", "--dataset", "d.qst", "--out-dir", "x"], "epochs = 1.5", "--epochs"),
         (["reconstruct", "--checkpoint", "c.qstck", "--input", "d.qst", "--out-dir", "x"],
          "mode = bogus", "--mode"),
         (["baselines", "--out-dir", "x"], "measure = uniform", "--measure"),
@@ -460,11 +472,14 @@ class TestExitCodes:
         assert f"argument {option}: invalid" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("removed", ["reconstruct --seed", "reconstruct --n",
-                                         "experiment --name baselines"])
+                                         "experiment --name baselines", "train --profile full"])
     def test_removed_routes_are_usage_errors(self, trained, tmp_path, removed):
         root, checkpoint = trained
         if removed == "experiment --name baselines":
             argv = ["experiment", "--name", "baselines", "--pairs", 300, "--dims", "2"]
+        elif removed == "train --profile full":
+            argv = ["train", "--dataset", root / "train.qst", "--profile", "full",
+                    "--val-count", 60, "--epochs", 1]
         else:
             argv = ["reconstruct", "--checkpoint", checkpoint, "--input", root / "train.qst",
                     removed.split()[1], 2]
@@ -494,7 +509,7 @@ RERUN_CASES = {
         "out = elsewhere.qst\nformat_version = 1\n",
     ),
     "train": (
-        ["train"], ["--profile", "full", "--val-count", 60, "--epochs", 2, "--filters", 3,
+        ["train"], ["--val-count", 60, "--epochs", 2, "--filters", 3,
                     "--dense-widths", "8,4", "--dropout", 0.25, "--learning-rate", 0.05,
                     "--batch-size", 32, "--seed", 4],
         lambda io, out: ["--dataset", io.data, "--out-dir", out],
@@ -543,6 +558,20 @@ def outputs(out_dir):
     return files, {k: v for k, v in parser["run"].items() if k in cli.CONFIG_KEYS}
 
 
+# Options a config file does not set: the config file itself, the experiment's name,
+# and the paths of inputs and outputs.
+NOT_SETTINGS = {"config", "name", "out", "dataset", "val_dataset", "init_checkpoint",
+                "checkpoint", "checkpoints", "input", "out_dir"}
+
+
+def test_config_keys_are_the_settings_of_the_commands():
+    """A key of a removed option, or an option with no key, fails here."""
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    dests = {a.dest for p in commands.choices.values() for a in p._actions if a.dest != "help"}
+    assert cli.CONFIG_KEYS == dests - NOT_SETTINGS
+
+
 class TestConfigRerun:
     @pytest.mark.parametrize("case, option", [("experiment-fig2", "pairs"),
                                               ("train-resumed", "val_count")])
@@ -568,3 +597,37 @@ class TestConfigRerun:
         for name, config in (("written", written), ("old", old)):
             assert run(*head, "--config", config, *paths(rerun_inputs, tmp_path / name)) == 0
             assert outputs(tmp_path / name) == expected
+
+
+class TestM4Smoke:
+    """m = 4 end to end with small widths: a 36x36 grid, one epoch, n = 1..3 padded up."""
+
+    def test_generate_train_reconstruct_fig3(self, tmp_path):
+        from qstkit import qcore
+        data = tmp_path / "m4.qst"
+        assert run("generate", "--m", 4, "--count", 40, "--seed", 41, "--out", data) == 0
+        assert run("train", "--dataset", data, "--filters", 2, "--dense-widths", "8,4",
+                   "--batch-size", 10, "--epochs", 1, "--val-count", 10, "--seed", 42,
+                   "--out-dir", tmp_path / "run") == 0
+        checkpoint = tmp_path / "run" / "checkpoint.qstck"
+        net, _ = neuralnet.load_checkpoint(checkpoint)
+        assert net.config.num_qubits == 4 and net.config.tau_width == 256
+        for n in (1, 2, 3):
+            small = tmp_path / f"n{n}.qst"
+            assert run("generate", "--m", n, "--count", 5, "--seed", 50 + n, "--out", small) == 0
+            for mode in adapt.PADDING_MODES:
+                out_dir = tmp_path / f"rec-n{n}-{mode}"
+                assert run("reconstruct", "--checkpoint", checkpoint, "--input", small,
+                           "--mode", mode, "--out-dir", out_dir) == 0
+                states = cli.read_states(out_dir / "states.qstst")
+                assert states.shape == (5, 2**n, 2**n)
+                for rho in states:
+                    qcore.assert_physical(rho)
+                assert len(read_csv(out_dir / "fidelity.csv")) == 1 + 5
+        out_dir = tmp_path / "fig3"
+        assert run("experiment", "--name", "fig3", "--checkpoint", f"4={checkpoint}",
+                   "--test-count", 5, "--pairs", 0, "--out-dir", out_dir) == 0
+        rows = read_csv(out_dir / "summary.csv")[1:]
+        assert {(r[0], r[2], r[3], r[4]) for r in rows} == {
+            ("fig3", "4", str(n), mode) for n in (1, 2, 3, 4) for mode in adapt.PADDING_MODES}
+        assert len(rows) == 4 * 2 and all(int(r[7]) == 5 for r in rows)

@@ -374,13 +374,12 @@ class TestCheckpoints:
         opt = neuralnet.Adagrad(net.parameters(), cfg.learning_rate)
         opt.step([np.full_like(p, 0.125) for p in net.parameters()])
         path = tmp_path / "model.qstck"
-        neuralnet.save_checkpoint(path, cfg, net.parameters(), opt.accumulators)
-        loaded = neuralnet.network_from_checkpoint(path)
+        neuralnet.save_checkpoint(path, net, opt.accumulators)
+        loaded, accumulators = neuralnet.load_checkpoint(path)
         v = sampling.stream(610).random((3, 36))
         np.testing.assert_array_equal(
             adapt.reconstruct(net, v, "engineered"), adapt.reconstruct(loaded, v, "engineered")
         )
-        _, _, accumulators = neuralnet.load_checkpoint(path)
         for a, b in zip(opt.accumulators, accumulators, strict=True):
             np.testing.assert_array_equal(a, b)
         assert loaded.config == cfg
@@ -390,21 +389,27 @@ class TestCheckpoints:
         dropout, learning rate, batch size, epochs, seed, tensor count}, a <I{ndim}I shape
         entry per parameter tensor, then every parameter and accumulator as LE doubles."""
         path = tmp_path / "model.qstck"
-        cfg, net = tiny_net(seed=8)
+        _, net = tiny_net(seed=8)
         params = net.parameters()
         accumulators = [np.full_like(p, 0.25) for p in params]
-        neuralnet.save_checkpoint(path, cfg, params, accumulators)
+        neuralnet.save_checkpoint(path, net, accumulators)
         header = struct.pack("<8sI6IddIIQI", b"QSTCKPT\x00", 1, 2, 2, 2, 2, 8, 4, 0.5, 0.01,
                              100, 300, 8, 10)
         header += b"".join(struct.pack(f"<I{p.ndim}I", p.ndim, *p.shape) for p in params)
         payload = b"".join(t.astype("<f8").tobytes() for t in params + accumulators)
         assert path.read_bytes() == header + payload
 
+    def test_accumulators_must_match_parameters(self, tmp_path):
+        _, net = tiny_net()
+        with pytest.raises(ValueError, match="accumulators"):
+            neuralnet.save_checkpoint(tmp_path / "model.qstck", net, net.parameters()[:-1])
+        assert not (tmp_path / "model.qstck").exists()
+
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "model.qstck"
         cfg, net = tiny_net()
         opt = neuralnet.Adagrad(net.parameters(), cfg.learning_rate)
-        neuralnet.save_checkpoint(path, cfg, net.parameters(), opt.accumulators)
+        neuralnet.save_checkpoint(path, net, opt.accumulators)
         raw = bytearray(path.read_bytes())
         raw[:4] = b"XXXX"
         path.write_bytes(bytes(raw))
@@ -415,7 +420,7 @@ class TestCheckpoints:
         path = tmp_path / "model.qstck"
         cfg, net = tiny_net()
         opt = neuralnet.Adagrad(net.parameters(), cfg.learning_rate)
-        neuralnet.save_checkpoint(path, cfg, net.parameters(), opt.accumulators)
+        neuralnet.save_checkpoint(path, net, opt.accumulators)
         raw = path.read_bytes()
         path.write_bytes(raw[:-8])
         with pytest.raises(neuralnet.FormatError, match="payload"):
@@ -425,7 +430,7 @@ class TestCheckpoints:
         path = tmp_path / "model.qstck"
         cfg, net = tiny_net()
         opt = neuralnet.Adagrad(net.parameters(), cfg.learning_rate)
-        neuralnet.save_checkpoint(path, cfg, net.parameters(), opt.accumulators)
+        neuralnet.save_checkpoint(path, net, opt.accumulators)
         raw = bytearray(path.read_bytes())
         # First shape-table entry sits after magic+version+config block.
         off = 8 + 4 + 24 + 8 + 8 + 4 + 4 + 8 + 4

@@ -160,6 +160,13 @@ class TestDatasetFormat:
         tomography.write_dataset(b, self._dataset())
         assert a.read_bytes() == b.read_bytes()
 
+    def test_zero_records_not_written(self, tmp_path):
+        """No records makes a file the reader rejects, so the writer refuses it up front."""
+        path = tmp_path / "empty.qst"
+        with pytest.raises(ValueError, match="no records"):
+            tomography.write_dataset(path, self._dataset(count=0))
+        assert not path.exists()
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.qst"
         tomography.write_dataset(path, self._dataset())

@@ -25,11 +25,16 @@ fictitious qubits off, all on stacks. A single state is a batch of one. The
 command line, the experiment drivers and the validation step of training
 all go through it.
 
-Experiment drivers reconstruct test ensembles, compare against ground truth
-(including every successive trace-down) with stacked fidelities, and
-aggregate per-curve means with standard errors into CSV-ready rows.
-``baseline_curves`` builds the Monte Carlo baseline rows of both the fig3
-experiment and the ``baselines`` command.
+Experiment drivers reconstruct test ensembles and compare them against
+ground truth (including every successive trace-down) with stacked
+fidelities. They return record rows for ``records.csv`` and, straight from
+each fidelity array, its summary row: ``_curve`` is the one mean and
+standard error. ``mc_fidelities`` draws the Monte Carlo fidelities of
+random pairs, or of random states against I/2**n, and ``baseline_curves``
+turns them into the baseline rows of both the fig3 experiment and the
+``baselines`` command. These estimates are the oracle for the reference
+values 0.67 / 0.59 / 0.57 (Hilbert-Schmidt, dims 2 / 4 / 8) and 0.590
+(Bures, dim 2).
 """
 
 from __future__ import annotations
@@ -40,11 +45,13 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import analytics, cholesky, neuralnet, qcore, tomography
+from . import cholesky, neuralnet, qcore, sampling
 
 PADDING_ENGINEERED = "engineered"
 PADDING_ZERO = "zero"
 PADDING_MODES = (PADDING_ENGINEERED, PADDING_ZERO)
+
+_MC_CHUNK = 4096  # Monte Carlo draws sampled and compared at a time
 
 
 def engineered_pad(values: np.ndarray, target_qubits: int) -> np.ndarray:
@@ -95,19 +102,6 @@ def reconstruct(net: neuralnet.Network, measurements: np.ndarray, mode: str) -> 
 
 
 @dataclass
-class ExperimentRecord:
-    """One reconstructed test state: full fidelity plus successive trace-downs."""
-
-    experiment: str
-    measure: str
-    m: int
-    n: int
-    mode: str
-    state_id: int
-    fidelities: tuple[float, ...]
-
-
-@dataclass
 class CurveSummary:
     """Mean and standard error of one plotted point."""
 
@@ -121,45 +115,47 @@ class CurveSummary:
     count: int
 
 
+def _curve(experiment, measure, m, n, mode, fids: np.ndarray) -> CurveSummary:
+    """The summary row of one fidelity array: its mean, standard error and count."""
+    stderr = float(fids.std(ddof=1) / np.sqrt(len(fids))) if len(fids) > 1 else 0.0
+    return CurveSummary(experiment, measure, m, n, mode, float(fids.mean()), stderr, len(fids))
+
+
 def subsystem_experiment(
-    net: neuralnet.Network, states: Sequence[np.ndarray], measure: str
-) -> list[ExperimentRecord]:
+    net: neuralnet.Network, states: np.ndarray, measurements: np.ndarray, measure: str
+) -> tuple[list[tuple], list[CurveSummary]]:
     """Reconstruct full m-qubit states, then compare every trace-down.
 
     Trace-downs remove qubit 0, then 0 and 1, and so on, each compared
-    against the matching trace-down of the ground truth.
+    against the matching trace-down of the ground truth. Returns one record
+    row per state (its full fidelity, then one per trace-down) and one
+    summary per subsystem size, smallest first.
     """
     m = net.config.num_qubits
-    truth = np.stack(states)
-    if qcore.num_qubits(truth) != m:
+    if qcore.num_qubits(states) != m:
         raise ValueError(f"test states do not have {m} qubits")
-    values = np.stack([tomography.measure(rho) for rho in truth])
-    estimates = reconstruct(net, values, PADDING_ENGINEERED)
-    levels = [qcore.fidelity(estimates, truth)]
-    for removed in range(1, m):
-        levels.append(
-            qcore.fidelity(
-                qcore.partial_trace(estimates, range(removed)),
-                qcore.partial_trace(truth, range(removed)),
-            )
-        )
-    return [
-        ExperimentRecord("fig2", measure, m, m, "none", state_id, tuple(fids))
-        for state_id, fids in enumerate(np.stack(levels, axis=1).tolist())
-    ]
+    estimates = reconstruct(net, measurements, PADDING_ENGINEERED)
+    levels = [qcore.fidelity(qcore.partial_trace(estimates, range(removed)),
+                             qcore.partial_trace(states, range(removed)))
+              for removed in range(m)]
+    records = [("fig2", measure, m, m, "none", state_id, *fids)
+               for state_id, fids in enumerate(np.stack(levels, axis=1).tolist())]
+    return records, [_curve("fig2", measure, m, m - removed, "none", levels[removed])
+                     for removed in reversed(range(m))]
 
 
 def padding_experiment(
     nets: Mapping[int, neuralnet.Network],
-    ensembles: Mapping[int, Sequence[np.ndarray]],
+    ensembles: Mapping[int, tuple[np.ndarray, np.ndarray]],
     measure: str,
-) -> list[ExperimentRecord]:
-    """Reconstruct each n-qubit ensemble through every network with m >= n.
+) -> tuple[list[tuple], list[CurveSummary]]:
+    """Reconstruct each n-qubit ensemble, given as (states, measurements), through
+    every network with m >= n.
 
-    Both padding modes run for every (m, n) combination; records are ordered
-    by (m, n), then state, then mode.
+    Both padding modes run for every (m, n) combination; record rows are
+    ordered by (m, n), then state, then mode, and summaries by (m, n, mode).
     """
-    records = []
+    records, summaries = [], []
     for m in sorted(nets):
         net = nets[m]
         if net.config.num_qubits != m:
@@ -168,16 +164,35 @@ def padding_experiment(
         for n in sorted(ensembles):
             if n > m:
                 continue
-            truth = np.stack(ensembles[n])
-            values = np.stack([tomography.measure(rho) for rho in truth])
+            truth, values = ensembles[n]
             by_mode = [qcore.fidelity(reconstruct(net, values, mode), truth)
                        for mode in PADDING_MODES]
-            for state_id, fids in enumerate(np.stack(by_mode, axis=1).tolist()):
-                records.extend(
-                    ExperimentRecord("fig3", measure, m, n, mode, state_id, (fid,))
-                    for mode, fid in zip(PADDING_MODES, fids)
-                )
-    return records
+            summaries.extend(_curve("fig3", measure, m, n, mode, fids)
+                             for mode, fids in zip(PADDING_MODES, by_mode))
+            records.extend(("fig3", measure, m, n, mode, state_id, fid)
+                           for state_id, fids in enumerate(np.stack(by_mode, axis=1).tolist())
+                           for mode, fid in zip(PADDING_MODES, fids))
+    return records, summaries
+
+
+def mc_fidelities(measure: str, n: int, count: int, seed: int,
+                  against_mixed: bool) -> np.ndarray:
+    """Monte Carlo fidelities of random n-qubit states: ``count`` independent pairs, or
+    ``count`` states against I/2**n when ``against_mixed``.
+
+    Draw i comes from ``sampling.stream(seed, i)``; the draws are sampled and
+    compared in chunks, which changes no fidelity.
+    """
+    if count < 100:
+        raise ValueError(f"need at least 100 draws for a stable estimate, got {count}")
+    per_stream = 1 if against_mixed else 2
+    fids = np.empty(count)
+    for start in range(0, count, _MC_CHUNK):
+        stop = min(start + _MC_CHUNK, count)
+        states = sampling.sample_streams(n, measure, seed, start, stop, per_stream)
+        other = qcore.maximally_mixed(n) if against_mixed else states[1]
+        fids[start:stop] = qcore.fidelity(states[0], other)
+    return fids
 
 
 def baseline_curves(
@@ -188,28 +203,10 @@ def baseline_curves(
     ``seeds`` maps a qubit count to the seeds of its (random-pair, max-mixed)
     estimates; rows follow its order.
     """
-    out = []
-    for n, (pair_seed, mixed_seed) in seeds.items():
-        mean, err = analytics.mc_avg_fidelity(measure, 2**n, pairs, seed=pair_seed)
-        out.append(CurveSummary("baseline", measure, n, n, "random-pair", mean, err, pairs))
-        mean, err = analytics.mc_avg_fidelity_vs_mixed(measure, 2**n, pairs, seed=mixed_seed)
-        out.append(CurveSummary("baseline", measure, n, n, "max-mixed", mean, err, pairs))
-    return out
-
-
-def summarize(records: Sequence[ExperimentRecord]) -> list[CurveSummary]:
-    """Aggregate records into per-curve means; one row per trace-down level."""
-    groups: dict[tuple, list[float]] = {}
-    for rec in records:
-        for level, fid in enumerate(rec.fidelities):
-            key = (rec.experiment, rec.measure, rec.m, rec.n - level, rec.mode)
-            groups.setdefault(key, []).append(fid)
-    out = []
-    for key in sorted(groups):
-        fids = np.array(groups[key])
-        stderr = float(fids.std(ddof=1) / np.sqrt(len(fids))) if len(fids) > 1 else 0.0
-        out.append(CurveSummary(*key, float(fids.mean()), stderr, len(fids)))
-    return out
+    return [_curve("baseline", measure, n, n, mode, mc_fidelities(measure, n, pairs, seed, mixed))
+            for n, (pair_seed, mixed_seed) in seeds.items()
+            for mode, seed, mixed in (("random-pair", pair_seed, False),
+                                      ("max-mixed", mixed_seed, True))]
 
 
 def write_csv(path, header: Sequence[str], rows) -> None:
@@ -220,12 +217,13 @@ def write_csv(path, header: Sequence[str], rows) -> None:
         writer.writerows(rows)
 
 
-def write_records_csv(path, records: Sequence[ExperimentRecord]) -> None:
-    depth = max((len(r.fidelities) for r in records), default=1)
+def write_records_csv(path, records: Sequence[tuple]) -> None:
+    """Rows (experiment, measure, m, n, mode, state_id, *fidelities), padded to the
+    longest."""
+    depth = max((len(r) for r in records), default=7) - 6
     header = ["experiment", "measure", "m", "n", "mode", "state_id", "fidelity_full"]
     write_csv(path, header + [f"fidelity_trace{i}" for i in range(1, depth)],
-              ([r.experiment, r.measure, r.m, r.n, r.mode, r.state_id,
-                *(f"{f:.12f}" for f in r.fidelities), *[""] * (depth - len(r.fidelities))]
+              ([*r[:6], *(f"{f:.12f}" for f in r[6:]), *[""] * (depth + 6 - len(r))]
                for r in records))
 
 

@@ -67,14 +67,16 @@ def matrix_to_tau(t: np.ndarray) -> np.ndarray:
 def tau_to_rho(tau: np.ndarray) -> np.ndarray:
     """rho = T T† / Tr(T T†) for one tau vector or a (..., 4**m) stack.
 
-    Raises ArithmeticError if any tau is all zero.
+    Raises ArithmeticError if any tau is all zero or not finite.
     """
     tau = np.asarray(tau, dtype=np.float64)
-    t = tau_to_matrix(tau)
     # Tr(T T†) is the squared Euclidean norm of tau.
     norm_sq = np.sum(tau * tau, axis=-1)[..., None, None]
+    if not np.all(np.isfinite(norm_sq)):
+        raise ArithmeticError("tau vector is not finite; no state is defined")
     if np.any(norm_sq <= 1e-300):
         raise ArithmeticError("tau vector has zero norm; no state is defined")
+    t = tau_to_matrix(tau)
     rho = (t @ t.conj().swapaxes(-1, -2)) / norm_sq
     return (rho + rho.conj().swapaxes(-1, -2)) / 2
 

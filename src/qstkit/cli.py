@@ -75,7 +75,7 @@ def read_states(path) -> np.ndarray:
 
 
 def _read_config_file(path) -> dict:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         if not parser.read(path):
             raise UsageError(f"config file not found: {path}")
@@ -91,7 +91,7 @@ def _write_config(path, args, unread=(), **facts) -> None:
     """Write the options of ``args`` but ``--config`` and the ones the run left ``unread``,
     then the facts of the run."""
     values = {k: v for k, v in vars(args).items() if k not in ("config", *unread)} | facts
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     parser["run"] = {
         k: "" if v is None else ",".join(map(str, v)) if isinstance(v, (list, tuple)) else str(v)
         for k, v in values.items()
@@ -100,16 +100,10 @@ def _write_config(path, args, unread=(), **facts) -> None:
         parser.write(fh)
 
 
-def _generate_dataset(m, measure, count, seed) -> tomography.Dataset:
-    states = sampling.sample_ensemble(sampling.EnsembleSpec(m, measure, count), seed)
-    measurements = np.stack([tomography.measure(rho) for rho in states])
-    return tomography.Dataset(m, measure, seed, measurements, cholesky.rho_to_tau(states))
-
-
 def cmd_generate(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    dataset = _generate_dataset(args.m, args.measure, args.count, args.seed)
+    _, dataset = tomography.sample_dataset(args.m, args.measure, args.count, args.seed)
     tomography.write_dataset(out, dataset)
     _write_config(str(out) + ".config.ini", args, format_version=tomography.DATASET_VERSION)
     print(f"wrote {args.count} states to {out}")
@@ -218,33 +212,32 @@ def _parse_checkpoint_args(args) -> dict[int, neuralnet.Network]:
 
 
 def _experiment_fig2(args, out_dir) -> list:
-    nets = _parse_checkpoint_args(args)
-    records = []
-    for m, net in sorted(nets.items()):
-        spec = sampling.EnsembleSpec(m, args.measure, args.test_count)
+    records, summaries = [], []
+    for m, net in sorted(_parse_checkpoint_args(args).items()):
         seed = sampling.sub_seed(args.seed, f"fig2-test-{args.measure}-{m}")
-        records.extend(adapt.subsystem_experiment(net, sampling.sample_ensemble(spec, seed),
-                                                  args.measure))
+        states, ds = tomography.sample_dataset(m, args.measure, args.test_count, seed)
+        rows, curves = adapt.subsystem_experiment(net, states, ds.measurements, args.measure)
+        records += rows
+        summaries += curves
     adapt.write_records_csv(out_dir / "records.csv", records)
-    return adapt.summarize(records)
+    return summaries
 
 
 def _experiment_fig3(args, out_dir) -> list:
     nets = _parse_checkpoint_args(args)
     ensembles = {}
     for n in range(1, max(nets) + 1):
-        spec = sampling.EnsembleSpec(n, args.measure, args.test_count)
-        ensembles[n] = sampling.sample_ensemble(
-            spec, sampling.sub_seed(args.seed, f"fig3-test-{args.measure}-{n}")
-        )
+        seed = sampling.sub_seed(args.seed, f"fig3-test-{args.measure}-{n}")
+        states, ds = tomography.sample_dataset(n, args.measure, args.test_count, seed)
+        ensembles[n] = (states, ds.measurements)
     baselines = []
     if args.pairs > 0:  # first, so a --pairs the estimates reject costs no reconstruction
         seed = sampling.sub_seed(args.seed, "fig3-baseline")
         baselines = adapt.baseline_curves(args.measure, args.pairs,
                                           {n: (seed, seed) for n in ensembles})
-    records = adapt.padding_experiment(nets, ensembles, args.measure)
+    records, summaries = adapt.padding_experiment(nets, ensembles, args.measure)
     adapt.write_records_csv(out_dir / "records.csv", records)
-    return adapt.summarize(records) + baselines
+    return summaries + baselines
 
 
 def _experiment_baselines(args, out_dir) -> list:

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import qcore, sampling
+from . import cholesky, qcore, sampling
 
 PAULI_SETTINGS = ("X+", "X-", "Y+", "Y-", "Z+", "Z-")
 SETTING_ORDER_TAG = "".join(PAULI_SETTINGS)
@@ -142,6 +142,15 @@ class Dataset:
     @property
     def count(self) -> int:
         return self.measurements.shape[0]
+
+
+def sample_dataset(m: int, sampling_measure: str, count: int,
+                   seed: int) -> tuple[np.ndarray, Dataset]:
+    """Sample ``count`` m-qubit states of ``sampling_measure`` from ``seed``; return the
+    (count, 2**m, 2**m) stack and its dataset of measurement rows and tau targets."""
+    states = sampling.sample_ensemble(sampling.EnsembleSpec(m, sampling_measure, count), seed)
+    measurements = np.stack([measure(rho) for rho in states])
+    return states, Dataset(m, sampling_measure, seed, measurements, cholesky.rho_to_tau(states))
 
 
 def write_dataset(path, dataset: Dataset) -> None:

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from qstkit import adapt, analytics, cholesky, cli, neuralnet, qcore, sampling, tomography
+from qstkit import adapt, cholesky, cli, neuralnet, qcore, sampling, tomography
 
 pytestmark = pytest.mark.acceptance
 
@@ -36,11 +36,14 @@ def report(criterion: str, ok: bool, detail: str) -> None:
 
 
 def make_dataset(m, measure, count, label):
-    spec = sampling.EnsembleSpec(m, measure, count)
-    states = sampling.sample_ensemble(spec, sampling.sub_seed(DATA_SEED, label))
-    meas = np.stack([tomography.measure(rho) for rho in states])
-    taus = cholesky.rho_to_tau(states)
-    return states, meas, taus
+    states, ds = tomography.sample_dataset(m, measure, count, sampling.sub_seed(DATA_SEED, label))
+    return states, ds.measurements, ds.taus
+
+
+def mc_mean(measure, n, count, label, against_mixed):
+    """Mean Monte Carlo fidelity of random pairs, or against I/2**n."""
+    seed = sampling.sub_seed(DATA_SEED, label)
+    return float(adapt.mc_fidelities(measure, n, count, seed, against_mixed).mean())
 
 
 @pytest.fixture(scope="module")
@@ -74,11 +77,11 @@ def padding_means(net, measure):
 
 
 def fig2_summaries(net, measure):
-    states, _, _ = make_dataset(
+    states, meas, _ = make_dataset(
         net.config.num_qubits, measure, FIG2_COUNT, f"test-{measure}-{net.config.num_qubits}"
     )
-    records = adapt.subsystem_experiment(net, states, measure)
-    return sorted(adapt.summarize(records), key=lambda s: -s.n)  # full state first
+    _, summaries = adapt.subsystem_experiment(net, states, meas, measure)
+    return summaries[::-1]  # full state first
 
 
 def assert_fig2_trend(criterion, summaries):
@@ -94,15 +97,9 @@ def test_c01_baseline_reproduction():
     """MC mean pair fidelities reproduce 0.67 / 0.59 / 0.57 and Bures 0.590."""
     start = time.perf_counter()
     results = {}
-    for dim, want in ((2, 0.67), (4, 0.59), (8, 0.57)):
-        mean, _ = analytics.mc_avg_fidelity(
-            HS, dim, 100000, seed=sampling.sub_seed(DATA_SEED, f"c1-hs-{dim}")
-        )
-        results[f"hs{dim}"] = (mean, want)
-    mean, _ = analytics.mc_avg_fidelity(
-        BURES, 2, 100000, seed=sampling.sub_seed(DATA_SEED, "c1-bures-2")
-    )
-    results["bures2"] = (mean, 0.590)
+    for n, want in ((1, 0.67), (2, 0.59), (3, 0.57)):
+        results[f"hs{2**n}"] = (mc_mean(HS, n, 100000, f"c1-hs-{2**n}", False), want)
+    results["bures2"] = (mc_mean(BURES, 1, 100000, "c1-bures-2", False), 0.590)
     elapsed = time.perf_counter() - start
     detail = ", ".join(f"{k}: {got:.4f} (want {want}±0.01)" for k, (got, want) in results.items())
     ok = all(abs(got - want) <= 0.01 for got, want in results.values()) and elapsed < 120
@@ -221,9 +218,7 @@ def test_c06_desk_scale_training(desk_networks):
     """m=2 HS network at desk scale reaches >= 0.85 test fidelity."""
     net, train_seconds = desk_networks[(HS, 2)]
     fid = mean_test_fidelity(net, HS)
-    mixed_mean, _ = analytics.mc_avg_fidelity_vs_mixed(
-        HS, 4, 20000, seed=sampling.sub_seed(DATA_SEED, "c6-mixed")
-    )
+    mixed_mean = mc_mean(HS, 2, 20000, "c6-mixed", True)
     ok = fid >= 0.85 and fid > 0.59 and fid > mixed_mean and train_seconds < 1200
     report(
         "criterion 6 (desk-scale training)",
@@ -237,9 +232,7 @@ def test_c07_fig3_ordering(desk_networks):
     """Engineered beats zero padding by >= 5 points; zero is near random-pair."""
     net, _ = desk_networks[(HS, 2)]
     eng, zero = padding_means(net, HS)
-    random_pair, _ = analytics.mc_avg_fidelity(
-        HS, 2, 20000, seed=sampling.sub_seed(DATA_SEED, "c7-rp")
-    )
+    random_pair = mc_mean(HS, 1, 20000, "c7-rp", False)
     ok = (eng - zero >= 0.05) and (zero >= random_pair - 0.02)
     report(
         "criterion 7 (fig3 ordering)",
@@ -259,9 +252,7 @@ def test_c09_bures_replication(desk_networks):
     """Criteria 6-8 rerun on Bures ensembles (threshold relaxed to 0.80)."""
     net2, _ = desk_networks[(BURES, 2)]
     fid = mean_test_fidelity(net2, BURES)
-    mixed_mean, _ = analytics.mc_avg_fidelity_vs_mixed(
-        BURES, 4, 20000, seed=sampling.sub_seed(DATA_SEED, "c9-mixed")
-    )
+    mixed_mean = mc_mean(BURES, 2, 20000, "c9-mixed", True)
     report(
         "criterion 9a (Bures desk-scale training)",
         fid >= 0.80 and fid > mixed_mean,
@@ -269,9 +260,7 @@ def test_c09_bures_replication(desk_networks):
     )
 
     eng, zero = padding_means(net2, BURES)
-    random_pair, _ = analytics.mc_avg_fidelity(
-        BURES, 2, 20000, seed=sampling.sub_seed(DATA_SEED, "c9-rp")
-    )
+    random_pair = mc_mean(BURES, 1, 20000, "c9-rp", False)
     report(
         "criterion 9b (Bures fig3 ordering)",
         (eng - zero >= 0.05) and (zero >= random_pair - 0.02),

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import joint_index, linear_inversion
-from qstkit import adapt, analytics, cholesky, neuralnet, qcore, sampling, tomography
+from qstkit import adapt, cholesky, neuralnet, qcore, sampling, tomography
 
 HS = sampling.MEASURE_HS
 
@@ -149,47 +149,56 @@ class TestReconstructAdaptive:
         np.testing.assert_array_equal(adapt.reconstruct(net, values, "engineered"), batched)
 
 
+def measured(states):
+    return states, np.stack([tomography.measure(rho) for rho in states])
+
+
 class TestExperiments:
     def test_subsystem_records_bookkeeping(self):
-        """A single product test state yields one record with m fidelities."""
+        """A single product test state yields one record row with m fidelities."""
         net = tiny_net()
         rho = np.kron(np.diag([1.0, 0.0]), np.diag([0.5, 0.5])).astype(complex)
-        records = adapt.subsystem_experiment(net, [rho], sampling.MEASURE_HS)
+        records, summaries = adapt.subsystem_experiment(net, *measured(rho[None]), HS)
         assert len(records) == 1
-        rec = records[0]
-        assert rec.m == rec.n == 2
-        assert len(rec.fidelities) == 2
-        assert all(0.0 <= f <= 1.0 for f in rec.fidelities)
+        experiment, measure, m, n, mode, state_id, *fids = records[0]
+        assert (experiment, measure, m, n, mode, state_id) == ("fig2", HS, 2, 2, "none", 0)
+        assert len(fids) == 2
+        assert all(0.0 <= f <= 1.0 for f in fids)
+        assert [(s.n, s.mean, s.stderr, s.count) for s in summaries] == [
+            (1, fids[1], 0.0, 1), (2, fids[0], 0.0, 1)]
 
     def test_padding_experiment_covers_modes_and_sizes(self):
         nets = {2: tiny_net()}
         ensembles = {
-            1: sampling.sample_ensemble(sampling.EnsembleSpec(1, "hilbert-schmidt", 3), 4),
-            2: sampling.sample_ensemble(sampling.EnsembleSpec(2, "hilbert-schmidt", 3), 5),
+            1: measured(sampling.sample_ensemble(sampling.EnsembleSpec(1, HS, 3), 4)),
+            2: measured(sampling.sample_ensemble(sampling.EnsembleSpec(2, HS, 3), 5)),
         }
-        records = adapt.padding_experiment(nets, ensembles, "hilbert-schmidt")
+        records, summaries = adapt.padding_experiment(nets, ensembles, HS)
         assert len(records) == 12  # 2 sizes x 3 states x 2 modes
-        keys = {(r.m, r.n, r.mode) for r in records}
+        keys = {(r[2], r[3], r[4]) for r in records}
         assert keys == {(2, n, mode) for n in (1, 2) for mode in adapt.PADDING_MODES}
-        order = [(r.n, r.state_id, r.mode) for r in records]
+        order = [(r[3], r[5], r[4]) for r in records]
         assert order == [
             (n, i, mode) for n in (1, 2) for i in range(3) for mode in adapt.PADDING_MODES
         ]
+        assert [(s.m, s.n, s.mode, s.count) for s in summaries] == [
+            (2, n, mode, 3) for n in (1, 2) for mode in adapt.PADDING_MODES]
 
-    def test_summarize_levels(self):
-        records = [
-            adapt.ExperimentRecord("fig2", "hilbert-schmidt", 2, 2, "none", i, (0.8, 0.9))
-            for i in range(4)
-        ]
-        summary = adapt.summarize(records)
-        assert [(s.n, s.mean) for s in summary] == [(1, 0.9), (2, 0.8)]
-        assert all(s.count == 4 for s in summary)
-        assert all(s.stderr == 0.0 for s in summary)
+    def test_subsystem_summary_levels(self):
+        """One summary per subsystem size, smallest first, over every state."""
+        net = tiny_net()
+        states = sampling.sample_ensemble(sampling.EnsembleSpec(2, HS, 4), 6)
+        records, summaries = adapt.subsystem_experiment(net, *measured(states), HS)
+        assert [(s.experiment, s.m, s.n, s.mode, s.count) for s in summaries] == [
+            ("fig2", 2, 1, "none", 4), ("fig2", 2, 2, "none", 4)]
+        for s, column in zip(summaries, (7, 6)):
+            assert s.mean == pytest.approx(np.mean([r[column] for r in records]), abs=1e-15)
+            assert s.stderr > 0.0
 
     def test_csv_schemas(self, tmp_path):
         records = [
-            adapt.ExperimentRecord("fig2", "hilbert-schmidt", 2, 2, "none", 0, (0.8, 0.9)),
-            adapt.ExperimentRecord("fig3", "hilbert-schmidt", 2, 1, "zero", 0, (0.7,)),
+            ("fig2", HS, 2, 2, "none", 0, 0.8, 0.9),
+            ("fig3", HS, 2, 1, "zero", 0, 0.7),
         ]
         rec_path = tmp_path / "records.csv"
         adapt.write_records_csv(rec_path, records)
@@ -199,21 +208,24 @@ class TestExperiments:
             "experiment", "measure", "m", "n", "mode", "state_id",
             "fidelity_full", "fidelity_trace1",
         ]
+        assert rows[1][6:] == ["0.800000000000", "0.900000000000"]
         assert rows[2][6] == "0.700000000000" and rows[2][7] == ""
 
         sum_path = tmp_path / "summary.csv"
-        adapt.write_summary_csv(sum_path, adapt.summarize(records))
+        adapt.write_summary_csv(sum_path, [adapt._curve("fig2", HS, 2, n, "none", np.array([f, f]))
+                                           for n, f in ((1, 0.9), (2, 0.8))])
         with open(sum_path) as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["experiment", "measure", "m", "n", "mode", "mean", "stderr", "count"]
-        assert len(rows) == 4
+        assert rows[1] == ["fig2", HS, "2", "1", "none", "0.900000000000", "0.000000000000", "2"]
+        assert len(rows) == 3
 
     def test_baseline_curves_schema(self):
         rows = adapt.baseline_curves(HS, 200, {1: (7, 8)})
         assert [r.mode for r in rows] == ["random-pair", "max-mixed"]
         assert all(r.experiment == "baseline" and r.m == r.n == 1 for r in rows)
         assert all(0.0 < r.mean < 1.0 for r in rows)
-        assert [(r.mean, r.stderr) for r in rows] == [
-            analytics.mc_avg_fidelity(HS, 2, 200, seed=7),
-            analytics.mc_avg_fidelity_vs_mixed(HS, 2, 200, seed=8),
+        assert rows == [
+            adapt._curve("baseline", HS, 1, 1, mode, adapt.mc_fidelities(HS, 1, 200, seed, mixed))
+            for mode, seed, mixed in (("random-pair", 7, False), ("max-mixed", 8, True))
         ]

@@ -1,12 +1,16 @@
-"""Unit tests for the fidelity baselines."""
+"""Unit tests for the fidelity baselines: stacked fidelity and ``adapt.mc_fidelities``."""
 
 import numpy as np
 import pytest
 
-from qstkit import analytics, qcore, sampling
+from qstkit import adapt, cli, qcore, sampling
 
 HS = sampling.MEASURE_HS
 BURES = sampling.MEASURE_BURES
+
+
+def curve(fids):
+    return adapt._curve("baseline", HS, 1, 1, "random-pair", fids)
 
 
 class TestFidelityStack:
@@ -27,42 +31,46 @@ class TestFidelityStack:
 
 class TestMonteCarlo:
     def test_reproducible_with_fixed_seed(self):
-        a = analytics.mc_avg_fidelity("hilbert-schmidt", 2, 500, seed=3)
-        b = analytics.mc_avg_fidelity("hilbert-schmidt", 2, 500, seed=3)
-        assert a == b
+        a = adapt.mc_fidelities(HS, 1, 500, 3, against_mixed=False)
+        b = adapt.mc_fidelities(HS, 1, 500, 3, against_mixed=False)
+        assert a.shape == (500,)
+        assert a.tobytes() == b.tobytes()
 
     def test_standard_error_scales_as_inverse_sqrt_pairs(self):
         """stderr(1e3) / stderr(1e5) is close to sqrt(100) = 10."""
-        _, err_small = analytics.mc_avg_fidelity("hilbert-schmidt", 2, 1000, seed=5)
-        _, err_large = analytics.mc_avg_fidelity("hilbert-schmidt", 2, 100000, seed=5)
+        err_small = curve(adapt.mc_fidelities(HS, 1, 1000, 5, against_mixed=False)).stderr
+        err_large = curve(adapt.mc_fidelities(HS, 1, 100000, 5, against_mixed=False)).stderr
         assert err_small / err_large == pytest.approx(10.0, rel=0.15)
 
     def test_rejects_tiny_runs(self):
-        with pytest.raises(ValueError, match="at least 100"):
-            analytics.mc_avg_fidelity("hilbert-schmidt", 2, 10)
-        with pytest.raises(ValueError, match="at least 100"):
-            analytics.mc_avg_fidelity_vs_mixed("hilbert-schmidt", 2, 10)
+        for against_mixed in (False, True):
+            with pytest.raises(ValueError, match="at least 100"):
+                adapt.mc_fidelities(HS, 1, 10, 0, against_mixed)
 
     def test_vs_mixed_range_and_reproducibility(self):
-        mean, err = analytics.mc_avg_fidelity_vs_mixed("bures", 2, 500, seed=9)
-        assert 0.0 < mean <= 1.0 and err > 0.0
-        assert (mean, err) == analytics.mc_avg_fidelity_vs_mixed("bures", 2, 500, seed=9)
+        fids = adapt.mc_fidelities(BURES, 1, 500, 9, against_mixed=True)
+        assert np.all((fids > 0.0) & (fids <= 1.0)) and curve(fids).stderr > 0.0
+        assert fids.tobytes() == adapt.mc_fidelities(BURES, 1, 500, 9, True).tobytes()
 
     def test_mixed_baseline_exceeds_random_pair_baseline(self):
         """Guessing I/N always beats guessing another random state, on average."""
-        for dim in (2, 4, 8):
-            pair, _ = analytics.mc_avg_fidelity("hilbert-schmidt", dim, 2000, seed=11)
-            mixed, _ = analytics.mc_avg_fidelity_vs_mixed("hilbert-schmidt", dim, 2000, seed=12)
+        for n in (1, 2, 3):
+            pair = adapt.mc_fidelities(HS, n, 2000, 11, against_mixed=False).mean()
+            mixed = adapt.mc_fidelities(HS, n, 2000, 12, against_mixed=True).mean()
             assert mixed > pair
 
     @pytest.mark.parametrize("against_mixed", [False, True])
     @pytest.mark.parametrize("measure,m", [("hilbert-schmidt", 3), ("bures", 2)])
     def test_chunking_does_not_change_fidelities(self, monkeypatch, measure, m, against_mixed):
-        default = analytics._mc_fidelities(measure, m, 40, 21, against_mixed)
-        monkeypatch.setattr(analytics, "_MC_CHUNK", 7)
-        chunked = analytics._mc_fidelities(measure, m, 40, 21, against_mixed)
+        default = adapt.mc_fidelities(measure, m, 140, 21, against_mixed)
+        monkeypatch.setattr(adapt, "_MC_CHUNK", 7)
+        chunked = adapt.mc_fidelities(measure, m, 140, 21, against_mixed)
         assert chunked.tobytes() == default.tobytes()
 
-    def test_dimension_validation(self):
-        with pytest.raises(ValueError, match="power of two"):
-            analytics.mc_avg_fidelity("hilbert-schmidt", 3, 200)
+    def test_dimension_validation(self, tmp_path, capsys):
+        """A dimension that is not a power of two is a usage error."""
+        capsys.readouterr()
+        assert cli.main(["baselines", "--dims", "3", "--pairs", "200",
+                         "--out-dir", str(tmp_path / "b")]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "power of two" in err and "Traceback" not in err

@@ -94,6 +94,14 @@ class TestTauToRho:
         with pytest.raises(ArithmeticError, match="zero norm"):
             cholesky.tau_to_rho(np.zeros(16))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_tau_rejected(self, value):
+        """One non-finite row of a stack defines no state, like an all-zero one."""
+        taus = sampling.stream(404).standard_normal((3, 16))
+        taus[1, 5] = value
+        with pytest.raises(ArithmeticError, match="not finite"):
+            cholesky.tau_to_rho(taus)
+
 
 class TestRhoToTau:
     def test_pure_basis_state(self):

@@ -89,6 +89,26 @@ class TestGenerate:
         ds = tomography.read_dataset(out)
         assert ds.count == 9 and ds.seed == 13 and ds.num_qubits == 2
 
+    def test_percent_in_out_path_is_literal(self, tmp_path, capsys):
+        """A ``%`` in a path goes into the dataset path and its config.ini verbatim."""
+        out = tmp_path / "p%d" / "x.qst"
+        capsys.readouterr()
+        assert run("generate", "--out", out, "--count", 5) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        config = configparser.ConfigParser(interpolation=None)
+        config.read(tmp_path / "p%d" / "x.qst.config.ini")
+        assert config["run"]["out"] == str(out)
+        assert tomography.read_dataset(out).count == 5
+
+    def test_percent_in_config_value_is_literal(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[run]\nm = 1\ncount = 4\nout = a%b.qst\n")
+        out = tmp_path / "d.qst"
+        capsys.readouterr()
+        assert run("generate", "--config", cfg, "--out", out) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        assert tomography.read_dataset(out).count == 4
+
 
 class TestTrain:
     def test_smoke_run_writes_artifacts(self, trained):
@@ -288,6 +308,31 @@ class TestExperiments:
                    "--pairs", 50, "--out-dir", out_dir) == cli.EXIT_USAGE
         assert not (out_dir / "records.csv").exists()
 
+    def test_summary_rows_agree_with_records(self, trained, tmp_path):
+        """Every summary row is the mean, stderr and count of its records column."""
+        _, checkpoint = trained
+        data = tmp_path / "m3.qst"
+        assert run("generate", "--out", data, "--m", 3, "--count", 30, "--seed", 8) == 0
+        assert run("train", "--dataset", data, "--filters", 2, "--dense-widths", "8,4",
+                   "--val-count", 10, "--epochs", 1, "--out-dir", tmp_path / "m3") == 0
+        m3 = tmp_path / "m3" / "checkpoint.qstck"
+        for name, extra in (("fig2", []), ("fig3", ["--pairs", 0])):
+            out_dir = tmp_path / name
+            assert run("experiment", "--name", name, "--checkpoint", checkpoint,
+                       "--checkpoint", m3, "--test-count", 7, *extra,
+                       "--out-dir", out_dir) == 0
+            header, *records = read_csv(out_dir / "records.csv")
+            summaries = read_csv(out_dir / "summary.csv")[1:]
+            assert sum(int(s[7]) for s in summaries) == sum(
+                r[6 + level] != "" for r in records for level in range(len(header) - 6))
+            for experiment, _, m, n, mode, mean, stderr, count in summaries:
+                level = int(m) - int(n) if name == "fig2" else 0
+                fids = np.array([float(r[6 + level]) for r in records
+                                 if (r[2], r[4]) == (m, mode) and (name == "fig2" or r[3] == n)])
+                assert experiment == name and int(count) == len(fids) == 7
+                assert abs(float(mean) - fids.mean()) <= 1e-11
+                assert abs(float(stderr) - fids.std(ddof=1) / np.sqrt(len(fids))) <= 1e-11
+
     def test_baselines_command(self, tmp_path):
         out_dir = tmp_path / "base"
         assert run("baselines", "--out-dir", out_dir, "--pairs", 400,
@@ -400,6 +445,27 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "no epoch produced a finite validation fidelity" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["train", "reconstruct"])
+    def test_non_finite_network_output_is_numerical_error(self, trained, tmp_path, capsys,
+                                                          monkeypatch, command):
+        """Inference that returns NaN taus defines no state: exit 3, not a usage error."""
+        root, checkpoint = trained
+        forward = neuralnet.Network.forward
+
+        def nan_inference(self, grids, train=False, rng=None):
+            out = forward(self, grids, train=train, rng=rng)
+            return out if train else np.full_like(out, np.nan)
+
+        monkeypatch.setattr(neuralnet.Network, "forward", nan_inference)
+        argv = {"train": ["train", "--dataset", root / "train.qst", "--val-count", 60,
+                          "--epochs", 1],
+                "reconstruct": ["reconstruct", "--checkpoint", checkpoint,
+                                "--input", root / "train.qst"]}[command]
+        capsys.readouterr()
+        assert run(*argv, "--out-dir", tmp_path / "x") == cli.EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "not finite" in err and "Traceback" not in err
 
     def test_zero_trace_draws_are_numerical_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(sampling, "ginibre", lambda d, rng: np.zeros((d, d), dtype=complex))

@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from qstkit import adapt, cholesky, neuralnet, qcore, sampling, tomography
+from qstkit import adapt, neuralnet, qcore, sampling, tomography
 
 TINY = dict(num_qubits=2, conv_filters=2, dense_widths=(8, 4))
 
@@ -17,11 +17,8 @@ def tiny_net(seed=3):
 
 
 def small_dataset(m, count, seed, measure=sampling.MEASURE_HS):
-    spec = sampling.EnsembleSpec(m, measure, count)
-    states = sampling.sample_ensemble(spec, seed)
-    meas = np.stack([tomography.measure(rho) for rho in states])
-    taus = cholesky.rho_to_tau(states)
-    return states, meas, taus
+    states, ds = tomography.sample_dataset(m, measure, count, seed)
+    return states, ds.measurements, ds.taus
 
 
 class TestReshape:

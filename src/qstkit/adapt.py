@@ -19,11 +19,10 @@ and the local bases of the real qubits aligned, and the trace-down after
 inference removes qubits 0..m-n-1.
 
 ``reconstruct`` is the one reconstruction path: it pads a (count, 6**n)
-block of measurement rows, forwards it through the network in chunks of the
-checkpoint's ``batch_size``, decodes the tau vectors and traces the
-fictitious qubits off, all on stacks. A single state is a batch of one. The
-command line, the experiment drivers and the validation step of training
-all go through it.
+block of measurement rows, predicts their tau vectors (``Network.predict``),
+decodes them and traces the fictitious qubits off, all on stacks. A single
+state is a batch of one. The command line and the experiment drivers go
+through it, and it is the one check that n <= m.
 
 Experiment drivers reconstruct test ensembles and compare them against
 ground truth (including every successive trace-down) with stacked
@@ -84,20 +83,14 @@ def pad_measurements(values: np.ndarray, target_qubits: int, mode: str) -> np.nd
 def reconstruct(net: neuralnet.Network, measurements: np.ndarray, mode: str) -> np.ndarray:
     """Reconstruct (count, 2**n, 2**n) states from (count, 6**n) measurement rows.
 
-    Rows are padded to the network's m qubits, forwarded in chunks of the
-    checkpoint's ``batch_size`` (so activations never outgrow a training
-    batch), decoded through ``tau_to_rho`` and traced down to the n real
-    qubits.
+    Rows are padded to the network's m qubits, predicted by ``Network.predict``,
+    decoded through ``tau_to_rho`` and traced down to the n real qubits.
     """
     m = net.config.num_qubits
     n = qcore.qubit_count(measurements.shape[-1], 6)
     if n > m:
         raise ValueError(f"input has {n} qubits but the network was trained on {m}")
-    grids = neuralnet.grids_from_measurements(pad_measurements(measurements, m, mode))
-    taus = np.empty((len(grids), net.config.tau_width))
-    step = net.config.batch_size
-    for start in range(0, len(grids), step):
-        taus[start : start + step] = net.forward(grids[start : start + step], train=False)
+    taus = net.predict(pad_measurements(measurements, m, mode))
     return qcore.partial_trace(cholesky.tau_to_rho(taus), range(m - n))
 
 

@@ -15,8 +15,9 @@ Rows are forwarded through the network in chunks of the checkpoint's
 on which rows share its chunk: the same row in another file, or at another
 position, may differ at that level.
 
-Exit codes: 0 success, 1 usage error (bad flags or config values, unreadable
-or unwritable paths), 2 data/format error, 3 numerical failure.
+Exit codes: 0 success, 1 usage error (bad flags or config values, unreadable or
+unwritable paths, n > m, a request too large to allocate), 2 data/format error,
+3 numerical failure (including floating-point overflow, invalid and divide).
 """
 
 from __future__ import annotations
@@ -174,15 +175,11 @@ def cmd_train(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     net, _ = neuralnet.load_checkpoint(args.checkpoint)
-    m = net.config.num_qubits
     ds = tomography.read_dataset(args.input)
-    n = ds.num_qubits
-    if n > m:
-        raise UsageError(f"input has n={n} qubits but the checkpoint was trained on m={m}")
-
+    m, n = net.config.num_qubits, ds.num_qubits
+    states = adapt.reconstruct(net, ds.measurements, args.mode)  # n > m: no out dir made
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    states = adapt.reconstruct(net, ds.measurements, args.mode)
     fids = fidelity(states, cholesky.tau_to_rho(ds.taus))
     write_states(out_dir / "states.qstst", states)
     adapt.write_csv(out_dir / "fidelity.csv", ["state_id", "fidelity"],
@@ -382,7 +379,9 @@ def main(argv=None) -> int:
         # Built per call, so a patched module attribute (a tracer's wrapper) is the one run.
         commands = {"generate": cmd_generate, "train": cmd_train, "reconstruct": cmd_reconstruct,
                     "experiment": cmd_experiment, "baselines": cmd_baselines}
-        return commands[args.command](args)
+        # Overflow, invalid and divide raise FloatingPointError (exit 3); underflow is silent.
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return commands[args.command](args)
     except SystemExit as exc:  # argparse: --help, or a bad flag or config value
         return EXIT_OK if not exc.code else EXIT_USAGE
     except (np.linalg.LinAlgError, ArithmeticError) as exc:  # LinAlgError is a ValueError
@@ -391,7 +390,7 @@ def main(argv=None) -> int:
     except FormatError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (UsageError, ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -18,6 +18,8 @@ with Adagrad, shuffling batches each epoch, and keeps the parameters from
 the epoch with the best mean validation fidelity. Everything random (weight
 init, shuffling, dropout masks) is drawn from one Philox stream derived from
 the config seed, so a (seed, data, config) triple fully determines the run.
+``Network.predict`` is the one inference path, forwarding rows in chunks of
+``batch_size``; validation and ``adapt.reconstruct`` use it.
 A checkpoint holds a network and its Adagrad accumulators; ``load_checkpoint``
 builds the network once. Its header still records the fixed kernel and pool (2).
 """
@@ -283,6 +285,15 @@ class Network:
             x = layer.forward(x, train=train, rng=rng)
         return x
 
+    def predict(self, measurements: np.ndarray) -> np.ndarray:
+        """(count, 4**m) taus of (count, 6**m) rows, forwarded ``batch_size`` rows at a time."""
+        grids = grids_from_measurements(measurements)
+        taus = np.empty((len(grids), self.config.tau_width))
+        step = self.config.batch_size
+        for start in range(0, len(grids), step):
+            taus[start : start + step] = self.forward(grids[start : start + step])
+        return taus
+
     def backward(self, dout: np.ndarray) -> None:
         for layer in reversed(self.layers):
             dout = layer.backward(dout)
@@ -353,10 +364,8 @@ class TrainingHistory:
 
 
 def mean_reconstruction_fidelity(net: Network, measurements: np.ndarray, taus: np.ndarray) -> float:
-    """Mean fidelity between the reconstructed states and the targets' states."""
-    from . import adapt  # adapt builds on this module
-
-    estimates = adapt.reconstruct(net, measurements, adapt.PADDING_ENGINEERED)
+    """Mean fidelity between the predicted states and the targets' states."""
+    estimates = cholesky.tau_to_rho(net.predict(measurements))
     return float(np.mean(qcore.fidelity(estimates, cholesky.tau_to_rho(taus))))
 
 
@@ -373,11 +382,9 @@ def train(
     ``init_state`` (parameters, then accumulators) replaces the drawn initial weights."""
     if len(train_measurements) == 0 or len(val_measurements) == 0:
         raise ValueError("training and validation sets must be non-empty")
-    if train_measurements.shape[1] != 6**config.num_qubits:
-        raise ValueError(
-            f"dataset rows have {train_measurements.shape[1]} entries, "
-            f"config expects {6 ** config.num_qubits}"
-        )
+    if {train_measurements.shape[1], val_measurements.shape[1]} != {6**config.num_qubits}:
+        raise ValueError(f"config expects rows of {6**config.num_qubits} entries, got "
+                         f"{train_measurements.shape[1]} and {val_measurements.shape[1]}")
 
     rng = sampling.stream(config.seed, TRAIN_STREAM)
     net = Network.build(config, rng)

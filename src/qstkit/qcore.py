@@ -6,11 +6,12 @@ Conventions used throughout the package:
   plain complex ndarray. Qubit 0 is the most-significant tensor factor: basis
   index i carries the bit of qubit q at place value 2**(k-1-q), and
   ``np.kron(a, b)`` puts ``a`` on the high-order qubits.
-* ``partial_trace``, ``sqrt_psd`` and ``fidelity`` work on (..., d, d)
-  stacks of states; a single state is the 2-D case.
+* ``partial_trace``, ``sqrt_psd``, ``fidelity`` and ``assert_physical`` work
+  on (..., d, d) stacks of states; a single state is the 2-D case.
 * Physicality means Hermitian within 1e-10 elementwise, eigenvalues above
-  -1e-10, and trace within 1e-10 of one. ``assert_physical`` checks this;
-  the numerical kernels otherwise trust their callers.
+  -1e-10, and trace within 1e-10 of one. ``assert_physical`` checks this
+  once, on the stack where states enter (``tomography.sample_dataset``); the
+  numerical kernels trust their callers.
 
 All functions are pure and safe for concurrent use.
 """
@@ -137,17 +138,17 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float | np.ndarray:
 
 
 def assert_physical(rho: np.ndarray, context: str = "state") -> None:
-    """Raise ValueError with a reason when ``rho`` violates an invariant."""
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+    """Raise ValueError naming the worst violation in one matrix or a (..., d, d) stack."""
+    if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
         raise ValueError(f"{context}: expected a square matrix, got shape {rho.shape}")
     if not (np.all(np.isfinite(rho.real)) and np.all(np.isfinite(rho.imag))):
         raise ValueError(f"{context}: non-finite entries")
-    herm_dev = np.abs(rho - rho.conj().T).max()
+    herm_dev = np.abs(rho - _adjoint(rho)).max()
     if herm_dev > HERMITICITY_ATOL:
         raise ValueError(f"{context}: Hermiticity violated by {herm_dev:.3e}")
-    trace_dev = abs(np.trace(rho) - 1.0)
+    trace_dev = np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0).max()
     if trace_dev > TRACE_ATOL:
         raise ValueError(f"{context}: trace deviates from 1 by {trace_dev:.3e}")
-    w = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
-    if w[0] < -EIGENVALUE_ATOL:
-        raise ValueError(f"{context}: negative eigenvalue {w[0]:.3e}")
+    lowest = np.linalg.eigvalsh((rho + _adjoint(rho)) / 2)[..., 0].min()
+    if lowest < -EIGENVALUE_ATOL:
+        raise ValueError(f"{context}: negative eigenvalue {lowest:.3e}")

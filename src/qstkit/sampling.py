@@ -5,8 +5,10 @@ Reproducibility contract
 Every draw comes from numpy's Philox4x64-10 counter-based generator, which is
 a fixed, platform-independent algorithm. ``stream(seed, index)`` keys the
 cipher with the pair ``(seed, index)``; distinct indices give statistically
-independent streams. Ensembles draw state i from ``stream(seed, i)``, so the
-output does not depend on how the index range is split into chunks.
+independent streams. ``sample_streams`` draws the states of stream i from
+``stream(seed, i)``, so the output does not depend on how the index range is
+split into chunks. It checks the measure; the qubit-count and count limits of a
+dataset, and its physicality, are checked by ``tomography.sample_dataset``.
 
 ``sub_seed(seed, *labels)`` derives further 64-bit seeds from string labels
 via SHA-256 for coarser partitioning (train/validation/test roles and the
@@ -19,7 +21,6 @@ A single generator must not be shared across threads.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -131,25 +132,3 @@ def sample_streams(m: int, measure: str, seed: int, start: int, stop: int,
         rng = stream(seed, start + j)
         w[:, j] = [sample_state(m, measure, rng) for _ in range(per_stream)]
     return w
-
-
-@dataclass(frozen=True)
-class EnsembleSpec:
-    """What to sample: qubit count, measure, and how many states."""
-
-    num_qubits: int
-    measure: str
-    count: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.num_qubits <= 4:
-            raise ValueError(f"num_qubits must be in 1..4, got {self.num_qubits}")
-        if self.measure not in MEASURES:
-            raise ValueError(f"unknown measure {self.measure!r}; expected one of {MEASURES}")
-        if self.count < 1:
-            raise ValueError(f"count must be >= 1, got {self.count}")
-
-
-def sample_ensemble(spec: EnsembleSpec, seed: int) -> np.ndarray:
-    """Stacked (count, d, d) array of states; state i comes from stream(seed, i)."""
-    return sample_streams(spec.num_qubits, spec.measure, seed, 0, spec.count, 1)[0]

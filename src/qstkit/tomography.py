@@ -1,4 +1,4 @@
-"""Pauli-6 projective measurements and the binary dataset container.
+"""Pauli-6 projective measurements, the dataset builder and the binary containers.
 
 The six single-qubit settings are fixed globally as
 
@@ -8,7 +8,8 @@ The six single-qubit settings are fixed globally as
 is a tuple (s_0, ..., s_{m-1}) indexed base-6 with qubit 0 (the
 most-significant tensor factor) in the highest place value. Measurement
 vectors hold exact Born probabilities (the infinite-measurement limit); no
-shot noise is simulated.
+shot noise is simulated. ``sample_dataset`` checks its sampled stack for
+physicality; ``measure`` trusts its input.
 
 The dataset file is one of the binary containers framed by ``write_container``;
 its header embeds the setting order tag, sampling measure and master seed
@@ -114,10 +115,9 @@ def measure(rho: np.ndarray) -> np.ndarray:
     Entry sum_q s_q 6**(m-1-q), the base-6 index of the joint setting with
     qubit 0 most significant, is Tr(rho · Π_{s_0} ⊗ ... ⊗ Π_{s_{m-1}}). It is
     evaluated by contracting one qubit at a time rather than materializing
-    the joint projectors.
+    the joint projectors. ``rho`` is trusted to be physical, as by every kernel.
     """
     m = qcore.num_qubits(rho)
-    qcore.assert_physical(rho, "measure input")
     projs = pauli6_projectors()
     t = rho.reshape((2,) * (2 * m))
     for remaining in range(m, 0, -1):
@@ -146,9 +146,12 @@ class Dataset:
 
 def sample_dataset(m: int, sampling_measure: str, count: int,
                    seed: int) -> tuple[np.ndarray, Dataset]:
-    """Sample ``count`` m-qubit states of ``sampling_measure`` from ``seed``; return the
-    (count, 2**m, 2**m) stack and its dataset of measurement rows and tau targets."""
-    states = sampling.sample_ensemble(sampling.EnsembleSpec(m, sampling_measure, count), seed)
+    """``count`` m-qubit states, state i from ``stream(seed, i)``, as a (count, 2**m, 2**m)
+    stack checked for physicality once, and their measurement rows and tau targets."""
+    if not 1 <= m <= 4 or count < 1:
+        raise ValueError(f"need 1 <= m <= 4 and count >= 1, got m={m}, count={count}")
+    states = sampling.sample_streams(m, sampling_measure, seed, 0, count, 1)[0]
+    qcore.assert_physical(states, "sampled states")
     measurements = np.stack([measure(rho) for rho in states])
     return states, Dataset(m, sampling_measure, seed, measurements, cholesky.rho_to_tau(states))
 

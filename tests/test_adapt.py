@@ -119,8 +119,7 @@ class TestReconstructAdaptive:
             values = np.stack([tomography.measure(rho) for rho in rhos])
             out = adapt.reconstruct(net, values, "engineered")
             assert out.shape == (3, 2**n, 2**n)
-            for rho in out:
-                qcore.assert_physical(rho)
+            qcore.assert_physical(out)
 
     def test_modes_differ_for_padded_input(self):
         net = tiny_net()
@@ -140,7 +139,7 @@ class TestReconstructAdaptive:
         """250 rows at batch size 100 (last chunk partial) against 250 one-row calls."""
         net = tiny_net()
         assert net.config.batch_size == 100
-        states = sampling.sample_ensemble(sampling.EnsembleSpec(2, "hilbert-schmidt", 250), 711)
+        states = sampling.sample_streams(2, "hilbert-schmidt", 711, 0, 250, 1)[0]
         values = np.stack([tomography.measure(rho) for rho in states])
         batched = adapt.reconstruct(net, values, "engineered")
         rows = np.stack([adapt.reconstruct(net, v[None], "engineered")[0] for v in values])
@@ -170,8 +169,8 @@ class TestExperiments:
     def test_padding_experiment_covers_modes_and_sizes(self):
         nets = {2: tiny_net()}
         ensembles = {
-            1: measured(sampling.sample_ensemble(sampling.EnsembleSpec(1, HS, 3), 4)),
-            2: measured(sampling.sample_ensemble(sampling.EnsembleSpec(2, HS, 3), 5)),
+            1: measured(sampling.sample_streams(1, HS, 4, 0, 3, 1)[0]),
+            2: measured(sampling.sample_streams(2, HS, 5, 0, 3, 1)[0]),
         }
         records, summaries = adapt.padding_experiment(nets, ensembles, HS)
         assert len(records) == 12  # 2 sizes x 3 states x 2 modes
@@ -187,7 +186,7 @@ class TestExperiments:
     def test_subsystem_summary_levels(self):
         """One summary per subsystem size, smallest first, over every state."""
         net = tiny_net()
-        states = sampling.sample_ensemble(sampling.EnsembleSpec(2, HS, 4), 6)
+        states = sampling.sample_streams(2, HS, 6, 0, 4, 1)[0]
         records, summaries = adapt.subsystem_experiment(net, *measured(states), HS)
         assert [(s.experiment, s.m, s.n, s.mode, s.count) for s in summaries] == [
             ("fig2", 2, 1, "none", 4), ("fig2", 2, 2, "none", 4)]

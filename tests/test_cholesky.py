@@ -126,8 +126,7 @@ class TestRhoToTau:
     def test_stack_equals_per_state_calls(self):
         """Bitwise: the stack, each row alone, and the per-state formula with a 1-D norm."""
         for m in (1, 2, 3):
-            spec = sampling.EnsembleSpec(m, sampling.MEASURE_BURES, 200)
-            states = sampling.sample_ensemble(spec, 406)
+            states = sampling.sample_streams(m, sampling.MEASURE_BURES, 406, 0, 200, 1)[0]
             stacked = cholesky.rho_to_tau(states)
             assert stacked.shape == (200, 4**m)
             rows = np.stack([cholesky.rho_to_tau(rho) for rho in states])

@@ -21,6 +21,15 @@ def run(*argv):
     return cli.main([str(a) for a in argv])
 
 
+def run_module(*argv, flags=()):
+    """``python [flags] -m qstkit argv`` in a child process, with this package on its path."""
+    src = str(Path(qstkit.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, *flags, "-m", "qstkit", *map(str, argv)],
+                          capture_output=True, text=True, env=env, timeout=300)
+
+
 def read_csv(path):
     with open(path) as fh:
         return list(csv.reader(fh))
@@ -194,8 +203,7 @@ class TestReconstruct:
         assert run("generate", "--out", small, "--m", 1, "--count", 4, "--seed", 33) == 0
         assert run("reconstruct", "--checkpoint", checkpoint, "--input", small,
                    "--out-dir", tmp_path / "rec") == 0
-        for rho in cli.read_states(tmp_path / "rec" / "states.qstst"):
-            qcore.assert_physical(rho)
+        qcore.assert_physical(cli.read_states(tmp_path / "rec" / "states.qstst"))
 
     def test_checkpoint_network_is_built_once(self, trained, tmp_path, monkeypatch):
         """``load_checkpoint`` builds the network it returns, and nothing builds another."""
@@ -207,12 +215,17 @@ class TestReconstruct:
                    "--out-dir", tmp_path / "rec") == 0
         assert len(built) == 1
 
-    def test_n_larger_than_m_rejected(self, trained, tmp_path):
+    def test_n_larger_than_m_rejected(self, trained, tmp_path, capsys):
+        """One line from ``adapt.reconstruct``'s check, and no output directory."""
         root, checkpoint = trained
         big = tmp_path / "n3.qst"
         assert run("generate", "--out", big, "--m", 3, "--count", 3, "--seed", 35) == 0
+        capsys.readouterr()
         assert run("reconstruct", "--checkpoint", checkpoint, "--input", big,
                    "--out-dir", tmp_path / "x") == cli.EXIT_USAGE
+        assert capsys.readouterr().err.splitlines() == [
+            "error: input has 3 qubits but the network was trained on 2"]
+        assert not (tmp_path / "x").exists()
 
 
 def states_file(path, states=None):
@@ -474,6 +487,29 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "zero-trace" in err and "Traceback" not in err
 
+    # Each request is over 1 PiB, so it fails at allocation without touching memory.
+    @pytest.mark.parametrize("argv", [
+        ["baselines", "--dims", 1048576, "--pairs", 100, "--out-dir", "x"],
+        ["generate", "--m", 4, "--count", 10**12, "--out", "x.qst"],
+    ])
+    def test_oversized_request_is_usage_error(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        assert run(*argv) == cli.EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: Unable to allocate ")
+        assert " PiB " in err[0]
+        assert not (tmp_path / "x.qst").exists()
+
+    def test_floating_point_error_is_one_numerical_line(self, tmp_path):
+        """An overflowing run exits 3 with one line; no numpy warning reaches stderr."""
+        data = tmp_path / "d.qst"
+        assert run("generate", "--out", data, "--m", 2, "--count", 300, "--seed", 1) == 0
+        proc = run_module("train", "--dataset", data, "--out-dir", tmp_path / "x",
+                          "--val-count", 50, "--epochs", 2, "--learning-rate", 1e300)
+        assert proc.returncode == cli.EXIT_NUMERICAL
+        assert proc.stderr.splitlines() == ["numerical failure: overflow encountered in dot"]
+
     def test_bad_val_count_is_usage_error(self, tmp_path):
         data = tmp_path / "d.qst"
         assert run("generate", "--out", data, "--m", 2, "--count", 10, "--seed", 1) == 0
@@ -485,11 +521,7 @@ class TestExitCodes:
 
     def test_python_m_qstkit(self):
         """``python -m qstkit`` runs the command line, with no warning from runpy."""
-        src = str(Path(qstkit.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        proc = subprocess.run([sys.executable, "-W", "error", "-m", "qstkit", "--help"],
-                              capture_output=True, text=True, env=env, timeout=120)
+        proc = run_module("--help", flags=("-W", "error"))
         assert proc.returncode == 0, proc.stderr
         assert "usage: qstkit" in proc.stdout
 
@@ -687,8 +719,7 @@ class TestM4Smoke:
                            "--mode", mode, "--out-dir", out_dir) == 0
                 states = cli.read_states(out_dir / "states.qstst")
                 assert states.shape == (5, 2**n, 2**n)
-                for rho in states:
-                    qcore.assert_physical(rho)
+                qcore.assert_physical(states)
                 assert len(read_csv(out_dir / "fidelity.csv")) == 1 + 5
         out_dir = tmp_path / "fig3"
         assert run("experiment", "--name", "fig3", "--checkpoint", f"4={checkpoint}",

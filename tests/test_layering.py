@@ -1,0 +1,51 @@
+"""The package's modules form layers: each imports only modules below it.
+
+Every intra-package import counts, including ``from . import x`` inside a
+function body, so a cycle cannot hide behind a deferred import.
+"""
+
+import ast
+from pathlib import Path
+
+import qstkit
+
+LAYERS = ("qcore", "sampling", "cholesky", "tomography", "neuralnet", "adapt", "cli")
+# The package entry points import the layers; nothing imports them.
+ENTRY_POINTS = ("__init__", "__main__")
+SRC = Path(qstkit.__file__).parent
+
+
+def package_imports(path: Path) -> set[str]:
+    """Names of the package's modules that the module at ``path`` imports, anywhere."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1 or node.module == "qstkit":
+                base = node.module if node.level == 1 else None
+                found |= {base} if base else {alias.name for alias in node.names}
+            elif node.module and node.module.startswith("qstkit."):
+                found.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[1] for alias in node.names
+                      if alias.name.startswith("qstkit.")}
+    return found
+
+
+def test_every_module_has_a_layer():
+    assert sorted(p.stem for p in SRC.glob("*.py")) == sorted(LAYERS + ENTRY_POINTS)
+
+
+def test_no_module_imports_a_later_layer():
+    upward = {
+        module: sorted(imported for imported in package_imports(SRC / f"{module}.py")
+                       if imported not in LAYERS[:rank])
+        for rank, module in enumerate(LAYERS)
+    }
+    assert {module: names for module, names in upward.items() if names} == {}
+
+
+def test_deferred_imports_are_seen(tmp_path):
+    source = tmp_path / "m.py"
+    source.write_text("from . import qcore\nfrom .tomography import measure\n"
+                      "import qstkit.cholesky\n\ndef f():\n    from qstkit import adapt\n")
+    assert package_imports(source) == {"qcore", "tomography", "cholesky", "adapt"}

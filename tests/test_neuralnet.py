@@ -335,8 +335,7 @@ class TestInfer:
     def test_untrained_output_is_physical(self):
         _, net = tiny_net()
         rhos = adapt.reconstruct(net, sampling.stream(606).random((20, 36)), "engineered")
-        for rho in rhos:
-            qcore.assert_physical(rho)
+        qcore.assert_physical(rhos)
 
     def test_bitwise_repeatable(self):
         _, net = tiny_net()

@@ -193,14 +193,38 @@ class TestChecks:
         rng = sampling.stream(115)
         qcore.assert_physical(sampling.sample_state(2, HS, rng))
         qcore.assert_physical(sampling.sample_state(2, BURES, rng))
+        qcore.assert_physical(sampling.sample_streams(2, BURES, 115, 0, 50, 2))
 
     def test_assert_physical_messages(self):
-        with pytest.raises(ValueError, match="Hermiticity"):
-            qcore.assert_physical(np.array([[0.5, 0.1], [0.2, 0.5]], dtype=complex))
-        with pytest.raises(ValueError, match="trace"):
-            qcore.assert_physical(np.eye(2, dtype=complex))
-        with pytest.raises(ValueError, match="eigenvalue"):
-            qcore.assert_physical(np.diag([1.5, -0.5]).astype(complex))
+        """Each violated invariant of one matrix, with its context and deviation."""
+        cases = {
+            "state: expected a square matrix, got shape (2, 3)": np.zeros((2, 3)),
+            "state: expected a square matrix, got shape (4,)": np.zeros(4),
+            "state: non-finite entries": np.array([[np.nan, 0], [0, 0.5]]),
+            "state: Hermiticity violated by 1.000e-01": np.array([[0.5, 0.1], [0.2, 0.5]]),
+            "state: trace deviates from 1 by 1.000e+00": np.eye(2),
+            "x: negative eigenvalue -5.000e-01": np.diag([1.5, -0.5]),
+        }
+        for message, rho in cases.items():
+            context = message.split(":")[0]
+            with pytest.raises(ValueError) as info:
+                qcore.assert_physical(rho.astype(complex), context)
+            assert str(info.value) == message
+
+    @pytest.mark.parametrize("bad, message", [
+        (np.array([[0.5, np.inf], [0.0, 0.5]]), "non-finite entries"),
+        (np.array([[0.5, 0.1], [0.2, 0.5]]), "Hermiticity violated by 1.000e-01"),
+        (np.diag([0.7, 0.5]), "trace deviates from 1 by 2.000e-01"),
+        (np.diag([1.5, -0.5]), "negative eigenvalue -5.000e-01"),
+    ])
+    def test_assert_physical_stack_with_one_bad_member(self, bad, message):
+        """A (2, 3, 2, 2) stack of good states with one bad member raises its message."""
+        stack = np.stack([sampling.sample_streams(1, HS, 116, 0, 3, 1)[0]] * 2)
+        qcore.assert_physical(stack, "stack")
+        stack[1, 2] = bad
+        with pytest.raises(ValueError) as info:
+            qcore.assert_physical(stack, "stack")
+        assert str(info.value) == f"stack: {message}"
 
     def test_qubit_count_table(self):
         accepted = [

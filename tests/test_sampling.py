@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from qstkit import qcore, sampling
+from qstkit import qcore, sampling, tomography
 
 HS = sampling.MEASURE_HS
 BURES = sampling.MEASURE_BURES
@@ -167,23 +167,20 @@ class TestBures:
 
 class TestEnsembles:
     def test_spec_validation(self):
-        with pytest.raises(ValueError, match="num_qubits"):
-            sampling.EnsembleSpec(5, sampling.MEASURE_HS, 10)
-        with pytest.raises(ValueError, match="measure"):
-            sampling.EnsembleSpec(2, "uniform", 10)
-        with pytest.raises(ValueError, match="count"):
-            sampling.EnsembleSpec(2, sampling.MEASURE_HS, 0)
+        """The dataset builder checks the qubit count and the count, the sampler the measure."""
+        for m, measure, count, reason in ((0, HS, 10, "m=0"), (5, HS, 10, "m=5"),
+                                          (2, HS, 0, "count=0"), (2, "uniform", 10, "measure")):
+            with pytest.raises(ValueError, match=reason):
+                tomography.sample_dataset(m, measure, count, 1)
 
     def test_bit_identical_across_runs(self):
-        spec = sampling.EnsembleSpec(2, sampling.MEASURE_BURES, 20)
-        a = sampling.sample_ensemble(spec, 42)
-        b = sampling.sample_ensemble(spec, 42)
+        a = sampling.sample_streams(2, sampling.MEASURE_BURES, 42, 0, 20, 1)[0]
+        b = sampling.sample_streams(2, sampling.MEASURE_BURES, 42, 0, 20, 1)[0]
         np.testing.assert_array_equal(a, b)
 
     def test_states_independent_of_chunking(self):
         """State i depends only on (seed, i), not on how the range is split."""
-        spec = sampling.EnsembleSpec(1, sampling.MEASURE_HS, 10)
-        full = sampling.sample_ensemble(spec, 3)
+        full = sampling.sample_streams(1, sampling.MEASURE_HS, 3, 0, 10, 1)[0]
         lo = sampling.sample_streams(1, sampling.MEASURE_HS, 3, 0, 4, 1)[0]
         hi = sampling.sample_streams(1, sampling.MEASURE_HS, 3, 4, 10, 1)[0]
         np.testing.assert_array_equal(full, np.concatenate([lo, hi]))
@@ -192,7 +189,7 @@ class TestEnsembles:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_rows_equal_batch_of_one(self, m, measure):
         """Row i of the stacked sampler is sample_state on stream(seed, i), bit for bit."""
-        states = sampling.sample_ensemble(sampling.EnsembleSpec(m, measure, 40), 17)
+        states = sampling.sample_streams(m, measure, 17, 0, 40, 1)[0]
         for i, rho in enumerate(states):
             expected = sampling.sample_state(m, measure, sampling.stream(17, i))
             assert rho.tobytes() == expected.tobytes()
@@ -244,7 +241,7 @@ class TestZeroTraceRetry:
         clean = sampling.sample_streams(2, measure, 31, 0, 5, 2)
         replayed = states_after_first_draw(2, measure, sampling.stream(31, 2), 2)
         zero_first_draw(monkeypatch, index=2)
-        states = sampling.sample_ensemble(sampling.EnsembleSpec(2, measure, 5), 31)
+        states = sampling.sample_streams(2, measure, 31, 0, 5, 1)[0]
         pairs = sampling.sample_streams(2, measure, 31, 1, 5, 2)
         for j in (0, 1, 3, 4):
             assert states[j].tobytes() == clean[0, j].tobytes()
@@ -259,4 +256,4 @@ class TestZeroTraceRetry:
         with pytest.raises(ArithmeticError, match="zero-trace"):
             sampling.sample_state(2, sampling.MEASURE_HS, sampling.stream(32))
         with pytest.raises(ArithmeticError, match="zero-trace"):
-            sampling.sample_ensemble(sampling.EnsembleSpec(2, sampling.MEASURE_HS, 3), 32)
+            sampling.sample_streams(2, sampling.MEASURE_HS, 32, 0, 3, 1)[0]

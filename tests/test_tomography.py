@@ -130,9 +130,23 @@ class TestMeasure:
                 rho = sampling.sample_state(m, HS, rng)
                 assert np.abs(linear_inversion(tomography.measure(rho)) - rho).max() <= 1e-12
 
-    def test_rejects_non_physical(self):
-        with pytest.raises(ValueError, match="eigenvalue"):
-            tomography.measure(np.diag([1.5, -0.5]).astype(complex))
+
+class TestSampleDataset:
+    def test_rejects_non_physical_member(self, monkeypatch):
+        """The sampled stack is checked once, so one bad member among good ones is caught."""
+        states = sampling.sample_streams(1, HS, 9, 0, 4, 1)
+        states[0, 2] = np.diag([1.5, -0.5])
+        monkeypatch.setattr(sampling, "sample_streams", lambda *args: states)
+        with pytest.raises(ValueError, match="sampled states: negative eigenvalue -5.000e-01"):
+            tomography.sample_dataset(1, HS, 4, 9)
+
+    def test_checks_physicality_once_per_stack(self, monkeypatch):
+        calls = []
+        check = qcore.assert_physical
+        monkeypatch.setattr(qcore, "assert_physical", lambda *a: calls.append(a) or check(*a))
+        states, ds = tomography.sample_dataset(2, HS, 7, 3)
+        assert len(calls) == 1 and calls[0][0] is states
+        assert ds.measurements.shape == (7, 36)
 
 
 class TestDatasetFormat:

@@ -8,6 +8,8 @@ flags override them; paths and other keys in the file are ignored. Every
 command writes the options it read and the facts of the run as an INI file next
 to its outputs, so any run can be re-executed from its artifacts. All commands
 are deterministic given (config, seed). Checkpoints load as built networks.
+Each command does its work before it creates its output directory, so a
+failed run leaves none behind.
 
 Reconstructions are deterministic given the checkpoint and the input file.
 Rows are forwarded through the network in chunks of the checkpoint's
@@ -102,9 +104,9 @@ def _write_config(path, args, unread=(), **facts) -> None:
 
 
 def cmd_generate(args) -> int:
+    _, dataset = tomography.sample_dataset(args.m, args.measure, args.count, args.seed)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    _, dataset = tomography.sample_dataset(args.m, args.measure, args.count, args.seed)
     tomography.write_dataset(out, dataset)
     _write_config(str(out) + ".config.ini", args, format_version=tomography.DATASET_VERSION)
     print(f"wrote {args.count} states to {out}")
@@ -153,10 +155,9 @@ def cmd_train(args) -> int:
             raise FormatError(f"checkpoint is for m={ck_m}, dataset has m={config.num_qubits}")
         init_state = ck_net.parameters() + ck_accumulators
 
+    net, opt, history = neuralnet.train(config, tr_meas, tr_taus, va_meas, va_taus, init_state)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    net, opt, history = neuralnet.train(config, tr_meas, tr_taus, va_meas, va_taus, init_state)
-
     ck_path = out_dir / "checkpoint.qstck"
     neuralnet.save_checkpoint(ck_path, net, opt.accumulators)
     adapt.write_csv(out_dir / "history.csv", ["epoch", "mean_loss", "val_mean_fidelity"],
@@ -177,7 +178,7 @@ def cmd_reconstruct(args) -> int:
     net, _ = neuralnet.load_checkpoint(args.checkpoint)
     ds = tomography.read_dataset(args.input)
     m, n = net.config.num_qubits, ds.num_qubits
-    states = adapt.reconstruct(net, ds.measurements, args.mode)  # n > m: no out dir made
+    states = adapt.reconstruct(net, ds.measurements, args.mode)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     fids = fidelity(states, cholesky.tau_to_rho(ds.taus))
@@ -208,7 +209,7 @@ def _parse_checkpoint_args(args) -> dict[int, neuralnet.Network]:
     return nets
 
 
-def _experiment_fig2(args, out_dir) -> list:
+def _experiment_fig2(args) -> tuple[list, list]:
     records, summaries = [], []
     for m, net in sorted(_parse_checkpoint_args(args).items()):
         seed = sampling.sub_seed(args.seed, f"fig2-test-{args.measure}-{m}")
@@ -216,11 +217,10 @@ def _experiment_fig2(args, out_dir) -> list:
         rows, curves = adapt.subsystem_experiment(net, states, ds.measurements, args.measure)
         records += rows
         summaries += curves
-    adapt.write_records_csv(out_dir / "records.csv", records)
-    return summaries
+    return records, summaries
 
 
-def _experiment_fig3(args, out_dir) -> list:
+def _experiment_fig3(args) -> tuple[list, list]:
     nets = _parse_checkpoint_args(args)
     ensembles = {}
     for n in range(1, max(nets) + 1):
@@ -233,23 +233,25 @@ def _experiment_fig3(args, out_dir) -> list:
         baselines = adapt.baseline_curves(args.measure, args.pairs,
                                           {n: (seed, seed) for n in ensembles})
     records, summaries = adapt.padding_experiment(nets, ensembles, args.measure)
-    adapt.write_records_csv(out_dir / "records.csv", records)
-    return summaries + baselines
+    return records, summaries + baselines
 
 
-def _experiment_baselines(args, out_dir) -> list:
+def _experiment_baselines(args) -> tuple[None, list]:
     measure, seed = args.measure, args.seed
     seeds = {qubit_count(dim, 2): (sampling.sub_seed(seed, f"baseline-pair-{measure}-{dim}"),
                                    sampling.sub_seed(seed, f"baseline-mixed-{measure}-{dim}"))
              for dim in args.dims}
-    return adapt.baseline_curves(measure, args.pairs, seeds)
+    return None, adapt.baseline_curves(measure, args.pairs, seeds)
 
 
 def _run_experiment(args, experiment, unread=()) -> int:
-    """Run ``experiment(args, out_dir)``; write its summary.csv and config.ini."""
+    """Run ``experiment(args)``, then write its records.csv (unless it has no records),
+    summary.csv and config.ini."""
+    records, summaries = experiment(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    summaries = experiment(args, out_dir)
+    if records is not None:
+        adapt.write_records_csv(out_dir / "records.csv", records)
     adapt.write_summary_csv(out_dir / "summary.csv", summaries)
     _write_config(out_dir / "config.ini", args, unread)
     for s in summaries:

@@ -123,11 +123,15 @@ class Conv2D:
         out += self.b
         return out.transpose(0, 3, 1, 2)  # channels-last memory, (n, f, oh, ow) shape
 
-    def backward(self, dout):
-        k = self.kernel
-        n, c, oh, ow = self.windows.shape[:4]
+    def weight_grads(self, dout):
+        """Set dw and db, without the input gradient ``backward`` also returns."""
         self.dw = np.tensordot(dout, self.windows, axes=([0, 2, 3], [0, 2, 3]))
         self.db = np.einsum("nfhw->f", dout)  # twice as fast as sum() on channels-last dout
+
+    def backward(self, dout):
+        self.weight_grads(dout)
+        k = self.kernel
+        n, c, oh, ow = self.windows.shape[:4]
         # Columns (n, oh, ow, c, k, k), then col2im: add each tap back at its offset.
         cols = np.tensordot(dout, self.w, axes=([1], [0]))
         dx = np.zeros((n, oh + k - 1, ow + k - 1, c))
@@ -295,8 +299,10 @@ class Network:
         return taus
 
     def backward(self, dout: np.ndarray) -> None:
-        for layer in reversed(self.layers):
+        first, *rest = self.layers
+        for layer in reversed(rest):
             dout = layer.backward(dout)
+        first.weight_grads(dout)  # the input is data, so no input gradient
 
     def parameters(self) -> list[np.ndarray]:
         out = []

@@ -5,10 +5,13 @@ Reproducibility contract
 Every draw comes from numpy's Philox4x64-10 counter-based generator, which is
 a fixed, platform-independent algorithm. ``stream(seed, index)`` keys the
 cipher with the pair ``(seed, index)``; distinct indices give statistically
-independent streams. ``sample_streams`` draws the states of stream i from
-``stream(seed, i)``, so the output does not depend on how the index range is
-split into chunks. It checks the measure; the qubit-count and count limits of a
-dataset, and its physicality, are checked by ``tomography.sample_dataset``.
+independent streams. Stream i's draws are those of Philox keyed ``(seed, i)``
+at counter 0. ``sample_streams`` draws the states of stream i from exactly
+those draws, so the output does not depend on how the index range is split
+into chunks. It rekeys one generator to each stream in turn rather than build
+one per stream, with the same bytes. It checks the measure; the qubit-count
+and count limits of a dataset, and its physicality, are checked by
+``tomography.sample_dataset``.
 
 ``sub_seed(seed, *labels)`` derives further 64-bit seeds from string labels
 via SHA-256 for coarser partitioning (train/validation/test roles and the
@@ -108,23 +111,48 @@ def sample_state(m: int, measure: str, rng: np.random.Generator) -> np.ndarray:
     raise ArithmeticError("degenerate zero-trace draw after retry")
 
 
+def _rekey(bit_generator: np.random.Philox, seed: int, index: int) -> None:
+    """Set ``bit_generator`` to the state of a fresh ``stream(seed, index)``.
+
+    Same key, counter 0 and an empty buffer, so the draws that follow are the
+    fresh stream's; cheaper than building a new Philox, which gathers OS
+    entropy for a seed it then ignores.
+    """
+    bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64),
+                  "key": np.array([seed & _MASK64, index & _MASK64], dtype=np.uint64)},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
 def sample_streams(m: int, measure: str, seed: int, start: int, stop: int,
                    per_stream: int) -> np.ndarray:
     """States of streams start..stop-1 as a (per_stream, stop - start, d, d) stack.
 
     Entry [s, j] is the s-th ``sample_state`` call on ``stream(seed, start + j)``,
-    bit for bit. The draws are made stream by stream; the QR, Gram product and
-    normalization run once on the stack. A stream with a zero-trace draw is
-    replayed through ``sample_state`` from a fresh generator.
+    bit for bit. One generator is rekeyed to each stream in turn and makes all
+    of the stream's normals in one call, in the order ``ginibre`` would take
+    them; the QR, Gram product and normalization run once on the stack. A
+    stream with a zero-trace draw is replayed through ``sample_state`` from a
+    fresh generator.
     """
     draws, d = _ginibre_draws(measure), 2**m
     z = np.empty((per_stream, stop - start, draws, d, d), dtype=complex)
+    z_re, z_im = z.real, z.imag
+    normals = np.empty((per_stream, draws, 2, d, d))
+    rng = stream(seed, start)
     for j in range(stop - start):
-        rng = stream(seed, start + j)
-        for s, c in np.ndindex(per_stream, draws):
-            z[s, j, c] = ginibre(d, rng)
+        _rekey(rng.bit_generator, seed, start + j)
+        rng.standard_normal(out=normals)
+        z_re[:, j] = normals[:, :, 0]
+        z_im[:, j] = normals[:, :, 1]
+    z /= np.sqrt(2.0)  # as ginibre's complex division, bit for bit
     w, t = _gram(z)
-    del z
+    del z, z_re, z_im
     bad = np.flatnonzero(~np.all(t > _ZERO_TRACE_TOL, axis=0))
     t[:, bad] = 1.0  # keeps the division finite; these streams are replayed below
     _normalize(w, t)

@@ -109,6 +109,9 @@ def pauli6_projectors() -> np.ndarray:
     return np.einsum("si,sj->sij", kets, kets.conj())
 
 
+_PROJECTORS = pauli6_projectors()  # built once; measure runs once per state
+
+
 def measure(rho: np.ndarray) -> np.ndarray:
     """Exact Born probabilities for all 6**m joint Pauli settings.
 
@@ -118,14 +121,13 @@ def measure(rho: np.ndarray) -> np.ndarray:
     the joint projectors. ``rho`` is trusted to be physical, as by every kernel.
     """
     m = qcore.num_qubits(rho)
-    projs = pauli6_projectors()
     t = rho.reshape((2,) * (2 * m))
     for remaining in range(m, 0, -1):
         # Current qubit's row index is axis 0, its column index axis
         # ``remaining``; Tr(rho Π) pairs the row index with the projector's
         # ket index. The new settings axis lands at the end, so after m
         # contractions the axes read (s_0, ..., s_{m-1}).
-        t = np.tensordot(t, projs, axes=((0, remaining), (2, 1)))
+        t = np.tensordot(t, _PROJECTORS, axes=((0, remaining), (2, 1)))
     return np.clip(t.real.reshape(-1), 0.0, 1.0)
 
 

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 import qstkit
-from qstkit import adapt, cli, neuralnet, sampling, tomography
+from qstkit import adapt, cholesky, cli, neuralnet, sampling, tomography
+from test_sampling import zero_draws
 
 
 def run(*argv):
@@ -66,6 +67,22 @@ class TestGenerate:
             assert run("generate", "--out", out, "--m", 1, "--count", 8, "--seed", 3,
                        "--measure", "bures") == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("measure", sampling.MEASURES)
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_file_equals_per_state_rows(self, tmp_path, m, measure):
+        """State i of a generated file is sample_state on a fresh stream(seed, i)."""
+        count, seed = 5, 2**63 + 7
+        out = tmp_path / "g.qst"
+        assert run("generate", "--out", out, "--m", m, "--measure", measure,
+                   "--count", count, "--seed", seed) == 0
+        states = np.stack([sampling.sample_state(m, measure, sampling.stream(seed, i))
+                           for i in range(count)])
+        expected = tmp_path / "e.qst"
+        tomography.write_dataset(expected, tomography.Dataset(
+            m, measure, seed, np.stack([tomography.measure(rho) for rho in states]),
+            cholesky.rho_to_tau(states)))
+        assert out.read_bytes() == expected.read_bytes()
 
     def test_header_roundtrip_and_config_written(self, tmp_path):
         out = tmp_path / "d.qst"
@@ -481,11 +498,26 @@ class TestExitCodes:
         assert "not finite" in err and "Traceback" not in err
 
     def test_zero_trace_draws_are_numerical_error(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(sampling, "ginibre", lambda d, rng: np.zeros((d, d), dtype=complex))
+        zero_draws(monkeypatch)
         capsys.readouterr()
         assert run("generate", "--out", tmp_path / "z.qst", "--count", 3) == cli.EXIT_NUMERICAL
         err = capsys.readouterr().err
         assert "zero-trace" in err and "Traceback" not in err
+
+    def test_failed_commands_leave_no_output_directory(self, trained, tmp_path, monkeypatch):
+        root, _ = trained
+        data = root / "train.qst"
+        monkeypatch.chdir(tmp_path)
+        for argv, code in (
+            (["baselines", "--dims", 1048576, "--pairs", 100, "--out-dir", "b"], cli.EXIT_USAGE),
+            (["generate", "--m", 5, "--count", 3, "--out", "g/x.qst"], cli.EXIT_USAGE),
+            (["train", "--dataset", data, "--val-count", 60, "--epochs", 1,
+              "--learning-rate", 1e300, "--out-dir", "t"], cli.EXIT_NUMERICAL),
+            (["experiment", "--name", "fig3", "--checkpoint", "missing.qstck",
+              "--out-dir", "e"], cli.EXIT_USAGE),
+        ):
+            assert run(*argv) == code, argv
+        assert list(tmp_path.iterdir()) == []
 
     # Each request is over 1 PiB, so it fails at allocation without touching memory.
     @pytest.mark.parametrize("argv", [

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from qstkit import qcore, sampling, tomography
+from qstkit import neuralnet, qcore, sampling, tomography
 
 HS = sampling.MEASURE_HS
 BURES = sampling.MEASURE_BURES
@@ -20,6 +20,17 @@ class TestStreams:
         a = sampling.stream(7, 0).standard_normal(16)
         b = sampling.stream(7, 1).standard_normal(16)
         assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("index", [0, neuralnet.TRAIN_STREAM])
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, -1])
+    def test_rekeyed_state_is_the_fresh_stream_state(self, seed, index):
+        rng = sampling.stream(99, 5)
+        rng.standard_normal(7)  # a used state: counter and buffer both moved
+        sampling._rekey(rng.bit_generator, seed, index)
+        fresh = sampling.stream(seed, index)
+        # The repr shows every field, array values and dtypes alike.
+        assert repr(rng.bit_generator.state) == repr(fresh.bit_generator.state)
+        np.testing.assert_array_equal(rng.standard_normal(9), fresh.standard_normal(9))
 
     def test_sub_seed_is_deterministic_and_label_sensitive(self):
         assert sampling.sub_seed(11, "train") == sampling.sub_seed(11, "train")
@@ -204,21 +215,45 @@ class TestEnsembles:
             for s in range(2):
                 assert pairs[s, j].tobytes() == sampling.sample_state(2, measure, rng).tobytes()
 
+    @pytest.mark.parametrize("measure", sampling.MEASURES)
+    def test_rekeyed_rows_equal_fresh_streams_at_high_indices(self, measure):
+        """m=4 pairs from streams 2**64 - 2 on, where the 64-bit index wraps to 0 and 1."""
+        start = 2**64 - 2
+        pairs = sampling.sample_streams(4, measure, 23, start, start + 4, 2)
+        for j in range(4):
+            rng = sampling.stream(23, start + j)
+            for s in range(2):
+                assert pairs[s, j].tobytes() == sampling.sample_state(4, measure, rng).tobytes()
 
-def zero_first_draw(monkeypatch, index):
-    """Zero the first Ginibre draw of stream ``index``, for any seed.
 
-    The zeroed draw is still taken from the generator, as a degenerate draw is.
+def zero_draws(monkeypatch, index=None):
+    """Make the generators ``sampling.stream`` returns draw zeros.
+
+    With ``index`` None every normal is zeroed. Otherwise only the first
+    Ginibre draw (the first 2*d*d normals) that a fresh state of stream
+    ``index`` yields is zeroed, for any seed. The zeroed normals are still
+    taken from the generator, as a degenerate draw is.
     """
-    original = sampling.ginibre
+    original = sampling.stream
 
-    def ginibre(d, rng):
-        state = rng.bit_generator.state["state"]
-        first = not state["counter"].any() and state["key"][1] == index
-        g = original(d, rng)
-        return np.zeros_like(g) if first else g
+    class ZeroingGenerator:
+        def __init__(self, rng):
+            self.rng = rng
+            self.bit_generator = rng.bit_generator
 
-    monkeypatch.setattr(sampling, "ginibre", ginibre)
+        def standard_normal(self, size=None, out=None):
+            state = self.bit_generator.state
+            fresh = (not state["state"]["counter"].any() and state["buffer_pos"] == 4
+                     and state["state"]["key"][1] == index)
+            x = self.rng.standard_normal(size=size, out=out)
+            if index is None:
+                x[...] = 0.0
+            elif fresh:
+                x.reshape(-1)[: 2 * x.shape[-1] ** 2] = 0.0
+            return x
+
+    monkeypatch.setattr(sampling, "stream",
+                        lambda seed, index=0: ZeroingGenerator(original(seed, index)))
 
 
 def states_after_first_draw(m, measure, rng, count):
@@ -232,7 +267,7 @@ class TestZeroTraceRetry:
     @pytest.mark.parametrize("measure", sampling.MEASURES)
     def test_batch_of_one_redraws_once(self, monkeypatch, measure):
         expected = states_after_first_draw(2, measure, sampling.stream(30, 0), 1)[0]
-        zero_first_draw(monkeypatch, index=0)
+        zero_draws(monkeypatch, index=0)
         rho = sampling.sample_state(2, measure, sampling.stream(30, 0))
         assert rho.tobytes() == expected.tobytes()
 
@@ -240,7 +275,7 @@ class TestZeroTraceRetry:
     def test_stacked_sampler_replays_the_degenerate_stream(self, monkeypatch, measure):
         clean = sampling.sample_streams(2, measure, 31, 0, 5, 2)
         replayed = states_after_first_draw(2, measure, sampling.stream(31, 2), 2)
-        zero_first_draw(monkeypatch, index=2)
+        zero_draws(monkeypatch, index=2)
         states = sampling.sample_streams(2, measure, 31, 0, 5, 1)[0]
         pairs = sampling.sample_streams(2, measure, 31, 1, 5, 2)
         for j in (0, 1, 3, 4):
@@ -252,7 +287,7 @@ class TestZeroTraceRetry:
         assert pairs[1, 1].tobytes() == replayed[1].tobytes()
 
     def test_second_zero_trace_draw_raises(self, monkeypatch):
-        monkeypatch.setattr(sampling, "ginibre", lambda d, rng: np.zeros((d, d), dtype=complex))
+        zero_draws(monkeypatch)
         with pytest.raises(ArithmeticError, match="zero-trace"):
             sampling.sample_state(2, sampling.MEASURE_HS, sampling.stream(32))
         with pytest.raises(ArithmeticError, match="zero-trace"):

@@ -9,7 +9,8 @@ command writes the options it read and the facts of the run as an INI file next
 to its outputs, so any run can be re-executed from its artifacts. All commands
 are deterministic given (config, seed). Checkpoints load as built networks.
 Each command does its work before it creates its output directory, so a
-failed run leaves none behind.
+failed run leaves none behind. The files it reads and writes are defined in
+``tomography``; this module defines no file format.
 
 Reconstructions are deterministic given the checkpoint and the input file.
 Rows are forwarded through the network in chunks of the checkpoint's
@@ -26,24 +27,20 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import struct
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import adapt, cholesky, neuralnet, sampling, tomography
-from .qcore import fidelity, num_qubits, qubit_count
-from .tomography import FormatError
+from .qcore import fidelity, qubit_count
+# perfbench reads and writes states as cli.read_states and cli.write_states.
+from .tomography import STATES_VERSION, FormatError, read_states, write_states  # noqa: F401
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERICAL = 3
-
-STATES_MAGIC = b"QSTSTATE"
-STATES_VERSION = 1
-_STATES_HEADER = struct.Struct("<IQ")  # n, count
 
 # The options a config file may set. Paths in it are ignored, so a written
 # config.ini re-runs against the inputs and outputs given as flags.
@@ -55,26 +52,6 @@ CONFIG_KEYS = frozenset({
 
 class UsageError(Exception):
     """Bad flag values or inconsistent options."""
-
-
-def write_states(path, states) -> None:
-    """Binary container of reconstructed density matrices (complex doubles).
-
-    ``states`` is a (count, 2**n, 2**n) stack, or anything indexable that
-    stacks into one.
-    """
-    states = np.asarray(states, dtype="<c16")
-    if states.ndim != 3:
-        raise ValueError(f"expected a (count, d, d) stack of states, got shape {states.shape}")
-    header = _STATES_HEADER.pack(num_qubits(states), len(states))
-    tomography.write_container(path, STATES_MAGIC, STATES_VERSION, header, [states], "<c16")
-
-
-def read_states(path) -> np.ndarray:
-    """Read a states container back as a (count, 2**n, 2**n) stack."""
-    (n, count), payload = tomography.read_container(path, STATES_MAGIC, STATES_VERSION,
-                                                    _STATES_HEADER)
-    return tomography.payload_array(path, payload, "<c16", (count, 2**n, 2**n)).copy()
 
 
 def _read_config_file(path) -> dict:
@@ -179,9 +156,9 @@ def cmd_reconstruct(args) -> int:
     ds = tomography.read_dataset(args.input)
     m, n = net.config.num_qubits, ds.num_qubits
     states = adapt.reconstruct(net, ds.measurements, args.mode)
+    fids = fidelity(states, cholesky.tau_to_rho(ds.taus))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    fids = fidelity(states, cholesky.tau_to_rho(ds.taus))
     write_states(out_dir / "states.qstst", states)
     adapt.write_csv(out_dir / "fidelity.csv", ["state_id", "fidelity"],
                     ([state_id, f"{f:.12f}"] for state_id, f in enumerate(fids)))
@@ -198,11 +175,12 @@ def _parse_checkpoint_args(args) -> dict[int, neuralnet.Network]:
         raise UsageError(f"{args.name} needs --checkpoint entries (path or m=path, repeatable)")
     nets = {}
     for entry in args.checkpoints:
-        path = entry.split("=", 1)[1] if "=" in entry else entry
+        prefix, _, path = entry.partition("=")  # an m= prefix only if it is a number
+        want, path = (int(prefix), path) if prefix.isdecimal() else (None, entry)
         net, _ = neuralnet.load_checkpoint(path)
         m = net.config.num_qubits
-        if "=" in entry and int(entry.split("=", 1)[0]) != m:
-            raise UsageError(f"checkpoint {path} is for m={m}, not m={entry.split('=', 1)[0]}")
+        if want not in (None, m):
+            raise UsageError(f"checkpoint {path} is for m={m}, not m={want}")
         if m in nets:
             raise UsageError(f"two checkpoints given for m={m}")
         nets[m] = net

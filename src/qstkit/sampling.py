@@ -1,4 +1,4 @@
-"""Seeded random ensembles: Ginibre matrices and Hilbert-Schmidt / Bures states.
+"""Seeded random ensembles: Philox streams and the one Hilbert-Schmidt / Bures sampler.
 
 Reproducibility contract
 ------------------------
@@ -6,12 +6,12 @@ Every draw comes from numpy's Philox4x64-10 counter-based generator, which is
 a fixed, platform-independent algorithm. ``stream(seed, index)`` keys the
 cipher with the pair ``(seed, index)``; distinct indices give statistically
 independent streams. Stream i's draws are those of Philox keyed ``(seed, i)``
-at counter 0. ``sample_streams`` draws the states of stream i from exactly
-those draws, so the output does not depend on how the index range is split
-into chunks. It rekeys one generator to each stream in turn rather than build
-one per stream, with the same bytes. It checks the measure; the qubit-count
-and count limits of a dataset, and its physicality, are checked by
-``tomography.sample_dataset``.
+at counter 0. ``sample_streams``, the library's one sampler, draws the states
+of stream i from exactly those draws, so the output does not depend on how
+the index range is split into chunks. It rekeys one generator to each stream
+in turn rather than build one per stream, with the same bytes. It checks the
+measure; the qubit-count and count limits of a dataset, and its physicality,
+are checked by ``tomography.sample_dataset``.
 
 ``sub_seed(seed, *labels)`` derives further 64-bit seeds from string labels
 via SHA-256 for coarser partitioning (train/validation/test roles and the
@@ -33,7 +33,7 @@ MEASURES = (MEASURE_HS, MEASURE_BURES)
 
 _MASK64 = (1 << 64) - 1
 
-# Degenerate zero-trace draws have probability zero; retry once, then fail.
+# A Gram trace at or below this is a degenerate draw, of probability zero.
 _ZERO_TRACE_TOL = 1e-300
 
 
@@ -53,21 +53,6 @@ def sub_seed(seed: int, *labels: str) -> int:
     return int.from_bytes(h.digest()[:8], "little")
 
 
-def ginibre(d: int, rng: np.random.Generator) -> np.ndarray:
-    """d x d matrix with entries (a + ib)/sqrt(2), a and b standard normal."""
-    if d < 1:
-        raise ValueError(f"dimension must be positive, got {d}")
-    re, im = rng.standard_normal((2, d, d))
-    return (re + 1j * im) / np.sqrt(2.0)
-
-
-def _ginibre_draws(measure: str) -> int:
-    """Ginibre draws per state: the Gram factor, and for Bures the Haar seed."""
-    if measure not in MEASURES:
-        raise ValueError(f"unknown measure {measure!r}; expected one of {MEASURES}")
-    return 1 if measure == MEASURE_HS else 2
-
-
 def _haar(z: np.ndarray) -> np.ndarray:
     """Haar unitaries from stacked Ginibre draws: Q of the QR, column j times r_jj/|r_jj|.
 
@@ -76,39 +61,6 @@ def _haar(z: np.ndarray) -> np.ndarray:
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (diag / np.abs(diag))[..., None, :]
-
-
-def _gram(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """W = A A† and Tr W, with A = G (HS) or (I + U)G (Bures), G and U from draws 0 and 1."""
-    a = z[..., 0, :, :]
-    if z.shape[-3] == 2:
-        a = (np.eye(z.shape[-1]) + _haar(z[..., 1, :, :])) @ a
-    w = a @ a.conj().swapaxes(-1, -2)
-    return w, np.trace(w, axis1=-2, axis2=-1).real
-
-
-def _normalize(w: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """(W/t + (W/t)†)/2, in place on the stack."""
-    w /= t[..., None, None]
-    w += w.conj().swapaxes(-1, -2)
-    w *= 0.5
-    return w
-
-
-def sample_state(m: int, measure: str, rng: np.random.Generator) -> np.ndarray:
-    """One random m-qubit state of ``measure`` drawn from ``rng``.
-
-    Hilbert-Schmidt: GG†/Tr(GG†) for one Ginibre draw G. Bures: AA†/Tr(AA†)
-    with A = (I + U)G, G the first Ginibre draw and U the Haar unitary of the
-    second. A zero-trace draw is redrawn once from ``rng``; a second one
-    raises ArithmeticError.
-    """
-    draws, d = _ginibre_draws(measure), 2**m
-    for _ in range(2):
-        w, t = _gram(np.stack([ginibre(d, rng) for _ in range(draws)]))
-        if t > _ZERO_TRACE_TOL:
-            return _normalize(w, t)
-    raise ArithmeticError("degenerate zero-trace draw after retry")
 
 
 def _rekey(bit_generator: np.random.Philox, seed: int, index: int) -> None:
@@ -133,14 +85,18 @@ def sample_streams(m: int, measure: str, seed: int, start: int, stop: int,
                    per_stream: int) -> np.ndarray:
     """States of streams start..stop-1 as a (per_stream, stop - start, d, d) stack.
 
-    Entry [s, j] is the s-th ``sample_state`` call on ``stream(seed, start + j)``,
-    bit for bit. One generator is rekeyed to each stream in turn and makes all
-    of the stream's normals in one call, in the order ``ginibre`` would take
-    them; the QR, Gram product and normalization run once on the stack. A
-    stream with a zero-trace draw is replayed through ``sample_state`` from a
-    fresh generator.
+    Entry [s, j] is the s-th state of ``stream(seed, start + j)``. Per state, a
+    stream yields the draw G and then, for Bures, the draw U's Haar unitary
+    comes from; each draw is 2·d² normals, the real block and then the
+    imaginary one, divided by √2. Hilbert-Schmidt: W = GG†. Bures: W = AA†
+    with A = (I + U)G. The state is (W/Tr W + (W/Tr W)†)/2. One generator is
+    rekeyed to each stream in turn and makes all of the stream's normals in
+    one call; the QR, Gram product and normalization run once on the stack. A
+    zero-trace draw, of probability zero, raises ArithmeticError.
     """
-    draws, d = _ginibre_draws(measure), 2**m
+    if measure not in MEASURES:
+        raise ValueError(f"unknown measure {measure!r}; expected one of {MEASURES}")
+    draws, d = 1 if measure == MEASURE_HS else 2, 2**m
     z = np.empty((per_stream, stop - start, draws, d, d), dtype=complex)
     z_re, z_im = z.real, z.imag
     normals = np.empty((per_stream, draws, 2, d, d))
@@ -150,13 +106,17 @@ def sample_streams(m: int, measure: str, seed: int, start: int, stop: int,
         rng.standard_normal(out=normals)
         z_re[:, j] = normals[:, :, 0]
         z_im[:, j] = normals[:, :, 1]
-    z /= np.sqrt(2.0)  # as ginibre's complex division, bit for bit
-    w, t = _gram(z)
-    del z, z_re, z_im
+    z /= np.sqrt(2.0)  # as the complex division (re + i·im)/√2, bit for bit
+    a = z[:, :, 0]
+    if draws == 2:
+        a = (np.eye(d) + _haar(z[:, :, 1])) @ a
+    w = a @ a.conj().swapaxes(-1, -2)
+    t = np.trace(w, axis1=-2, axis2=-1).real
+    del z, z_re, z_im, a
     bad = np.flatnonzero(~np.all(t > _ZERO_TRACE_TOL, axis=0))
-    t[:, bad] = 1.0  # keeps the division finite; these streams are replayed below
-    _normalize(w, t)
-    for j in bad.tolist():
-        rng = stream(seed, start + j)
-        w[:, j] = [sample_state(m, measure, rng) for _ in range(per_stream)]
+    if bad.size:
+        raise ArithmeticError(f"degenerate zero-trace draw in stream {start + int(bad[0])}")
+    w /= t[..., None, None]
+    w += w.conj().swapaxes(-1, -2)
+    w *= 0.5
     return w

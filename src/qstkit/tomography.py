@@ -11,10 +11,12 @@ vectors hold exact Born probabilities (the infinite-measurement limit); no
 shot noise is simulated. ``sample_dataset`` checks its sampled stack for
 physicality; ``measure`` trusts its input.
 
-The dataset file is one of the binary containers framed by ``write_container``;
-its header embeds the setting order tag, sampling measure and master seed
-alongside the record count, so a file fully determines how it was produced
-and how to interpret the payload.
+The dataset file and the reconstructed-states file are defined here; they and
+the network checkpoint are the binary containers framed by ``write_container``.
+A dataset header embeds the setting order tag, sampling measure and master
+seed alongside the record count, so a file fully determines how it was
+produced and how to interpret the payload. ``read_dataset`` rejects an
+all-zero tau target, which defines no state.
 """
 
 from __future__ import annotations
@@ -33,11 +35,14 @@ SETTING_ORDER_TAG = "".join(PAULI_SETTINGS)
 
 DATASET_MAGIC = b"QST6DSET"
 DATASET_VERSION = 1
+STATES_MAGIC = b"QSTSTATE"
+STATES_VERSION = 1
 
 # Every container starts with its magic and version.
 _FRAME = struct.Struct("<8sI")
 # num_qubits, measure tag, setting-order tag, count, seed
 _HEADER = struct.Struct("<I16s16sQQ")
+_STATES_HEADER = struct.Struct("<IQ")  # n, count
 
 
 class FormatError(Exception):
@@ -189,6 +194,8 @@ def read_dataset(path) -> Dataset:
     if measure_tag not in sampling.MEASURES:
         raise FormatError(f"{path}: unknown measure tag {measure_tag!r}")
     records = payload_array(path, payload, "<f8", (count, 6**m + 4**m))
+    if (zero := np.flatnonzero(~records[:, 6**m :].any(axis=1))).size:
+        raise FormatError(f"{path}: tau target of record {zero[0]} is all zero")
     return Dataset(
         num_qubits=m,
         measure=measure_tag,
@@ -196,3 +203,22 @@ def read_dataset(path) -> Dataset:
         measurements=records[:, : 6**m].astype(np.float64),
         taus=records[:, 6**m :].astype(np.float64),
     )
+
+
+def write_states(path, states) -> None:
+    """Binary container of reconstructed density matrices (complex doubles).
+
+    ``states`` is a (count, 2**n, 2**n) stack, or anything indexable that
+    stacks into one.
+    """
+    states = np.asarray(states, dtype="<c16")
+    if states.ndim != 3:
+        raise ValueError(f"expected a (count, d, d) stack of states, got shape {states.shape}")
+    header = _STATES_HEADER.pack(qcore.num_qubits(states), len(states))
+    write_container(path, STATES_MAGIC, STATES_VERSION, header, [states], "<c16")
+
+
+def read_states(path) -> np.ndarray:
+    """Read a states container back as a (count, 2**n, 2**n) stack."""
+    (n, count), payload = read_container(path, STATES_MAGIC, STATES_VERSION, _STATES_HEADER)
+    return payload_array(path, payload, "<c16", (count, 2**n, 2**n)).copy()

@@ -2,7 +2,9 @@
 
 They are written from the definitions, not from the library's code paths:
 the Pauli-6 projectors are built from the Pauli matrices here, not taken
-from ``tomography.pauli6_projectors``.
+from ``tomography.pauli6_projectors``, and random states are drawn one at a
+time in plain 2-D numpy, not through ``sampling.sample_streams``. They import
+nothing but numpy.
 """
 
 import numpy as np
@@ -12,6 +14,31 @@ PAULIS = (
     np.array([[0, -1j], [1j, 0]], dtype=complex),
     np.array([[1, 0], [0, -1]], dtype=complex),
 )
+
+
+def ginibre(d: int, rng) -> np.ndarray:
+    """d x d matrix G = (re + i·im)/√2, re and im the next 2·d² standard normals of ``rng``."""
+    re, im = rng.standard_normal((2, d, d))
+    return (re + 1j * im) / np.sqrt(2.0)
+
+
+def sample_state(m: int, measure: str, rng) -> np.ndarray:
+    """The next m-qubit "hilbert-schmidt" or "bures" state that ``rng`` yields.
+
+    G is one Ginibre draw; A = G for Hilbert-Schmidt, and A = (I + Q·diag(r/|r|))G
+    for Bures, Q and r from the QR of a second draw. W = AA†, then W/Tr W, then
+    (W + W†)/2.
+    """
+    d = 2**m
+    a = ginibre(d, rng)
+    if measure == "bures":
+        q, r = np.linalg.qr(ginibre(d, rng))
+        a = (np.eye(d) + q * (np.diagonal(r) / np.abs(np.diagonal(r)))) @ a
+    elif measure != "hilbert-schmidt":
+        raise ValueError(f"unknown measure {measure!r}")
+    w = a @ a.conj().T
+    w = w / np.trace(w).real
+    return (w + w.conj().T) / 2
 
 
 def joint_index(settings) -> int:

@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+from oracles import sample_state
 from qstkit import adapt, cholesky, cli, neuralnet, qcore, sampling, tomography
 
 pytestmark = pytest.mark.acceptance
@@ -118,8 +119,8 @@ def test_c02_monotonicity_suite():
         ]
         for i in range(1000):
             rng = sampling.stream(sampling.sub_seed(DATA_SEED, f"c2-{m}"), i)
-            rho = sampling.sample_state(m, HS, rng)
-            sigma = sampling.sample_state(m, HS, rng)
+            rho = sample_state(m, HS, rng)
+            sigma = sample_state(m, HS, rng)
             full = qcore.fidelity(rho, sigma)
             for remove in subsets:
                 reduced = qcore.fidelity(
@@ -141,7 +142,7 @@ def test_c03_padding_oracle():
     for n, m in [(1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4)]:
         for i in range(100):
             rng = sampling.stream(sampling.sub_seed(DATA_SEED, f"c3-{n}-{m}"), i)
-            rho = sampling.sample_state(n, HS, rng)
+            rho = sample_state(n, HS, rng)
             extended = rho
             for _ in range(m - n):
                 extended = np.kron(qcore.maximally_mixed(1), extended)
@@ -161,7 +162,7 @@ def test_c04_cholesky_roundtrip():
     for m in (2, 3):
         for i in range(1000):
             rng = sampling.stream(sampling.sub_seed(DATA_SEED, f"c4-{m}"), i)
-            rho = sampling.sample_state(m, HS, rng)
+            rho = sample_state(m, HS, rng)
             back = cholesky.tau_to_rho(cholesky.rho_to_tau(rho))
             worst = max(worst, 1.0 - qcore.fidelity(rho, back))
     rows, cols = cholesky.tau_layout(4)

@@ -1,4 +1,4 @@
-"""Unit tests for measurement padding and the experiment drivers."""
+"""Unit tests for measurement padding, the experiment drivers and the Monte Carlo baselines."""
 
 import csv
 import itertools
@@ -6,10 +6,11 @@ import itertools
 import numpy as np
 import pytest
 
-from oracles import joint_index, linear_inversion
-from qstkit import adapt, cholesky, neuralnet, qcore, sampling, tomography
+from oracles import joint_index, linear_inversion, sample_state
+from qstkit import adapt, cholesky, cli, neuralnet, qcore, sampling, tomography
 
 HS = sampling.MEASURE_HS
+BURES = sampling.MEASURE_BURES
 
 
 def tiny_net(m=2, seed=3):
@@ -21,7 +22,7 @@ def tiny_net(m=2, seed=3):
 
 class TestEngineeredPad:
     def test_same_size_is_identity(self):
-        v = tomography.measure(sampling.sample_state(2, HS, sampling.stream(701)))
+        v = tomography.measure(sample_state(2, HS, sampling.stream(701)))
         np.testing.assert_array_equal(adapt.engineered_pad(v, 2), v)
 
     def test_zero_state_blocks(self):
@@ -37,7 +38,7 @@ class TestEngineeredPad:
         rng = sampling.stream(702)
         for n, m in [(1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4)]:
             for _ in range(5):
-                rho = sampling.sample_state(n, HS, rng)
+                rho = sample_state(n, HS, rng)
                 extended = rho
                 for _ in range(m - n):
                     extended = np.kron(qcore.maximally_mixed(1), extended)
@@ -50,13 +51,13 @@ class TestEngineeredPad:
         rng = sampling.stream(712)
         for n, m in [(1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4)]:
             for _ in range(5):
-                rho = sampling.sample_state(n, HS, rng)
+                rho = sample_state(n, HS, rng)
                 got = linear_inversion(adapt.engineered_pad(tomography.measure(rho), m))
                 want = np.kron(qcore.maximally_mixed(m - n), rho)
                 assert np.abs(got - want).max() <= 1e-12
 
     def test_preserves_per_axis_normalization(self):
-        rho = sampling.sample_state(1, HS, sampling.stream(703))
+        rho = sample_state(1, HS, sampling.stream(703))
         out = adapt.engineered_pad(tomography.measure(rho), 2)
         for axes in itertools.product(range(3), repeat=2):
             total = sum(
@@ -72,22 +73,22 @@ class TestEngineeredPad:
 
 class TestZeroPad:
     def test_same_size_is_identity(self):
-        v = tomography.measure(sampling.sample_state(2, HS, sampling.stream(704)))
+        v = tomography.measure(sample_state(2, HS, sampling.stream(704)))
         np.testing.assert_array_equal(adapt.zero_pad(v, 2), v)
 
     def test_first_block_carries_values(self):
-        v = tomography.measure(sampling.sample_state(1, HS, sampling.stream(705)))
+        v = tomography.measure(sample_state(1, HS, sampling.stream(705)))
         out = adapt.zero_pad(v, 2)
         np.testing.assert_array_equal(out[:6], v)
         assert np.all(out[6:] == 0.0)
 
     def test_mass_conservation(self):
-        v = tomography.measure(sampling.sample_state(1, HS, sampling.stream(706)))
+        v = tomography.measure(sample_state(1, HS, sampling.stream(706)))
         assert adapt.zero_pad(v, 3).sum() == pytest.approx(v.sum(), abs=1e-12)
 
     def test_violates_per_axis_normalization(self):
         """Zero padding is not a physical measurement vector for n < m."""
-        rho = sampling.sample_state(1, HS, sampling.stream(707))
+        rho = sample_state(1, HS, sampling.stream(707))
         out = adapt.zero_pad(tomography.measure(rho), 2)
         sums = []
         for axes in itertools.product(range(3), repeat=2):
@@ -107,7 +108,7 @@ def plain_inference(net, values):
 class TestReconstructAdaptive:
     def test_same_size_equals_plain_inference(self):
         net = tiny_net()
-        v = tomography.measure(sampling.sample_state(2, HS, sampling.stream(708)))[None]
+        v = tomography.measure(sample_state(2, HS, sampling.stream(708)))[None]
         for mode in adapt.PADDING_MODES:
             np.testing.assert_array_equal(adapt.reconstruct(net, v, mode), plain_inference(net, v))
 
@@ -115,7 +116,7 @@ class TestReconstructAdaptive:
         net = tiny_net()
         rng = sampling.stream(709)
         for n in (1, 2):
-            rhos = [sampling.sample_state(n, HS, rng) for _ in range(3)]
+            rhos = [sample_state(n, HS, rng) for _ in range(3)]
             values = np.stack([tomography.measure(rho) for rho in rhos])
             out = adapt.reconstruct(net, values, "engineered")
             assert out.shape == (3, 2**n, 2**n)
@@ -123,7 +124,7 @@ class TestReconstructAdaptive:
 
     def test_modes_differ_for_padded_input(self):
         net = tiny_net()
-        v = tomography.measure(sampling.sample_state(1, HS, sampling.stream(710)))[None]
+        v = tomography.measure(sample_state(1, HS, sampling.stream(710)))[None]
         a = adapt.reconstruct(net, v, "engineered")
         b = adapt.reconstruct(net, v, "zero")
         assert np.abs(a - b).max() > 1e-12
@@ -228,3 +229,54 @@ class TestExperiments:
             adapt._curve("baseline", HS, 1, 1, mode, adapt.mc_fidelities(HS, 1, 200, seed, mixed))
             for mode, seed, mixed in (("random-pair", 7, False), ("max-mixed", 8, True))
         ]
+
+
+def curve(fids):
+    return adapt._curve("baseline", HS, 1, 1, "random-pair", fids)
+
+
+class TestMonteCarlo:
+    def test_reproducible_with_fixed_seed(self):
+        a = adapt.mc_fidelities(HS, 1, 500, 3, against_mixed=False)
+        b = adapt.mc_fidelities(HS, 1, 500, 3, against_mixed=False)
+        assert a.shape == (500,)
+        assert a.tobytes() == b.tobytes()
+
+    def test_standard_error_scales_as_inverse_sqrt_pairs(self):
+        """stderr(1e3) / stderr(1e5) is close to sqrt(100) = 10."""
+        err_small = curve(adapt.mc_fidelities(HS, 1, 1000, 5, against_mixed=False)).stderr
+        err_large = curve(adapt.mc_fidelities(HS, 1, 100000, 5, against_mixed=False)).stderr
+        assert err_small / err_large == pytest.approx(10.0, rel=0.15)
+
+    def test_rejects_tiny_runs(self):
+        for against_mixed in (False, True):
+            with pytest.raises(ValueError, match="at least 100"):
+                adapt.mc_fidelities(HS, 1, 10, 0, against_mixed)
+
+    def test_vs_mixed_range_and_reproducibility(self):
+        fids = adapt.mc_fidelities(BURES, 1, 500, 9, against_mixed=True)
+        assert np.all((fids > 0.0) & (fids <= 1.0)) and curve(fids).stderr > 0.0
+        assert fids.tobytes() == adapt.mc_fidelities(BURES, 1, 500, 9, True).tobytes()
+
+    def test_mixed_baseline_exceeds_random_pair_baseline(self):
+        """Guessing I/N always beats guessing another random state, on average."""
+        for n in (1, 2, 3):
+            pair = adapt.mc_fidelities(HS, n, 2000, 11, against_mixed=False).mean()
+            mixed = adapt.mc_fidelities(HS, n, 2000, 12, against_mixed=True).mean()
+            assert mixed > pair
+
+    @pytest.mark.parametrize("against_mixed", [False, True])
+    @pytest.mark.parametrize("measure,m", [("hilbert-schmidt", 3), ("bures", 2)])
+    def test_chunking_does_not_change_fidelities(self, monkeypatch, measure, m, against_mixed):
+        default = adapt.mc_fidelities(measure, m, 140, 21, against_mixed)
+        monkeypatch.setattr(adapt, "_MC_CHUNK", 7)
+        chunked = adapt.mc_fidelities(measure, m, 140, 21, against_mixed)
+        assert chunked.tobytes() == default.tobytes()
+
+    def test_dimension_validation(self, tmp_path, capsys):
+        """A dimension that is not a power of two is a usage error."""
+        capsys.readouterr()
+        assert cli.main(["baselines", "--dims", "3", "--pairs", "200",
+                         "--out-dir", str(tmp_path / "b")]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "power of two" in err and "Traceback" not in err

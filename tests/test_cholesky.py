@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import sample_state
 from qstkit import cholesky, qcore, sampling
 
 HS = sampling.MEASURE_HS
@@ -119,7 +120,7 @@ class TestRhoToTau:
     def test_unit_norm_and_nonnegative_diagonal(self):
         rng = sampling.stream(404)
         for _ in range(100):
-            tau = cholesky.rho_to_tau(sampling.sample_state(2, HS, rng))
+            tau = cholesky.rho_to_tau(sample_state(2, HS, rng))
             assert np.linalg.norm(tau) == pytest.approx(1.0, abs=1e-12)
             assert np.all(tau[:4] >= 0)
 
@@ -144,7 +145,7 @@ class TestRhoToTau:
         rng = sampling.stream(405)
         for m in (2, 3):
             for _ in range(300):
-                rho = sampling.sample_state(m, HS, rng)
+                rho = sample_state(m, HS, rng)
                 back = cholesky.tau_to_rho(cholesky.rho_to_tau(rho))
                 assert 1.0 - qcore.fidelity(rho, back) <= 1e-9
 

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import qstkit
+from oracles import sample_state
 from qstkit import adapt, cholesky, cli, neuralnet, sampling, tomography
 from test_sampling import zero_draws
 
@@ -76,7 +77,7 @@ class TestGenerate:
         out = tmp_path / "g.qst"
         assert run("generate", "--out", out, "--m", m, "--measure", measure,
                    "--count", count, "--seed", seed) == 0
-        states = np.stack([sampling.sample_state(m, measure, sampling.stream(seed, i))
+        states = np.stack([sample_state(m, measure, sampling.stream(seed, i))
                            for i in range(count)])
         expected = tmp_path / "e.qst"
         tomography.write_dataset(expected, tomography.Dataset(
@@ -193,7 +194,7 @@ class TestReconstruct:
         out_dir = tmp_path / "rec"
         assert run("reconstruct", "--checkpoint", checkpoint, "--input", data,
                    "--out-dir", out_dir, "--mode", "engineered") == 0
-        states = cli.read_states(out_dir / "states.qstst")
+        states = tomography.read_states(out_dir / "states.qstst")
         ds = tomography.read_dataset(data)
         net, _ = neuralnet.load_checkpoint(checkpoint)
         np.testing.assert_array_equal(states, adapt.reconstruct(net, ds.measurements, "engineered"))
@@ -208,8 +209,8 @@ class TestReconstruct:
         for mode in adapt.PADDING_MODES:
             assert run("reconstruct", "--checkpoint", checkpoint, "--input", small,
                        "--out-dir", tmp_path / mode, "--mode", mode) == 0
-        a = cli.read_states(tmp_path / "engineered" / "states.qstst")
-        b = cli.read_states(tmp_path / "zero" / "states.qstst")
+        a = tomography.read_states(tmp_path / "engineered" / "states.qstst")
+        b = tomography.read_states(tmp_path / "zero" / "states.qstst")
         assert a[0].shape == (2, 2)
         assert np.abs(a[0] - b[0]).max() > 1e-12
 
@@ -220,7 +221,7 @@ class TestReconstruct:
         assert run("generate", "--out", small, "--m", 1, "--count", 4, "--seed", 33) == 0
         assert run("reconstruct", "--checkpoint", checkpoint, "--input", small,
                    "--out-dir", tmp_path / "rec") == 0
-        qcore.assert_physical(cli.read_states(tmp_path / "rec" / "states.qstst"))
+        qcore.assert_physical(tomography.read_states(tmp_path / "rec" / "states.qstst"))
 
     def test_checkpoint_network_is_built_once(self, trained, tmp_path, monkeypatch):
         """``load_checkpoint`` builds the network it returns, and nothing builds another."""
@@ -250,7 +251,7 @@ def states_file(path, states=None):
     if states is None:
         states = np.stack([np.diag([0.75, 0.25]), np.array([[0.5, 0.5j], [-0.5j, 0.5]])])
     if len(states):
-        cli.write_states(path, states)
+        tomography.write_states(path, states)
     else:  # no writer makes a zero-record file: the header alone, count 0
         path.write_bytes(struct.pack("<8sIIQ", b"QSTSTATE", 1, 1, 0))
     return states
@@ -264,7 +265,7 @@ class TestStatesFormat:
         raw = path.read_bytes()
         assert raw[:24] == struct.pack("<8sIIQ", b"QSTSTATE", 1, 1, 2)
         assert raw[24:] == states.astype("<c16").tobytes()
-        np.testing.assert_array_equal(cli.read_states(path), states)
+        np.testing.assert_array_equal(tomography.read_states(path), states)
 
     @pytest.mark.parametrize("kind, match", [
         ("truncated", "payload"), ("bad-magic", "magic"), ("zero-records", "no records"),
@@ -288,12 +289,12 @@ class TestStatesFormat:
         else:
             path.write_bytes(bytes(raw))
         with pytest.raises(tomography.FormatError, match=match):
-            cli.read_states(path)
+            tomography.read_states(path)
 
     def test_zero_records_not_written(self, tmp_path):
         path = tmp_path / "s.qstst"
         with pytest.raises(ValueError, match="no records"):
-            cli.write_states(path, np.zeros((0, 2, 2)))
+            tomography.write_states(path, np.zeros((0, 2, 2)))
         assert not path.exists()
 
 
@@ -382,6 +383,19 @@ class TestExperiments:
     def test_missing_checkpoint_is_usage_error(self, tmp_path):
         assert run("experiment", "--name", "fig2", "--out-dir", tmp_path / "x") == cli.EXIT_USAGE
 
+    def test_checkpoint_path_with_equals_sign(self, trained, tmp_path, monkeypatch):
+        """Only a decimal number before the first ``=`` is read as an ``m=`` prefix."""
+        _, checkpoint = trained
+        monkeypatch.chdir(tmp_path)
+        path = Path("runs", "lr=0.01", "checkpoint.qstck")
+        path.parent.mkdir(parents=True)
+        path.write_bytes(checkpoint.read_bytes())
+        for out_dir, entry in (("plain", path), ("prefixed", f"2={path}")):
+            assert run("experiment", "--name", "fig2", "--checkpoint", entry,
+                       "--out-dir", out_dir, "--test-count", 4, "--seed", 1) == 0
+        assert run("experiment", "--name", "fig2", "--checkpoint", f"3={path}",
+                   "--out-dir", "wrong-m", "--test-count", 4) == cli.EXIT_USAGE
+
 
 # Checkpoint headers declaring a config no network can be built from: the
 # offset and format of the one config field each changes, and its new value.
@@ -394,7 +408,7 @@ BAD_CHECKPOINT_HEADERS = {
     "checkpoint-m-12": (12, "<I", 12),
 }
 CORRUPTIONS = ("garbage", "truncated", "zero-records", "nan-measurement", "inf-tau",
-               "unknown-measure", "nan-checkpoint", *BAD_CHECKPOINT_HEADERS)
+               "zero-tau", "unknown-measure", "nan-checkpoint", *BAD_CHECKPOINT_HEADERS)
 
 
 def corrupt(kind, data, checkpoint, tmp_path):
@@ -424,6 +438,8 @@ def corrupt(kind, data, checkpoint, tmp_path):
             ds.measurements[0, 5] = np.nan
         elif kind == "inf-tau":
             ds.taus[3, 2] = np.inf
+        elif kind == "zero-tau":  # a target that defines no state
+            ds.taus[7] = 0.0
         else:
             ds.measure = "garbage"
         tomography.write_dataset(bad, ds)
@@ -449,7 +465,9 @@ class TestExitCodes:
             argv = ["reconstruct", "--checkpoint", checkpoint, "--input", data]
         capsys.readouterr()
         assert run(*argv, "--out-dir", tmp_path / "x") == cli.EXIT_DATA
-        assert "Traceback" not in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("data error: ")
+        assert not (tmp_path / "x").exists()
 
     def test_all_zero_checkpoint_is_numerical_error(self, trained, tmp_path, capsys):
         """Zero weights give all-zero taus, which define no state."""
@@ -749,7 +767,7 @@ class TestM4Smoke:
                 out_dir = tmp_path / f"rec-n{n}-{mode}"
                 assert run("reconstruct", "--checkpoint", checkpoint, "--input", small,
                            "--mode", mode, "--out-dir", out_dir) == 0
-                states = cli.read_states(out_dir / "states.qstst")
+                states = tomography.read_states(out_dir / "states.qstst")
                 assert states.shape == (5, 2**n, 2**n)
                 qcore.assert_physical(states)
                 assert len(read_csv(out_dir / "fidelity.csv")) == 1 + 5

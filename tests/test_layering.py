@@ -1,7 +1,8 @@
 """The package's modules form layers: each imports only modules below it.
 
 Every intra-package import counts, including ``from . import x`` inside a
-function body, so a cycle cannot hide behind a deferred import.
+function body, so a cycle cannot hide behind a deferred import. The test
+oracles import nothing but numpy, so they stay independent of the package.
 """
 
 import ast
@@ -49,3 +50,14 @@ def test_deferred_imports_are_seen(tmp_path):
     source.write_text("from . import qcore\nfrom .tomography import measure\n"
                       "import qstkit.cholesky\n\ndef f():\n    from qstkit import adapt\n")
     assert package_imports(source) == {"qcore", "tomography", "cholesky", "adapt"}
+
+
+def test_oracles_import_only_numpy():
+    oracles = Path(__file__).with_name("oracles.py")
+    imported = set()
+    for node in ast.walk(ast.parse(oracles.read_text(), str(oracles))):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    assert imported == {"numpy"}

@@ -11,14 +11,6 @@ from pathlib import Path
 
 import qstkit
 
-# Public names whose callers live outside the package's modules, and why.
-OUTSIDE_CALLERS = {
-    "cli.main_entry": "the qstkit console script declared in pyproject.toml",
-    "cli.read_states": "reader of the .qstst format written by reconstruct; "
-                       "perfbench/checks.py reads states back through it",
-}
-
-
 def test_every_public_name_has_a_library_caller():
     package = Path(qstkit.__file__).parent
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
@@ -39,4 +31,4 @@ def test_every_public_name_has_a_library_caller():
         and not node.name.startswith("_")
         and node.name not in referenced
     ]
-    assert [name for name in uncalled if name not in OUTSIDE_CALLERS] == []
+    assert uncalled == []

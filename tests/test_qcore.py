@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import ginibre, sample_state
 from qstkit import qcore, sampling
 
 HS = sampling.MEASURE_HS
@@ -42,8 +43,8 @@ class TestTensorProduct:
 class TestPartialTrace:
     def test_product_state_factorizes(self):
         rng = sampling.stream(102)
-        rho = sampling.sample_state(1, HS, rng)
-        sigma = sampling.sample_state(2, HS, rng)
+        rho = sample_state(1, HS, rng)
+        sigma = sample_state(2, HS, rng)
         joint = np.kron(rho, sigma)
         np.testing.assert_allclose(qcore.partial_trace(joint, {1, 2}), rho, atol=1e-14)
         np.testing.assert_allclose(qcore.partial_trace(joint, {0}), sigma, atol=1e-14)
@@ -55,7 +56,7 @@ class TestPartialTrace:
 
     def test_matches_index_summation_oracle(self):
         """Tracing qubits {0, 2} of a 3-qubit state against an explicit loop."""
-        rho = sampling.sample_state(3, HS, sampling.stream(103))
+        rho = sample_state(3, HS, sampling.stream(103))
         got = qcore.partial_trace(rho, {0, 2})
         want = np.zeros((2, 2), dtype=complex)
         for i1 in range(2):
@@ -70,26 +71,26 @@ class TestPartialTrace:
     def test_preserves_trace_and_physicality(self):
         rng = sampling.stream(104)
         for _ in range(20):
-            rho = sampling.sample_state(3, HS, rng)
+            rho = sample_state(3, HS, rng)
             reduced = qcore.partial_trace(rho, {1})
             assert abs(np.trace(reduced) - 1.0) <= 1e-12
             qcore.assert_physical(reduced)
 
     def test_append_then_trace_recovers_original(self):
         rng = sampling.stream(105)
-        rho = sampling.sample_state(2, HS, rng)
-        sigma = sampling.sample_state(1, HS, rng)
+        rho = sample_state(2, HS, rng)
+        sigma = sample_state(1, HS, rng)
         joint = np.kron(rho, sigma)
         np.testing.assert_allclose(qcore.partial_trace(joint, {2}), rho, atol=1e-12)
 
     def test_empty_removal_is_a_copy(self):
-        rho = sampling.sample_state(2, HS, sampling.stream(106))
+        rho = sample_state(2, HS, sampling.stream(106))
         out = qcore.partial_trace(rho, set())
         np.testing.assert_array_equal(out, rho)
         assert out is not rho
 
     def test_rejects_bad_indices(self):
-        rho = sampling.sample_state(2, HS, sampling.stream(107))
+        rho = sample_state(2, HS, sampling.stream(107))
         with pytest.raises(ValueError, match="out of range"):
             qcore.partial_trace(rho, {5})
         with pytest.raises(ValueError, match="every qubit"):
@@ -108,7 +109,7 @@ class TestSqrtPsd:
         """R @ R must reproduce the input for random PSD matrices."""
         rng = sampling.stream(108)
         for _ in range(25):
-            g = sampling.ginibre(4, rng)
+            g = ginibre(4, rng)
             m = g @ g.conj().T
             m = (m + m.conj().T) / 2
             r = qcore.sqrt_psd(m)
@@ -145,7 +146,7 @@ class TestFidelity:
     def test_self_fidelity_is_one(self):
         rng = sampling.stream(109)
         for m in (1, 2, 3):
-            rho = sampling.sample_state(m, HS, rng)
+            rho = sample_state(m, HS, rng)
             assert qcore.fidelity(rho, rho) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_pure_states(self):
@@ -158,15 +159,15 @@ class TestFidelity:
     def test_symmetry(self):
         rng = sampling.stream(110)
         for _ in range(50):
-            rho = sampling.sample_state(2, HS, rng)
-            sigma = sampling.sample_state(2, BURES, rng)
+            rho = sample_state(2, HS, rng)
+            sigma = sample_state(2, BURES, rng)
             assert abs(qcore.fidelity(rho, sigma) - qcore.fidelity(sigma, rho)) <= 1e-10
 
     def test_range(self):
         rng = sampling.stream(111)
         for _ in range(50):
-            f = qcore.fidelity(sampling.sample_state(2, HS, rng),
-                               sampling.sample_state(2, HS, rng))
+            f = qcore.fidelity(sample_state(2, HS, rng),
+                               sample_state(2, HS, rng))
             assert 0.0 <= f <= 1.0
 
     def test_dimension_mismatch(self):
@@ -178,8 +179,8 @@ class TestFidelity:
         rng = sampling.stream(112)
         for m in (2, 3):
             for _ in range(1000):
-                rho = sampling.sample_state(m, HS, rng)
-                sigma = sampling.sample_state(m, HS, rng)
+                rho = sample_state(m, HS, rng)
+                sigma = sample_state(m, HS, rng)
                 full = qcore.fidelity(rho, sigma)
                 for q in range(m):
                     reduced = qcore.fidelity(
@@ -191,8 +192,8 @@ class TestFidelity:
 class TestChecks:
     def test_assert_physical_accepts_samples(self):
         rng = sampling.stream(115)
-        qcore.assert_physical(sampling.sample_state(2, HS, rng))
-        qcore.assert_physical(sampling.sample_state(2, BURES, rng))
+        qcore.assert_physical(sample_state(2, HS, rng))
+        qcore.assert_physical(sample_state(2, BURES, rng))
         qcore.assert_physical(sampling.sample_streams(2, BURES, 115, 0, 50, 2))
 
     def test_assert_physical_messages(self):
@@ -245,3 +246,19 @@ class TestChecks:
             qcore.num_qubits(np.eye(3))
         with pytest.raises(ValueError, match="square"):
             qcore.num_qubits(np.zeros((2, 3)))
+
+
+class TestFidelityStack:
+    def test_matches_scalar_fidelity(self):
+        """Stacked qcore.fidelity must agree with the per-pair loop."""
+        rng = sampling.stream(909)
+        for m in (1, 2, 3):
+            rhos = np.stack([sample_state(m, HS, rng) for _ in range(40)])
+            sigmas = np.stack([sample_state(m, BURES, rng) for _ in range(40)])
+            batch = qcore.fidelity(rhos, sigmas)
+            loop = [qcore.fidelity(r, s) for r, s in zip(rhos, sigmas)]
+            assert batch.shape == (40,)
+            np.testing.assert_allclose(batch, loop, atol=1e-12)
+            mixed = qcore.maximally_mixed(m)
+            against_mixed = [qcore.fidelity(r, mixed) for r in rhos]
+            np.testing.assert_allclose(qcore.fidelity(rhos, mixed), against_mixed, atol=1e-12)

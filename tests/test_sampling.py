@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from oracles import ginibre, sample_state
 from qstkit import neuralnet, qcore, sampling, tomography
 
 HS = sampling.MEASURE_HS
@@ -40,18 +41,18 @@ class TestStreams:
 
 class TestGinibre:
     def test_shape_and_dtype(self):
-        g = sampling.ginibre(4, sampling.stream(1))
+        g = ginibre(4, sampling.stream(1))
         assert g.shape == (4, 4) and np.iscomplexobj(g)
 
     def test_deterministic(self):
         np.testing.assert_array_equal(
-            sampling.ginibre(3, sampling.stream(5)), sampling.ginibre(3, sampling.stream(5))
+            ginibre(3, sampling.stream(5)), ginibre(3, sampling.stream(5))
         )
 
     def test_entry_statistics(self):
         """Real parts have mean 0 and variance 1/2, within 3 sigma at 1e5 entries."""
         rng = sampling.stream(2)
-        entries = np.concatenate([sampling.ginibre(100, rng).real.ravel() for _ in range(10)])
+        entries = np.concatenate([ginibre(100, rng).real.ravel() for _ in range(10)])
         n = entries.size
         assert abs(entries.mean()) <= 3 * np.sqrt(0.5 / n)
         assert abs(entries.var() - 0.5) <= 3 * np.sqrt(2.0 / n) * 0.5
@@ -61,43 +62,35 @@ class TestHilbertSchmidt:
     def test_construction_invariants(self):
         rng = sampling.stream(3)
         for m in (1, 2, 3):
-            rho = sampling.sample_state(m, HS, rng)
+            rho = sample_state(m, HS, rng)
             assert abs(np.trace(rho) - 1.0) <= 1e-12
             assert np.linalg.eigvalsh(rho)[0] >= -1e-12
             qcore.assert_physical(rho)
 
     def test_deterministic(self):
         np.testing.assert_array_equal(
-            sampling.sample_state(2, HS, sampling.stream(9)),
-            sampling.sample_state(2, HS, sampling.stream(9)),
+            sample_state(2, HS, sampling.stream(9)),
+            sample_state(2, HS, sampling.stream(9)),
         )
 
     def test_matches_per_state_formula(self):
         """Bitwise equal to G G† / Tr(G G†), hermitized as (W + W†)/2."""
         for m in (1, 2, 3):
-            g = sampling.ginibre(2**m, sampling.stream(13, m))
+            g = ginibre(2**m, sampling.stream(13, m))
             w = g @ g.conj().T
             w = w / np.trace(w).real
             expected = (w + w.conj().T) / 2
-            got = sampling.sample_state(m, HS, sampling.stream(13, m))
+            got = sampling.sample_streams(m, HS, 13, m, m + 1, 1)[0, 0]
             assert got.tobytes() == expected.tobytes()
 
     def test_mean_pair_fidelity_single_qubit(self):
         """10^4 independent pairs reproduce the 0.67 reference value."""
-        fids = np.empty(10000)
-        for i in range(10000):
-            rng = sampling.stream(200, i)
-            fids[i] = qcore.fidelity(sampling.sample_state(1, HS, rng),
-                                     sampling.sample_state(1, HS, rng))
+        fids = qcore.fidelity(*sampling.sample_streams(1, HS, 200, 0, 10000, 2))
         assert fids.mean() == pytest.approx(0.67, abs=0.01)
 
     def test_mean_pair_fidelity_two_qubits(self):
         """10^4 independent pairs reproduce the 0.59 reference value."""
-        fids = np.empty(10000)
-        for i in range(10000):
-            rng = sampling.stream(201, i)
-            fids[i] = qcore.fidelity(sampling.sample_state(2, HS, rng),
-                                     sampling.sample_state(2, HS, rng))
+        fids = qcore.fidelity(*sampling.sample_streams(2, HS, 201, 0, 10000, 2))
         assert fids.mean() == pytest.approx(0.59, abs=0.01)
 
     def test_purity_matches_moment_oracle(self):
@@ -110,7 +103,7 @@ class TestHilbertSchmidt:
         rng = sampling.stream(4)
         purities = np.empty(100000)
         for i in range(purities.size):
-            rho = sampling.sample_state(1, HS, rng)
+            rho = sample_state(1, HS, rng)
             purities[i] = np.trace(rho @ rho).real
         stderr = purities.std(ddof=1) / np.sqrt(purities.size)
         assert abs(purities.mean() - 0.8) <= 3 * stderr
@@ -120,20 +113,20 @@ class TestHaarUnitary:
     def test_unitarity(self):
         rng = sampling.stream(6)
         for d in (2, 4, 8):
-            u = sampling._haar(sampling.ginibre(d, rng))
+            u = sampling._haar(ginibre(d, rng))
             assert np.abs(u @ u.conj().T - np.eye(d)).max() <= 1e-12
 
     def test_deterministic(self):
         np.testing.assert_array_equal(
-            sampling._haar(sampling.ginibre(4, sampling.stream(8))),
-            sampling._haar(sampling.ginibre(4, sampling.stream(8))),
+            sampling._haar(ginibre(4, sampling.stream(8))),
+            sampling._haar(ginibre(4, sampling.stream(8))),
         )
 
     def test_eigenphase_uniformity(self):
         """Eigenvalue phases of 10^4 Haar draws are uniform on the circle."""
         rng = sampling.stream(7)
         phases = np.concatenate(
-            [np.angle(np.linalg.eigvals(sampling._haar(sampling.ginibre(2, rng))))
+            [np.angle(np.linalg.eigvals(sampling._haar(ginibre(2, rng))))
              for _ in range(10000)]
         )
         counts, _ = np.histogram(phases, bins=12, range=(-np.pi, np.pi))
@@ -144,35 +137,31 @@ class TestBures:
     def test_construction_invariants(self):
         rng = sampling.stream(10)
         for m in (1, 2, 3):
-            qcore.assert_physical(sampling.sample_state(m, BURES, rng))
+            qcore.assert_physical(sample_state(m, BURES, rng))
 
     def test_deterministic(self):
         np.testing.assert_array_equal(
-            sampling.sample_state(2, BURES, sampling.stream(12)),
-            sampling.sample_state(2, BURES, sampling.stream(12)),
+            sample_state(2, BURES, sampling.stream(12)),
+            sample_state(2, BURES, sampling.stream(12)),
         )
 
     def test_matches_per_state_formula(self):
         """Bitwise equal to A A† / Tr(A A†), A = (I + U)G, hermitized as (W + W†)/2."""
         for m in (1, 2, 3):
             d, rng = 2**m, sampling.stream(14, m)
-            g = sampling.ginibre(d, rng)
-            q, r = np.linalg.qr(sampling.ginibre(d, rng))
+            g = ginibre(d, rng)
+            q, r = np.linalg.qr(ginibre(d, rng))
             u = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
             a = (np.eye(d) + u) @ g
             w = a @ a.conj().T
             w = w / np.trace(w).real
             expected = (w + w.conj().T) / 2
-            got = sampling.sample_state(m, BURES, sampling.stream(14, m))
+            got = sampling.sample_streams(m, BURES, 14, m, m + 1, 1)[0, 0]
             assert got.tobytes() == expected.tobytes()
 
     def test_mean_pair_fidelity_single_qubit(self):
         """10^4 independent pairs reproduce the 0.590 reference value."""
-        fids = np.empty(10000)
-        for i in range(10000):
-            rng = sampling.stream(202, i)
-            fids[i] = qcore.fidelity(sampling.sample_state(1, BURES, rng),
-                                     sampling.sample_state(1, BURES, rng))
+        fids = qcore.fidelity(*sampling.sample_streams(1, BURES, 202, 0, 10000, 2))
         assert fids.mean() == pytest.approx(0.590, abs=0.01)
 
 
@@ -202,7 +191,7 @@ class TestEnsembles:
         """Row i of the stacked sampler is sample_state on stream(seed, i), bit for bit."""
         states = sampling.sample_streams(m, measure, 17, 0, 40, 1)[0]
         for i, rho in enumerate(states):
-            expected = sampling.sample_state(m, measure, sampling.stream(17, i))
+            expected = sample_state(m, measure, sampling.stream(17, i))
             assert rho.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("measure", sampling.MEASURES)
@@ -213,7 +202,7 @@ class TestEnsembles:
         for j in range(20):
             rng = sampling.stream(8, 5 + j)
             for s in range(2):
-                assert pairs[s, j].tobytes() == sampling.sample_state(2, measure, rng).tobytes()
+                assert pairs[s, j].tobytes() == sample_state(2, measure, rng).tobytes()
 
     @pytest.mark.parametrize("measure", sampling.MEASURES)
     def test_rekeyed_rows_equal_fresh_streams_at_high_indices(self, measure):
@@ -223,7 +212,7 @@ class TestEnsembles:
         for j in range(4):
             rng = sampling.stream(23, start + j)
             for s in range(2):
-                assert pairs[s, j].tobytes() == sampling.sample_state(4, measure, rng).tobytes()
+                assert pairs[s, j].tobytes() == sample_state(4, measure, rng).tobytes()
 
 
 def zero_draws(monkeypatch, index=None):
@@ -256,39 +245,10 @@ def zero_draws(monkeypatch, index=None):
                         lambda seed, index=0: ZeroingGenerator(original(seed, index)))
 
 
-def states_after_first_draw(m, measure, rng, count):
-    """The states ``rng`` yields once the draws of its first state are skipped."""
-    for _ in range(1 if measure == sampling.MEASURE_HS else 2):
-        sampling.ginibre(2**m, rng)
-    return [sampling.sample_state(m, measure, rng) for _ in range(count)]
-
-
-class TestZeroTraceRetry:
+class TestZeroTrace:
+    @pytest.mark.parametrize("per_stream", [1, 2])
     @pytest.mark.parametrize("measure", sampling.MEASURES)
-    def test_batch_of_one_redraws_once(self, monkeypatch, measure):
-        expected = states_after_first_draw(2, measure, sampling.stream(30, 0), 1)[0]
-        zero_draws(monkeypatch, index=0)
-        rho = sampling.sample_state(2, measure, sampling.stream(30, 0))
-        assert rho.tobytes() == expected.tobytes()
-
-    @pytest.mark.parametrize("measure", sampling.MEASURES)
-    def test_stacked_sampler_replays_the_degenerate_stream(self, monkeypatch, measure):
-        clean = sampling.sample_streams(2, measure, 31, 0, 5, 2)
-        replayed = states_after_first_draw(2, measure, sampling.stream(31, 2), 2)
+    def test_draw_raises_naming_its_stream(self, monkeypatch, measure, per_stream):
         zero_draws(monkeypatch, index=2)
-        states = sampling.sample_streams(2, measure, 31, 0, 5, 1)[0]
-        pairs = sampling.sample_streams(2, measure, 31, 1, 5, 2)
-        for j in (0, 1, 3, 4):
-            assert states[j].tobytes() == clean[0, j].tobytes()
-        for j in (1, 3, 4):
-            assert pairs[:, j - 1].tobytes() == clean[:, j].tobytes()
-        assert states[2].tobytes() == replayed[0].tobytes()
-        assert pairs[0, 1].tobytes() == replayed[0].tobytes()
-        assert pairs[1, 1].tobytes() == replayed[1].tobytes()
-
-    def test_second_zero_trace_draw_raises(self, monkeypatch):
-        zero_draws(monkeypatch)
-        with pytest.raises(ArithmeticError, match="zero-trace"):
-            sampling.sample_state(2, sampling.MEASURE_HS, sampling.stream(32))
-        with pytest.raises(ArithmeticError, match="zero-trace"):
-            sampling.sample_streams(2, sampling.MEASURE_HS, 32, 0, 3, 1)[0]
+        with pytest.raises(ArithmeticError, match="zero-trace draw in stream 2$"):
+            sampling.sample_streams(2, measure, 31, 0, 5, per_stream)

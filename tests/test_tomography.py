@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from oracles import joint_index, linear_inversion
+from oracles import joint_index, linear_inversion, sample_state
 from qstkit import qcore, sampling, tomography
 
 HS = sampling.MEASURE_HS
@@ -80,7 +80,7 @@ class TestMeasure:
 
     def test_matches_kronecker_projector_oracle(self):
         """Contraction path equals explicit joint projectors and traces."""
-        rho = sampling.sample_state(2, HS, sampling.stream(301))
+        rho = sample_state(2, HS, sampling.stream(301))
         got = tomography.measure(rho)
         projs = tomography.pauli6_projectors()
         for s0 in range(6):
@@ -90,7 +90,7 @@ class TestMeasure:
                 assert abs(got[joint_index((s0, s1))] - want) <= 1e-13
 
     def test_per_axis_normalization(self):
-        rho = sampling.sample_state(3, HS, sampling.stream(302))
+        rho = sample_state(3, HS, sampling.stream(302))
         v = tomography.measure(rho)
         for axes in itertools.product(range(3), repeat=3):
             total = sum(
@@ -102,8 +102,8 @@ class TestMeasure:
     def test_product_states_factorize(self):
         """Joint measurements of product states are products of marginals."""
         rng = sampling.stream(303)
-        rho = sampling.sample_state(1, HS, rng)
-        sigma = sampling.sample_state(1, HS, rng)
+        rho = sample_state(1, HS, rng)
+        sigma = sample_state(1, HS, rng)
         joint = tomography.measure(np.kron(rho, sigma))
         np.testing.assert_allclose(
             joint, np.outer(tomography.measure(rho), tomography.measure(sigma)).ravel(),
@@ -112,8 +112,8 @@ class TestMeasure:
 
     def test_linearity(self):
         rng = sampling.stream(304)
-        rho = sampling.sample_state(2, HS, rng)
-        sigma = sampling.sample_state(2, HS, rng)
+        rho = sample_state(2, HS, rng)
+        sigma = sample_state(2, HS, rng)
         lam = 0.3
         mixed = lam * rho + (1 - lam) * sigma
         np.testing.assert_allclose(
@@ -127,7 +127,7 @@ class TestMeasure:
         rng = sampling.stream(305)
         for m in (1, 2, 3, 4):
             for _ in range(5):
-                rho = sampling.sample_state(m, HS, rng)
+                rho = sample_state(m, HS, rng)
                 assert np.abs(linear_inversion(tomography.measure(rho)) - rho).max() <= 1e-12
 
 

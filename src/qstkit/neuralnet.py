@@ -2,11 +2,14 @@
 
 Architecture (valid boundaries, stride 1, all double precision):
 
-    input grid -> conv 2x2 (25 filters, ReLU) -> maxpool 2x2 (stride 2, floor)
+    input grid -> conv 2x2 (25 filters) -> maxpool 2x2 (stride 2, floor) -> ReLU
                -> conv 2x2 (25 filters, ReLU) -> flatten
                -> dense (512, ReLU) -> dense (256, ReLU)
                -> inverted dropout (rate 0.5, training only)
                -> linear output of 4**m tau coefficients
+
+Pooling before conv1's ReLU leaves the ReLU a quarter of the elements and changes
+nothing: a monotone ReLU commutes with the max, and routes the gradient to the same tap.
 
 A 6**m measurement vector is laid out row-major on a 6**ceil(m/2) by
 6**floor(m/2) grid (m=2: 6x6, m=3: 36x6, m=4: 36x36). m=1 is rejected: the
@@ -143,11 +146,11 @@ class Conv2D:
 
 class ReLU:
     def forward(self, x, train=False, rng=None):
-        self.mask = x > 0
-        return x * self.mask
+        self.out = np.maximum(x, 0.0)
+        return self.out
 
     def backward(self, dout):
-        return dout * self.mask
+        return dout * (self.out > 0)
 
 
 class MaxPool2D:
@@ -171,6 +174,9 @@ class MaxPool2D:
         out = taps[0].copy(order="K")
         for tap in taps[1:]:
             np.maximum(out, tap, out=out)
+        self.masks = None
+        if not train:  # only a training forward is followed by a backward pass
+            return out
         self.in_shape = x.shape
         # One mask per tap marking each window's first maximum in row-major
         # order, the one argmax picks; the backward pass routes dout through it.
@@ -269,8 +275,8 @@ class Network:
         d1, d2 = config.dense_widths
         layers = [
             Conv2D(1, f, KERNEL, rng),
-            ReLU(),
             MaxPool2D(POOL),
+            ReLU(),
             Conv2D(f, f, KERNEL, rng),
             ReLU(),
             Flatten(),
@@ -347,17 +353,27 @@ def compute_gradients(net: Network, grids, targets, rng) -> tuple[float, list[np
 
 
 class Adagrad:
-    """accumulator += g**2; parameter -= lr * g / (sqrt(accumulator) + 1e-8)."""
+    """accumulator += g**2; parameter -= lr * g / (sqrt(accumulator) + 1e-8).
+
+    Each step writes its temporaries into two scratch buffers the size of the
+    largest parameter, shared by all of them (two per parameter ran no faster
+    and took more memory).
+    """
 
     def __init__(self, params: list[np.ndarray], learning_rate: float):
         self.params = list(params)
         self.learning_rate = learning_rate
         self.accumulators = [np.zeros_like(p) for p in self.params]
+        size = max(p.size for p in self.params)
+        self._scratch = (np.empty(size), np.empty(size))
 
     def step(self, grads: list[np.ndarray]) -> None:
         for p, g, a in zip(self.params, grads, self.accumulators, strict=True):
-            a += g * g
-            p -= self.learning_rate * g / (np.sqrt(a) + _ADAGRAD_EPS)
+            num, den = (buf[: p.size].reshape(p.shape) for buf in self._scratch)
+            a += np.multiply(g, g, out=num)
+            np.add(np.sqrt(a, out=den), _ADAGRAD_EPS, out=den)
+            np.multiply(self.learning_rate, g, out=num)
+            p -= np.divide(num, den, out=num)
 
 
 @dataclass

@@ -16,7 +16,9 @@ the network checkpoint are the binary containers framed by ``write_container``.
 A dataset header embeds the setting order tag, sampling measure and master
 seed alongside the record count, so a file fully determines how it was
 produced and how to interpret the payload. ``read_dataset`` rejects an
-all-zero tau target, which defines no state.
+all-zero tau target, which defines no state, and measurements that are not
+probabilities: an entry outside [0, 1], or a basis whose outcomes do not sum
+to 1 within 1e-9.
 """
 
 from __future__ import annotations
@@ -43,6 +45,10 @@ _FRAME = struct.Struct("<8sI")
 # num_qubits, measure tag, setting-order tag, count, seed
 _HEADER = struct.Struct("<I16s16sQQ")
 _STATES_HEADER = struct.Struct("<IQ")  # n, count
+
+# Largest accepted deviation of a basis's outcome sum from 1; exact rows stay
+# within about 1.3e-15 up to m=4.
+_SUM_TOLERANCE = 1e-9
 
 
 class FormatError(Exception):
@@ -196,6 +202,14 @@ def read_dataset(path) -> Dataset:
     records = payload_array(path, payload, "<f8", (count, 6**m + 4**m))
     if (zero := np.flatnonzero(~records[:, 6**m :].any(axis=1))).size:
         raise FormatError(f"{path}: tau target of record {zero[0]} is all zero")
+    meas = records[:, : 6**m]
+    if (bad := np.flatnonzero(((meas < 0.0) | (meas > 1.0)).any(axis=1))).size:
+        raise FormatError(f"{path}: measurement of record {bad[0]} lies outside [0, 1]")
+    # Setting s_q = 2 * basis + outcome on each qubit: sum every outcome axis.
+    sums = meas.reshape((count,) + (3, 2) * m).sum(axis=tuple(range(2, 2 * m + 1, 2)))
+    off = np.abs(sums - 1.0).reshape(count, -1).max(axis=1) > _SUM_TOLERANCE
+    if (bad := np.flatnonzero(off)).size:
+        raise FormatError(f"{path}: outcomes of record {bad[0]} do not sum to 1 in every basis")
     return Dataset(
         num_qubits=m,
         measure=measure_tag,

@@ -23,13 +23,14 @@ def run(*argv):
     return cli.main([str(a) for a in argv])
 
 
-def run_module(*argv, flags=()):
-    """``python [flags] -m qstkit argv`` in a child process, with this package on its path."""
+def run_module(*argv, flags=(), cwd=None, env=None):
+    """``python [flags] -m qstkit argv`` in a child process in ``cwd``, with this package
+    on its path and the variables of ``env`` set."""
     src = str(Path(qstkit.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, **(env or {}), PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     return subprocess.run([sys.executable, *flags, "-m", "qstkit", *map(str, argv)],
-                          capture_output=True, text=True, env=env, timeout=300)
+                          capture_output=True, text=True, env=env, cwd=cwd, timeout=300)
 
 
 def read_csv(path):
@@ -177,6 +178,28 @@ class TestTrain:
                (tmp_path / "resume2" / "checkpoint.qstck").read_bytes()
         assert (tmp_path / "resume1" / "history.csv").read_bytes() == \
                (tmp_path / "resume2" / "history.csv").read_bytes()
+
+    def test_deterministic_under_two_blas_threads(self, tmp_path):
+        """Two m=3 runs under OPENBLAS_NUM_THREADS=2 write the same files, byte for byte.
+
+        The contract names the BLAS thread count, since the dense layers' GEMMs
+        sum in another order under another count; a fixed count repeats exactly.
+        """
+        assert run("generate", "--out", tmp_path / "d.qst", "--m", 3, "--count", 400,
+                   "--seed", 4) == 0
+        runs = [tmp_path / name for name in ("r1", "r2")]
+        for root in runs:
+            root.mkdir()
+            proc = run_module("train", "--dataset", Path("..", "d.qst"), "--out-dir", "run",
+                              "--val-count", 100, "--epochs", 2, "--seed", 5, cwd=root,
+                              env={"OPENBLAS_NUM_THREADS": "2"})
+            assert proc.returncode == 0, proc.stderr
+        files = sorted(p.name for p in (runs[0] / "run").iterdir())
+        assert files == sorted(p.name for p in (runs[1] / "run").iterdir())
+        assert "checkpoint.qstck" in files
+        for name in files:
+            assert (runs[0] / "run" / name).read_bytes() == \
+                   (runs[1] / "run" / name).read_bytes(), name
 
     def test_mismatched_checkpoint_rejected(self, tmp_path, trained):
         _, checkpoint = trained
@@ -408,7 +431,8 @@ BAD_CHECKPOINT_HEADERS = {
     "checkpoint-m-12": (12, "<I", 12),
 }
 CORRUPTIONS = ("garbage", "truncated", "zero-records", "nan-measurement", "inf-tau",
-               "zero-tau", "unknown-measure", "nan-checkpoint", *BAD_CHECKPOINT_HEADERS)
+               "zero-tau", "unknown-measure", "measurement-7", "scaled-row", "nan-checkpoint",
+               *BAD_CHECKPOINT_HEADERS)
 
 
 def corrupt(kind, data, checkpoint, tmp_path):
@@ -440,6 +464,10 @@ def corrupt(kind, data, checkpoint, tmp_path):
             ds.taus[3, 2] = np.inf
         elif kind == "zero-tau":  # a target that defines no state
             ds.taus[7] = 0.0
+        elif kind == "measurement-7":  # no probability
+            ds.measurements[2, 9] = 7.0
+        elif kind == "scaled-row":  # each basis sums to 3
+            ds.measurements[4] *= 3.0
         else:
             ds.measure = "garbage"
         tomography.write_dataset(bad, ds)

@@ -86,7 +86,7 @@ class TestForward:
     def test_pool_floor_discards_trailing_row(self):
         x = np.arange(15.0).reshape(1, 1, 5, 3)
         pool = neuralnet.MaxPool2D(2)
-        out = pool.forward(x)
+        out = pool.forward(x, train=True)
         np.testing.assert_array_equal(out[0, 0], [[4.0], [10.0]])
         dx = pool.backward(np.array([[[[2.0], [3.0]]]]))
         want = np.zeros((5, 3))
@@ -154,21 +154,72 @@ class TestKernels:
         """Windows [[1, 3], [3, 0]] and all-zero (dead ReLU) ties."""
         x = np.array([[[[1.0, 3.0, 0.0, 0.0], [3.0, 0.0, 0.0, 0.0]]]])
         pool = neuralnet.MaxPool2D(2)
-        np.testing.assert_array_equal(pool.forward(x), [[[[3.0, 0.0]]]])
+        np.testing.assert_array_equal(pool.forward(x, train=True), [[[[3.0, 0.0]]]])
         dx = pool.backward(np.array([[[[5.0, 7.0]]]]))
         np.testing.assert_array_equal(dx, [[[[0.0, 5.0, 7.0, 0.0], [0.0, 0.0, 0.0, 0.0]]]])
 
     @pytest.mark.parametrize("size, shape", [(2, (5, 3)), (2, (36, 6)), (3, (7, 8))])
     def test_pool_matches_loop_oracle(self, size, shape):
         rng = sampling.stream(530 + size)
-        # Rounded non-negative values: many ties, as after a ReLU.
-        x = np.maximum(np.round(rng.standard_normal((2, 3) + shape), 1), 0.0)
-        pool = neuralnet.MaxPool2D(size)
-        out = pool.forward(x)
-        dout = rng.standard_normal(out.shape)
-        want_out, want_dx = pool_oracle(x, size, dout)
-        np.testing.assert_array_equal(out, want_out)
-        np.testing.assert_array_equal(pool.backward(dout), want_dx)
+        # Rounded values give many ties: non-negative as after a ReLU, and
+        # signed, with negative ties, as the conv output the network pools.
+        signed = np.round(rng.standard_normal((2, 3) + shape), 1)
+        for x in (np.maximum(signed, 0.0), signed):
+            pool = neuralnet.MaxPool2D(size)
+            out = pool.forward(x, train=True)
+            dout = rng.standard_normal(out.shape)
+            want_out, want_dx = pool_oracle(x, size, dout)
+            np.testing.assert_array_equal(out, want_out)
+            np.testing.assert_array_equal(pool.backward(dout), want_dx)
+
+
+class OldReLU:
+    """The ReLU form the network used before pooling moved ahead of conv1's ReLU."""
+
+    def forward(self, x, train=False, rng=None):
+        self.mask = x > 0
+        return x * self.mask
+
+    def backward(self, dout):
+        return dout * self.mask
+
+
+class TestLayerOrder:
+    def test_pool_then_relu_matches_relu_then_pool(self):
+        """conv -> pool -> ReLU gives the output and gradients of conv -> ReLU -> pool.
+
+        Rounded inputs and half-integer conv1 weights give conv1 maps with
+        exact ties, negative ones included; the reference network shares the
+        parameters of ``Network.build``'s, with every ReLU in the old form.
+        """
+        cfg, net = tiny_net()
+        rng = sampling.stream(540)
+        conv1, pool, relu, *rest = net.layers
+        assert (type(conv1), type(pool), type(relu)) == (
+            neuralnet.Conv2D, neuralnet.MaxPool2D, neuralnet.ReLU)
+        conv1.w[...] = np.round(2 * conv1.w) / 2
+        conv1.b[...] = [-0.5, 0.5]
+        old = neuralnet.Network(cfg, [conv1, OldReLU(), pool] + [
+            OldReLU() if isinstance(layer, neuralnet.ReLU) else layer for layer in rest])
+        grids = np.round(rng.standard_normal((6, 1, 6, 6)))
+        targets = rng.standard_normal((6, 16))
+        maps = conv1.forward(grids)
+        assert (maps < 0).any() and (maps > 0).any()
+        taps = np.stack(pool._taps(maps))
+        top = taps.max(axis=0)
+        assert ((taps == top).sum(axis=0)[top < 0] > 1).any()  # a window with a negative tie
+
+        results = []
+        for network in (net, old):
+            out = network.forward(grids, train=True, rng=sampling.stream(41))
+            value, grads = neuralnet.compute_gradients(network, grids, targets,
+                                                       sampling.stream(41))
+            results.append((out, value, [g.copy() for g in grads]))
+        (out, value, grads), (old_out, old_value, old_grads) = results
+        np.testing.assert_array_equal(out, old_out)
+        assert value == old_value
+        for g, old_g in zip(grads, old_grads, strict=True):
+            np.testing.assert_array_equal(g, old_g)
 
 
 class TestLoss:
@@ -279,6 +330,23 @@ class TestAdagrad:
             opt.step([rng.standard_normal(8)])
             assert np.all(opt.accumulators[0] >= prev)
             prev = opt.accumulators[0].copy()
+
+    def test_scratch_buffers_match_plain_formula(self):
+        """50 steps on several shapes equal a += g*g; p -= lr*g/(sqrt(a)+1e-8) bit for bit."""
+        rng = sampling.stream(512)
+        shapes = [(3, 1, 2, 2), (3,), (17, 5), (5,)]
+        params = [rng.standard_normal(shape) for shape in shapes]
+        want = [p.copy() for p in params]
+        want_acc = [np.zeros_like(p) for p in params]
+        opt = neuralnet.Adagrad(params, 0.01)
+        for _ in range(50):
+            grads = [rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 2) for shape in shapes]
+            opt.step(grads)
+            for p, g, a in zip(want, grads, want_acc):
+                a += g * g
+                p -= 0.01 * g / (np.sqrt(a) + 1e-8)
+        for got, ref in zip(params + opt.accumulators, want + want_acc, strict=True):
+            np.testing.assert_array_equal(got, ref)
 
 
 class TestTraining:

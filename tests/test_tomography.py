@@ -151,10 +151,8 @@ class TestSampleDataset:
 
 class TestDatasetFormat:
     def _dataset(self, m=2, count=5, seed=7):
-        rng_meas = sampling.stream(seed)
-        meas = rng_meas.random((count, 6**m))
-        taus = rng_meas.standard_normal((count, 4**m))
-        return tomography.Dataset(m, sampling.MEASURE_HS, seed, meas, taus)
+        ds = tomography.sample_dataset(m, sampling.MEASURE_HS, max(count, 1), seed)[1]
+        return tomography.Dataset(m, ds.measure, seed, ds.measurements[:count], ds.taus[:count])
 
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "data.qst"
@@ -206,6 +204,25 @@ class TestDatasetFormat:
         path.write_bytes(bytes(raw))
         with pytest.raises(tomography.FormatError, match="version"):
             tomography.read_dataset(path)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("scale, shift, error", [
+        (1.0, -2.0, r"outside \[0, 1\]"),  # one entry below zero
+        (0.5, 0.0, "sum to 1"),  # a row at half weight
+        (1.0, 1e-8, "sum to 1"),  # one outcome 1e-8 too likely
+        (1.0, 1e-12, None),  # within the tolerance
+    ])
+    def test_rows_must_be_probabilities(self, tmp_path, m, scale, shift, error):
+        path = tmp_path / "rows.qst"
+        ds = self._dataset(m=m)
+        ds.measurements[3] *= scale
+        ds.measurements[3, -1] += shift
+        tomography.write_dataset(path, ds)
+        if error is None:
+            tomography.read_dataset(path)
+        else:
+            with pytest.raises(tomography.FormatError, match=f"record 3 .*{error}"):
+                tomography.read_dataset(path)
 
     def test_little_endian_layout(self, tmp_path):
         """Header <8sII16s16sQQ {magic, version, m, measure, setting order, count, seed},

@@ -206,7 +206,7 @@ def _experiment_fig3(args) -> tuple[list, list]:
         states, ds = tomography.sample_dataset(n, args.measure, args.test_count, seed)
         ensembles[n] = (states, ds.measurements)
     baselines = []
-    if args.pairs > 0:  # first, so a --pairs the estimates reject costs no reconstruction
+    if args.pairs != 0:  # first, so a --pairs the estimates reject costs no reconstruction
         seed = sampling.sub_seed(args.seed, "fig3-baseline")
         baselines = adapt.baseline_curves(args.measure, args.pairs,
                                           {n: (seed, seed) for n in ensembles})
@@ -216,6 +216,8 @@ def _experiment_fig3(args) -> tuple[list, list]:
 
 def _experiment_baselines(args) -> tuple[None, list]:
     measure, seed = args.measure, args.seed
+    if len(set(args.dims)) != len(args.dims):
+        raise UsageError(f"--dims {','.join(map(str, args.dims))} repeats a dimension")
     seeds = {qubit_count(dim, 2): (sampling.sub_seed(seed, f"baseline-pair-{measure}-{dim}"),
                                    sampling.sub_seed(seed, f"baseline-mixed-{measure}-{dim}"))
              for dim in args.dims}

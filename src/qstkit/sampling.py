@@ -9,9 +9,11 @@ independent streams. Stream i's draws are those of Philox keyed ``(seed, i)``
 at counter 0. ``sample_streams``, the library's one sampler, draws the states
 of stream i from exactly those draws, so the output does not depend on how
 the index range is split into chunks. It rekeys one generator to each stream
-in turn rather than build one per stream, with the same bytes. It checks the
-measure; the qubit-count and count limits of a dataset, and its physicality,
-are checked by ``tomography.sample_dataset``.
+in turn, through one reused state dict and the public Philox state setter,
+rather than build one per stream, and copies the normals of a block of
+streams into the complex stack at once, with the bytes of sampling each
+stream alone. It checks the measure; the qubit-count and count limits of a
+dataset, and its physicality, are checked by ``tomography.sample_dataset``.
 
 ``sub_seed(seed, *labels)`` derives further 64-bit seeds from string labels
 via SHA-256 for coarser partitioning (train/validation/test roles and the
@@ -35,6 +37,11 @@ _MASK64 = (1 << 64) - 1
 
 # A Gram trace at or below this is a degenerate draw, of probability zero.
 _ZERO_TRACE_TOL = 1e-300
+
+# Streams whose normals are drawn into one real block before they join the complex
+# stack: two copies per block, not per stream, and a buffer of 0.5 MB for m=3 pairs
+# (a buffer for the whole range raised the peak memory of dataset generation).
+_BLOCK = 256
 
 
 def stream(seed: int, index: int = 0) -> np.random.Generator:
@@ -63,22 +70,24 @@ def _haar(z: np.ndarray) -> np.ndarray:
     return q * (diag / np.abs(diag))[..., None, :]
 
 
-def _rekey(bit_generator: np.random.Philox, seed: int, index: int) -> None:
-    """Set ``bit_generator`` to the state of a fresh ``stream(seed, index)``.
+def _rekeyer(bit_generator: np.random.Philox, seed: int):
+    """A function that sets ``bit_generator`` to the state of a fresh ``stream(seed, index)``.
 
     Same key, counter 0 and an empty buffer, so the draws that follow are the
-    fresh stream's; cheaper than building a new Philox, which gathers OS
-    entropy for a seed it then ignores.
+    fresh stream's. The state dict, of plain ints, is built once; each call sets
+    only the index word of its key and hands the same dict to the public setter,
+    much cheaper than building a new Philox, which gathers OS entropy for a seed
+    it then ignores.
     """
-    bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64),
-                  "key": np.array([seed & _MASK64, index & _MASK64], dtype=np.uint64)},
-        "buffer": np.zeros(4, dtype=np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+    key = [seed & _MASK64, 0]
+    state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+    def rekey(index: int) -> None:
+        key[1] = index & _MASK64
+        bit_generator.state = state
+
+    return rekey
 
 
 def sample_streams(m: int, measure: str, seed: int, start: int, stop: int,
@@ -90,29 +99,34 @@ def sample_streams(m: int, measure: str, seed: int, start: int, stop: int,
     comes from; each draw is 2·d² normals, the real block and then the
     imaginary one, divided by √2. Hilbert-Schmidt: W = GG†. Bures: W = AA†
     with A = (I + U)G. The state is (W/Tr W + (W/Tr W)†)/2. One generator is
-    rekeyed to each stream in turn and makes all of the stream's normals in
-    one call; the QR, Gram product and normalization run once on the stack. A
-    zero-trace draw, of probability zero, raises ArithmeticError.
+    rekeyed to each stream in turn (one state dict, reused, whose key's index
+    word is set per stream) and makes all of the stream's normals in one call,
+    into a real block of ``_BLOCK`` streams; each full block goes into the
+    complex stack by one real-part and one imaginary-part copy. The QR, Gram
+    product and normalization run once on the stack. The bytes do not depend on
+    the block. A zero-trace draw, of probability zero, raises ArithmeticError.
     """
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}; expected one of {MEASURES}")
-    draws, d = 1 if measure == MEASURE_HS else 2, 2**m
-    z = np.empty((per_stream, stop - start, draws, d, d), dtype=complex)
-    z_re, z_im = z.real, z.imag
-    normals = np.empty((per_stream, draws, 2, d, d))
+    draws, d, n = 1 if measure == MEASURE_HS else 2, 2**m, stop - start
+    z = np.empty((per_stream, n, draws, d, d), dtype=complex)
+    normals = np.empty((min(_BLOCK, n), per_stream, draws, 2, d, d))
     rng = stream(seed, start)
-    for j in range(stop - start):
-        _rekey(rng.bit_generator, seed, start + j)
-        rng.standard_normal(out=normals)
-        z_re[:, j] = normals[:, :, 0]
-        z_im[:, j] = normals[:, :, 1]
+    rekey = _rekeyer(rng.bit_generator, seed)
+    for b in range(0, n, _BLOCK):
+        block = normals[:n - b]
+        for j, out in enumerate(block):
+            rekey(start + b + j)
+            rng.standard_normal(out=out)
+        z.real[:, b:b + len(block)] = block[:, :, :, 0].swapaxes(0, 1)
+        z.imag[:, b:b + len(block)] = block[:, :, :, 1].swapaxes(0, 1)
     z /= np.sqrt(2.0)  # as the complex division (re + i·im)/√2, bit for bit
     a = z[:, :, 0]
     if draws == 2:
         a = (np.eye(d) + _haar(z[:, :, 1])) @ a
     w = a @ a.conj().swapaxes(-1, -2)
     t = np.trace(w, axis1=-2, axis2=-1).real
-    del z, z_re, z_im, a
+    del z, a
     bad = np.flatnonzero(~np.all(t > _ZERO_TRACE_TOL, axis=0))
     if bad.size:
         raise ArithmeticError(f"degenerate zero-trace draw in stream {start + int(bad[0])}")

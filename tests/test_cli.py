@@ -349,7 +349,9 @@ class TestExperiments:
             assert len(rows) == 1 + len(modes)
             assert len(read_csv(out_dir / "records.csv")) == 1 + 2 * 5 * 2
 
-    def test_fig3_checks_pairs_before_reconstructing(self, trained, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("pairs", [50, -5])
+    def test_fig3_checks_pairs_before_reconstructing(self, trained, tmp_path, monkeypatch,
+                                                     pairs):
         """A --pairs the Monte Carlo estimates reject fails before any reconstruction."""
         _, checkpoint = trained
 
@@ -359,7 +361,7 @@ class TestExperiments:
         monkeypatch.setattr(adapt, "padding_experiment", padding_experiment)
         out_dir = tmp_path / "fig3"
         assert run("experiment", "--name", "fig3", "--checkpoint", checkpoint,
-                   "--pairs", 50, "--out-dir", out_dir) == cli.EXIT_USAGE
+                   "--pairs", pairs, "--out-dir", out_dir) == cli.EXIT_USAGE
         assert not (out_dir / "records.csv").exists()
 
     def test_summary_rows_agree_with_records(self, trained, tmp_path):
@@ -497,6 +499,54 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("data error: ")
         assert not (tmp_path / "x").exists()
 
+    def test_seeded_mutations_get_a_data_exit_code(self, tmp_path, capsys):
+        """100 seeded mutations of a tiny m=2 dataset or checkpoint, each reconstructed.
+
+        A mutation flips a bit anywhere or in the first 120 bytes, truncates the
+        file, or appends zeros. Every run exits 0, 2 or 3 with at most one stderr
+        line and no traceback, and exits 2 exactly when a reader rejects the
+        mutated file as malformed.
+        """
+        data, run_dir = tmp_path / "d.qst", tmp_path / "run"
+        assert run("generate", "--out", data, "--m", 2, "--count", 30, "--seed", 4) == 0
+        assert run("train", "--dataset", data, "--filters", 2, "--dense-widths", "8,8",
+                   "--val-count", 10, "--epochs", 1, "--out-dir", run_dir) == 0
+        originals = {"d.qst": data.read_bytes(),
+                     "c.qstck": (run_dir / "checkpoint.qstck").read_bytes()}
+        rng = np.random.default_rng(0)
+        codes = []
+        for i in range(100):
+            target = rng.choice(list(originals))
+            raw = bytearray(originals[target])
+            kind = rng.integers(4)
+            if kind < 2:  # a bit flip anywhere, or in the first 120 bytes
+                bit = rng.integers(8 * (len(raw) if kind == 0 else 120))
+                raw[bit // 8] ^= 1 << (bit % 8)
+            elif kind == 2:
+                raw = raw[: rng.integers(len(raw))]
+            else:
+                raw += bytes(int(rng.integers(1, 64)))
+            case = tmp_path / f"m{i}"
+            case.mkdir()
+            for name, original in originals.items():
+                (case / name).write_bytes(raw if name == target else original)
+            capsys.readouterr()
+            code = run("reconstruct", "--checkpoint", case / "c.qstck",
+                       "--input", case / "d.qst", "--out-dir", case / "out")
+            err = capsys.readouterr().err
+            assert code in (cli.EXIT_OK, cli.EXIT_DATA, cli.EXIT_NUMERICAL), (i, err)
+            assert len(err.splitlines()) <= 1 and "Traceback" not in err, i
+            malformed = False
+            for read, name in ((tomography.read_dataset, "d.qst"),
+                               (neuralnet.load_checkpoint, "c.qstck")):
+                try:
+                    read(case / name)
+                except tomography.FormatError:
+                    malformed = True
+            assert (code == cli.EXIT_DATA) == malformed, (i, code, err)
+            codes.append(code)
+        assert {cli.EXIT_OK, cli.EXIT_DATA} <= set(codes)  # both outcomes are exercised
+
     def test_all_zero_checkpoint_is_numerical_error(self, trained, tmp_path, capsys):
         """Zero weights give all-zero taus, which define no state."""
         root, _ = trained
@@ -604,7 +654,8 @@ class TestExitCodes:
         assert "usage: qstkit" in proc.stdout
 
     @pytest.mark.parametrize("case", ["linalg-error", "missing-dataset", "missing-checkpoint",
-                                      "out-under-a-file", "config-without-section"])
+                                      "out-under-a-file", "config-without-section",
+                                      "repeated-dims"])
     def test_failures_get_their_exit_code(self, trained, tmp_path, capsys, monkeypatch, case):
         root, checkpoint = trained
         data, regular = root / "train.qst", tmp_path / "regular"
@@ -621,6 +672,8 @@ class TestExitCodes:
                                  "regular"),
             "config-without-section": (["generate", "--config", regular, "--out",
                                         tmp_path / "d.qst"], cli.EXIT_USAGE, "section"),
+            "repeated-dims": (["baselines", "--dims", "2,2", "--pairs", 100,
+                               "--out-dir", tmp_path / "x"], cli.EXIT_USAGE, "repeats"),
         }[case]
         if case == "linalg-error":
             def eigh(*_):

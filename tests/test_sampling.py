@@ -27,7 +27,7 @@ class TestStreams:
     def test_rekeyed_state_is_the_fresh_stream_state(self, seed, index):
         rng = sampling.stream(99, 5)
         rng.standard_normal(7)  # a used state: counter and buffer both moved
-        sampling._rekey(rng.bit_generator, seed, index)
+        sampling._rekeyer(rng.bit_generator, seed)(index)
         fresh = sampling.stream(seed, index)
         # The repr shows every field, array values and dtypes alike.
         assert repr(rng.bit_generator.state) == repr(fresh.bit_generator.state)
@@ -179,11 +179,17 @@ class TestEnsembles:
         np.testing.assert_array_equal(a, b)
 
     def test_states_independent_of_chunking(self):
-        """State i depends only on (seed, i), not on how the range is split."""
-        full = sampling.sample_streams(1, sampling.MEASURE_HS, 3, 0, 10, 1)[0]
-        lo = sampling.sample_streams(1, sampling.MEASURE_HS, 3, 0, 4, 1)[0]
-        hi = sampling.sample_streams(1, sampling.MEASURE_HS, 3, 4, 10, 1)[0]
-        np.testing.assert_array_equal(full, np.concatenate([lo, hi]))
+        """State i depends only on (seed, i), not on how the range is split.
+
+        The second range spans two full blocks of normals and part of a third,
+        from a nonzero start, and is split off the block grid.
+        """
+        block = sampling._BLOCK
+        for start, stop, split in ((0, 10, 4), (5, 5 + 2 * block + 3, 5 + block + 37)):
+            full = sampling.sample_streams(1, sampling.MEASURE_HS, 3, start, stop, 1)[0]
+            lo = sampling.sample_streams(1, sampling.MEASURE_HS, 3, start, split, 1)[0]
+            hi = sampling.sample_streams(1, sampling.MEASURE_HS, 3, split, stop, 1)[0]
+            np.testing.assert_array_equal(full, np.concatenate([lo, hi]))
 
     @pytest.mark.parametrize("measure", sampling.MEASURES)
     @pytest.mark.parametrize("m", [1, 2, 3])
@@ -196,13 +202,14 @@ class TestEnsembles:
 
     @pytest.mark.parametrize("measure", sampling.MEASURES)
     def test_pairs_are_consecutive_draws_of_one_stream(self, measure):
-        pairs = sampling.sample_streams(2, measure, 8, 5, 25, 2)
-        assert pairs.shape == (2, 20, 4, 4)
-        assert pairs[0].flags.c_contiguous and pairs[1].flags.c_contiguous
-        for j in range(20):
-            rng = sampling.stream(8, 5 + j)
-            for s in range(2):
-                assert pairs[s, j].tobytes() == sample_state(2, measure, rng).tobytes()
+        for count in (20, sampling._BLOCK + 5):  # within one block of normals, then across
+            pairs = sampling.sample_streams(2, measure, 8, 5, 5 + count, 2)
+            assert pairs.shape == (2, count, 4, 4)
+            assert pairs[0].flags.c_contiguous and pairs[1].flags.c_contiguous
+            for j in range(count):
+                rng = sampling.stream(8, 5 + j)
+                for s in range(2):
+                    assert pairs[s, j].tobytes() == sample_state(2, measure, rng).tobytes()
 
     @pytest.mark.parametrize("measure", sampling.MEASURES)
     def test_rekeyed_rows_equal_fresh_streams_at_high_indices(self, measure):

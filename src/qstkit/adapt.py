@@ -125,8 +125,6 @@ def subsystem_experiment(
     summary per subsystem size, smallest first.
     """
     m = net.config.num_qubits
-    if qcore.num_qubits(states) != m:
-        raise ValueError(f"test states do not have {m} qubits")
     estimates = reconstruct(net, measurements, PADDING_ENGINEERED)
     levels = [qcore.fidelity(qcore.partial_trace(estimates, range(removed)),
                              qcore.partial_trace(states, range(removed)))
@@ -151,9 +149,6 @@ def padding_experiment(
     records, summaries = [], []
     for m in sorted(nets):
         net = nets[m]
-        if net.config.num_qubits != m:
-            raise ValueError(f"network registered under m={m} was trained on "
-                             f"{net.config.num_qubits} qubits")
         for n in sorted(ensembles):
             if n > m:
                 continue

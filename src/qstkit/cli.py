@@ -15,8 +15,8 @@ failed run leaves none behind. The files it reads and writes are defined in
 Reconstructions are deterministic given the checkpoint and the input file.
 Rows are forwarded through the network in chunks of the checkpoint's
 ``batch_size``, so the last bits of a row's state (about 1e-15) can depend
-on which rows share its chunk: the same row in another file, or at another
-position, may differ at that level.
+on the length of the chunk it is forwarded in, such as a short last chunk;
+the other rows in that chunk do not change them.
 
 Exit codes: 0 success, 1 usage error (bad flags or config values, unreadable or
 unwritable paths, n > m, a request too large to allocate), 2 data/format error,
@@ -127,16 +127,15 @@ def cmd_train(args) -> int:
 
     init_state = None
     if args.init_checkpoint is not None:
-        ck_net, ck_accumulators = neuralnet.load_checkpoint(args.init_checkpoint)
-        if (ck_m := ck_net.config.num_qubits) != config.num_qubits:
+        init_state = neuralnet.load_checkpoint(args.init_checkpoint)
+        if (ck_m := init_state[0].config.num_qubits) != config.num_qubits:
             raise FormatError(f"checkpoint is for m={ck_m}, dataset has m={config.num_qubits}")
-        init_state = ck_net.parameters() + ck_accumulators
 
     net, opt, history = neuralnet.train(config, tr_meas, tr_taus, va_meas, va_taus, init_state)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ck_path = out_dir / "checkpoint.qstck"
-    neuralnet.save_checkpoint(ck_path, net, opt.accumulators)
+    neuralnet.save_checkpoint(ck_path, net, opt.accumulator)
     adapt.write_csv(out_dir / "history.csv", ["epoch", "mean_loss", "val_mean_fidelity"],
                     ([epoch, f"{lo:.12e}", f"{fi:.12f}"] for epoch, (lo, fi)
                      in enumerate(zip(history.losses, history.val_fidelities), start=1)))

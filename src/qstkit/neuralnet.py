@@ -23,8 +23,10 @@ init, shuffling, dropout masks) is drawn from one Philox stream derived from
 the config seed, so a (seed, data, config) triple fully determines the run.
 ``Network.predict`` is the one inference path, forwarding rows in chunks of
 ``batch_size``; validation and ``adapt.reconstruct`` use it.
-A checkpoint holds a network and its Adagrad accumulators; ``load_checkpoint``
-builds the network once. Its header still records the fixed kernel and pool (2).
+The trainable state is three flat vectors: ``Network.params`` and ``Network.grads``,
+of which every layer's w, b and dw, db are views, and ``Adagrad.accumulator``. A
+checkpoint holds ``params`` and the accumulator; ``load_checkpoint`` builds the
+network once. Its header still records the fixed kernel and pool (2).
 """
 
 from __future__ import annotations
@@ -93,15 +95,30 @@ class NetworkConfig:
             raise ValueError(f"expected two positive dense widths, got {self.dense_widths}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError(f"dropout rate must be in [0, 1), got {self.dropout_rate}")
-        if self.learning_rate <= 0 or self.batch_size < 1 or self.max_epochs < 1:
-            raise ValueError("learning rate, batch size and max epochs must be positive")
+        if not 0 < self.learning_rate < math.inf or self.batch_size < 1 or self.max_epochs < 1:
+            raise ValueError("learning rate, batch size and max epochs must be positive and finite")
 
     @property
     def tau_width(self) -> int:
         return 4**self.num_qubits
 
 
-class Conv2D:
+class _Weighted:
+    """A layer with weights ``w``, biases ``b`` and gradients ``dw``, ``db``: its own
+    arrays, until ``bind`` makes them views of a network's flat vectors."""
+
+    def __init__(self, w: np.ndarray, b: np.ndarray):
+        self.w, self.b, self.dw, self.db = w, b, np.empty_like(w), np.empty_like(b)
+
+    def bind(self, params: np.ndarray, grads: np.ndarray, start: int) -> int:
+        """Make w, b (values already there), dw and db views from ``start`` on; returns the end."""
+        shape, mid, stop = self.w.shape, start + self.w.size, start + self.w.size + self.b.size
+        self.w, self.dw = params[start:mid].reshape(shape), grads[start:mid].reshape(shape)
+        self.b, self.db = params[mid:stop], grads[mid:stop]
+        return stop
+
+
+class Conv2D(_Weighted):
     """Valid-boundary stride-1 convolution; weights (filters, channels, k, k).
 
     Each pass is one GEMM over a sliding-window view of the input (im2col).
@@ -112,11 +129,11 @@ class Conv2D:
     def __init__(self, channels: int, filters: int, kernel: int, rng=None):
         self.kernel = kernel
         if rng is None:
-            self.w = np.zeros((filters, channels, kernel, kernel))
+            w = np.zeros((filters, channels, kernel, kernel))
         else:
             scale = np.sqrt(2.0 / (channels * kernel * kernel))
-            self.w = rng.standard_normal((filters, channels, kernel, kernel)) * scale
-        self.b = np.zeros(filters)
+            w = rng.standard_normal((filters, channels, kernel, kernel)) * scale
+        super().__init__(w, np.zeros(filters))
 
     def forward(self, x, train=False, rng=None):
         k = self.kernel
@@ -127,9 +144,9 @@ class Conv2D:
         return out.transpose(0, 3, 1, 2)  # channels-last memory, (n, f, oh, ow) shape
 
     def weight_grads(self, dout):
-        """Set dw and db, without the input gradient ``backward`` also returns."""
-        self.dw = np.tensordot(dout, self.windows, axes=([0, 2, 3], [0, 2, 3]))
-        self.db = np.einsum("nfhw->f", dout)  # twice as fast as sum() on channels-last dout
+        """Write dw and db, without the input gradient ``backward`` also returns."""
+        self.dw[...] = np.tensordot(dout, self.windows, axes=([0, 2, 3], [0, 2, 3]))
+        np.einsum("nfhw->f", dout, out=self.db)  # twice as fast as sum() on channels-last dout
 
     def backward(self, dout):
         self.weight_grads(dout)
@@ -215,7 +232,7 @@ def _orthogonal(shape: tuple[int, int], rng, gain: float) -> np.ndarray:
     return gain * q[: shape[0], : shape[1]]
 
 
-class Dense:
+class Dense(_Weighted):
     """Fully connected layer with orthogonal init.
 
     Hidden layers use gain sqrt(2) (ReLU follows); the linear output layer
@@ -225,18 +242,18 @@ class Dense:
 
     def __init__(self, n_in: int, n_out: int, rng=None, linear=False):
         if rng is None:
-            self.w = np.zeros((n_in, n_out))
+            w = np.zeros((n_in, n_out))
         else:
-            self.w = _orthogonal((n_in, n_out), rng, 1.0 if linear else np.sqrt(2.0))
-        self.b = np.zeros(n_out)
+            w = _orthogonal((n_in, n_out), rng, 1.0 if linear else np.sqrt(2.0))
+        super().__init__(w, np.zeros(n_out))
 
     def forward(self, x, train=False, rng=None):
         self.x = x
         return x @ self.w + self.b
 
     def backward(self, dout):
-        self.dw = self.x.T @ dout
-        self.db = dout.sum(axis=0)
+        np.matmul(self.x.T, dout, out=self.dw)
+        dout.sum(axis=0, out=self.db)
         return dout @ self.w.T
 
 
@@ -260,7 +277,7 @@ class Dropout:
 
 
 class Network:
-    """The layer pipeline plus parameter bookkeeping."""
+    """The layer pipeline; ``build`` also gives it ``params`` and ``grads``."""
 
     def __init__(self, config: NetworkConfig, layers: list):
         self.config = config
@@ -268,7 +285,8 @@ class Network:
 
     @classmethod
     def build(cls, config: NetworkConfig, rng=None) -> "Network":
-        """Construct the pipeline; ``rng=None`` gives zero weights (for loading)."""
+        """Construct the pipeline; ``rng=None`` gives zero weights (for loading). The layers
+        draw their weights, then move them and their gradients into ``params``/``grads``."""
         f = config.conv_filters
         # Map side after conv, pool and conv; at least 1, as every grid side is >= 6.
         h, w = ((side - KERNEL + 1) // POOL - KERNEL + 1 for side in grid_shape(config.num_qubits))
@@ -287,7 +305,16 @@ class Network:
             Dropout(config.dropout_rate),
             Dense(d2, config.tau_width, rng, linear=True),
         ]
-        return cls(config, layers)
+        net = cls(config, layers)
+        tensors = net.parameters()  # checkpoint order
+        size = sum(t.size for t in tensors)
+        net.params, net.grads, start = np.zeros(size), np.zeros(size), 0
+        if rng is not None:  # zero weights stay unwritten pages, faulted in only by a load
+            np.concatenate([t.ravel() for t in tensors], out=net.params)
+        for layer in layers:
+            if isinstance(layer, _Weighted):
+                start = layer.bind(net.params, net.grads, start)
+        return net
 
     def forward(self, grids: np.ndarray, train: bool = False, rng=None) -> np.ndarray:
         x = grids
@@ -311,26 +338,9 @@ class Network:
         first.weight_grads(dout)  # the input is data, so no input gradient
 
     def parameters(self) -> list[np.ndarray]:
-        out = []
-        for layer in self.layers:
-            if isinstance(layer, (Conv2D, Dense)):
-                out.extend([layer.w, layer.b])
-        return out
-
-    def gradients(self) -> list[np.ndarray]:
-        out = []
-        for layer in self.layers:
-            if isinstance(layer, (Conv2D, Dense)):
-                out.extend([layer.dw, layer.db])
-        return out
-
-
-def _assign(targets: list[np.ndarray], sources) -> None:
-    """Copy each of ``sources`` into the target array of the same shape, in order."""
-    for dst, src in zip(targets, sources, strict=True):
-        if dst.shape != src.shape:
-            raise ValueError(f"parameter shape mismatch: {dst.shape} vs {src.shape}")
-        dst[...] = src
+        """Each weighted layer's w then b, in checkpoint order."""
+        return [t for layer in self.layers if isinstance(layer, _Weighted)
+                for t in (layer.w, layer.b)]
 
 
 def loss(pred: np.ndarray, target: np.ndarray) -> float:
@@ -344,36 +354,31 @@ def loss_gradient(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
     return 2.0 * (pred - target) / pred.size
 
 
-def compute_gradients(net: Network, grids, targets, rng) -> tuple[float, list[np.ndarray]]:
-    """Training-mode forward/backward; returns (batch loss, gradient list)."""
+def compute_gradients(net: Network, grids, targets, rng) -> float:
+    """Training-mode forward/backward into ``net.grads``; returns the batch loss."""
     pred = net.forward(grids, train=True, rng=rng)
     value = loss(pred, targets)
     net.backward(loss_gradient(pred, targets))
-    return value, net.gradients()
+    return value
 
 
 class Adagrad:
-    """accumulator += g**2; parameter -= lr * g / (sqrt(accumulator) + 1e-8).
+    """accumulator += g**2; params -= (lr * g) / (sqrt(accumulator) + 1e-8).
 
-    Each step writes its temporaries into two scratch buffers the size of the
-    largest parameter, shared by all of them (two per parameter ran no faster
-    and took more memory).
+    ``params`` is one flat vector. A step overwrites its gradient vector with the
+    update, so one scratch vector (g**2, then the denominator) is its only temporary.
     """
 
-    def __init__(self, params: list[np.ndarray], learning_rate: float):
-        self.params = list(params)
-        self.learning_rate = learning_rate
-        self.accumulators = [np.zeros_like(p) for p in self.params]
-        size = max(p.size for p in self.params)
-        self._scratch = (np.empty(size), np.empty(size))
+    def __init__(self, params: np.ndarray, learning_rate: float):
+        self.params, self.learning_rate = params, learning_rate
+        self.accumulator, self._scratch = np.zeros_like(params), np.empty_like(params)
 
-    def step(self, grads: list[np.ndarray]) -> None:
-        for p, g, a in zip(self.params, grads, self.accumulators, strict=True):
-            num, den = (buf[: p.size].reshape(p.shape) for buf in self._scratch)
-            a += np.multiply(g, g, out=num)
-            np.add(np.sqrt(a, out=den), _ADAGRAD_EPS, out=den)
-            np.multiply(self.learning_rate, g, out=num)
-            p -= np.divide(num, den, out=num)
+    def step(self, grads: np.ndarray) -> None:
+        den = self._scratch
+        self.accumulator += np.multiply(grads, grads, out=den)
+        np.add(np.sqrt(self.accumulator, out=den), _ADAGRAD_EPS, out=den)
+        grads *= self.learning_rate
+        self.params -= np.divide(grads, den, out=grads)
 
 
 @dataclass
@@ -397,11 +402,12 @@ def train(
     train_taus: np.ndarray,
     val_measurements: np.ndarray,
     val_taus: np.ndarray,
-    init_state: list[np.ndarray] | None = None,
+    init_state: tuple[Network, np.ndarray] | None = None,
 ) -> tuple[Network, Adagrad, TrainingHistory]:
     """Run the full training loop; returns the best-validation-epoch parameters.
 
-    ``init_state`` (parameters, then accumulators) replaces the drawn initial weights."""
+    ``init_state``, a (network, accumulator) pair as ``load_checkpoint`` returns, replaces
+    the drawn weights and zero accumulator; its network's tensors must have their shapes."""
     if len(train_measurements) == 0 or len(val_measurements) == 0:
         raise ValueError("training and validation sets must be non-empty")
     if {train_measurements.shape[1], val_measurements.shape[1]} != {6**config.num_qubits}:
@@ -410,24 +416,26 @@ def train(
 
     rng = sampling.stream(config.seed, TRAIN_STREAM)
     net = Network.build(config, rng)
-    opt = Adagrad(net.parameters(), config.learning_rate)
-    state = net.parameters() + opt.accumulators  # updated in place by every step
+    opt = Adagrad(net.params, config.learning_rate)
     if init_state is not None:
-        _assign(state, init_state)
+        source, accumulator = init_state
+        for dst, src in zip(net.parameters(), source.parameters(), strict=True):
+            if dst.shape != src.shape:
+                raise ValueError(f"parameter shape mismatch: {dst.shape} vs {src.shape}")
+        net.params[...], opt.accumulator[...] = source.params, accumulator
 
     grids = grids_from_measurements(train_measurements)
     count = grids.shape[0]
 
     history = TrainingHistory()
-    best_fid = -1.0
-    best_state: list[np.ndarray] = []
+    best_fid, best_state = -1.0, None
     for epoch in range(config.max_epochs):
         order = rng.permutation(count)
         batch_losses = []
         for start in range(0, count, config.batch_size):
             idx = order[start : start + config.batch_size]
-            value, grads = compute_gradients(net, grids[idx], train_taus[idx], rng)
-            opt.step(grads)
+            value = compute_gradients(net, grids[idx], train_taus[idx], rng)
+            opt.step(net.grads)
             batch_losses.append(value)
         val_fid = mean_reconstruction_fidelity(net, val_measurements, val_taus)
         history.losses.append(float(np.mean(batch_losses)))
@@ -435,11 +443,11 @@ def train(
         if val_fid > best_fid:
             best_fid = val_fid
             history.best_epoch = epoch
-            best_state = [a.copy() for a in state]
+            best_state = net.params.copy(), opt.accumulator.copy()
 
-    if not best_state:
+    if best_state is None:
         raise ArithmeticError("no epoch produced a finite validation fidelity")
-    _assign(state, best_state)
+    net.params[...], opt.accumulator[...] = best_state
     return net, opt, history
 
 
@@ -448,21 +456,21 @@ def _shape_table(tensors) -> bytes:
     return b"".join(struct.pack(f"<I{t.ndim}I", t.ndim, *t.shape) for t in tensors)
 
 
-def save_checkpoint(path, net: Network, accumulators) -> None:
+def save_checkpoint(path, net: Network, accumulator: np.ndarray) -> None:
     """Versioned binary checkpoint: header, config, shape table, then the network's
-    parameters and their Adagrad ``accumulators``."""
-    params = net.parameters()
-    accumulators = list(accumulators)
-    if [a.shape for a in accumulators] != [p.shape for p in params]:
-        raise ValueError("accumulators do not match the network's parameters")
+    ``params`` vector and its Adagrad ``accumulator``."""
+    if accumulator.shape != net.params.shape:
+        raise ValueError("accumulator does not match the network's parameters")
+    tensors = net.parameters()
     m, filters, widths, *rest = astuple(net.config)
-    header = _CONFIG.pack(m, filters, KERNEL, POOL, *widths, *rest, len(params))
+    header = _CONFIG.pack(m, filters, KERNEL, POOL, *widths, *rest, len(tensors))
     tomography.write_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
-                               header + _shape_table(params), params + accumulators, "<f8")
+                               header + _shape_table(tensors), [net.params, accumulator], "<f8")
 
 
-def load_checkpoint(path) -> tuple[Network, list[np.ndarray]]:
-    """Read a checkpoint; returns the ready-to-infer network and its Adagrad accumulators."""
+def load_checkpoint(path) -> tuple[Network, np.ndarray]:
+    """Read a checkpoint; returns the ready-to-infer network and its Adagrad accumulator
+    (a read-only view of the file's bytes)."""
     fields, payload = tomography.read_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
                                                 _CONFIG)
     m, filters, kernel, pool, d1, d2, *rest, n_tensors = fields
@@ -472,13 +480,10 @@ def load_checkpoint(path) -> tuple[Network, list[np.ndarray]]:
         net = Network.build(NetworkConfig(m, filters, (d1, d2), *rest))
     except (ValueError, MemoryError) as exc:
         raise FormatError(f"{path}: no network can be built from the header: {exc}") from exc
-    params = net.parameters()
-    table = _shape_table(params)
-    if n_tensors != len(params) or payload[: len(table)] != table:
+    tensors = net.parameters()
+    table = _shape_table(tensors)
+    if n_tensors != len(tensors) or payload[: len(table)] != table:
         raise FormatError(f"{path}: shape table does not match the declared config")
-    sizes = [p.size for p in params] * 2
-    values = tomography.payload_array(path, payload[len(table) :], "<f8", (sum(sizes),))
-    blocks = [b.reshape(p.shape) for b, p in zip(np.split(values, np.cumsum(sizes)[:-1]),
-                                                  params * 2)]
-    _assign(params, blocks[: len(params)])
-    return net, [b.astype(np.float64) for b in blocks[len(params) :]]
+    values = tomography.payload_array(path, payload[len(table) :], "<f8", (2, net.params.size))
+    net.params[...] = values[0]
+    return net, values[1]

@@ -209,6 +209,19 @@ class TestTrain:
                    "--val-count", 10, "--epochs", 1, "--init-checkpoint", checkpoint)
         assert code == cli.EXIT_DATA
 
+    def test_checkpoint_of_another_architecture_rejected(self, tmp_path, trained, capsys):
+        """Resuming a 3-filter run from a 25-filter checkpoint names both conv1 shapes."""
+        root, checkpoint = trained
+        capsys.readouterr()
+        code = run("train", "--dataset", root / "train.qst", "--out-dir", tmp_path / "x",
+                   "--filters", 3, "--val-count", 60, "--epochs", 1,
+                   "--init-checkpoint", checkpoint)
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "(3, 1, 2, 2)" in err[0] and "(25, 1, 2, 2)" in err[0]
+        assert not (tmp_path / "x").exists()
+
 
 class TestReconstruct:
     def test_same_size_matches_plain_inference(self, trained, tmp_path):
@@ -431,6 +444,7 @@ BAD_CHECKPOINT_HEADERS = {
     "checkpoint-kernel-9": (20, "<I", 9),
     "checkpoint-pool-3": (24, "<I", 3),
     "checkpoint-m-12": (12, "<I", 12),
+    "checkpoint-learning-rate-nan": (44, "<d", np.nan),
 }
 CORRUPTIONS = ("garbage", "truncated", "zero-records", "nan-measurement", "inf-tau",
                "zero-tau", "unknown-measure", "measurement-7", "scaled-row", "nan-checkpoint",
@@ -552,7 +566,7 @@ class TestExitCodes:
         root, _ = trained
         net = neuralnet.Network.build(neuralnet.NetworkConfig(num_qubits=2))
         checkpoint = tmp_path / "zero.qstck"
-        neuralnet.save_checkpoint(checkpoint, net, [np.zeros_like(p) for p in net.parameters()])
+        neuralnet.save_checkpoint(checkpoint, net, np.zeros_like(net.params))
         capsys.readouterr()
         code = run("reconstruct", "--checkpoint", checkpoint, "--input", root / "train.qst",
                    "--out-dir", tmp_path / "x")
@@ -655,7 +669,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("case", ["linalg-error", "missing-dataset", "missing-checkpoint",
                                       "out-under-a-file", "config-without-section",
-                                      "repeated-dims"])
+                                      "repeated-dims", "learning-rate-nan",
+                                      "learning-rate-inf"])
     def test_failures_get_their_exit_code(self, trained, tmp_path, capsys, monkeypatch, case):
         root, checkpoint = trained
         data, regular = root / "train.qst", tmp_path / "regular"
@@ -674,6 +689,12 @@ class TestExitCodes:
                                         tmp_path / "d.qst"], cli.EXIT_USAGE, "section"),
             "repeated-dims": (["baselines", "--dims", "2,2", "--pairs", 100,
                                "--out-dir", tmp_path / "x"], cli.EXIT_USAGE, "repeats"),
+            "learning-rate-nan": (["train", "--dataset", data, "--learning-rate", "nan",
+                                   "--out-dir", tmp_path / "x"], cli.EXIT_USAGE,
+                                  "learning rate"),
+            "learning-rate-inf": (["train", "--dataset", data, "--learning-rate", "inf",
+                                   "--out-dir", tmp_path / "x"], cli.EXIT_USAGE,
+                                  "learning rate"),
         }[case]
         if case == "linalg-error":
             def eigh(*_):

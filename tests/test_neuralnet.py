@@ -190,7 +190,8 @@ class TestLayerOrder:
 
         Rounded inputs and half-integer conv1 weights give conv1 maps with
         exact ties, negative ones included; the reference network shares the
-        parameters of ``Network.build``'s, with every ReLU in the old form.
+        parameters of ``Network.build``'s, with every ReLU in the old form. Both share
+        the weighted layers, so both write their gradients into ``net.grads``.
         """
         cfg, net = tiny_net()
         rng = sampling.stream(540)
@@ -212,14 +213,12 @@ class TestLayerOrder:
         results = []
         for network in (net, old):
             out = network.forward(grids, train=True, rng=sampling.stream(41))
-            value, grads = neuralnet.compute_gradients(network, grids, targets,
-                                                       sampling.stream(41))
-            results.append((out, value, [g.copy() for g in grads]))
+            value = neuralnet.compute_gradients(network, grids, targets, sampling.stream(41))
+            results.append((out, value, net.grads.copy()))
         (out, value, grads), (old_out, old_value, old_grads) = results
         np.testing.assert_array_equal(out, old_out)
         assert value == old_value
-        for g, old_g in zip(grads, old_grads, strict=True):
-            np.testing.assert_array_equal(g, old_g)
+        np.testing.assert_array_equal(grads, old_grads)
 
 
 class TestLoss:
@@ -250,9 +249,9 @@ class TestGradients:
         _, net = tiny_net()
         grids = sampling.stream(508).random((4, 1, 6, 6))
         pred = net.forward(grids, train=True, rng=sampling.stream(42))
-        value, grads = neuralnet.compute_gradients(net, grids, pred, sampling.stream(42))
+        value = neuralnet.compute_gradients(net, grids, pred, sampling.stream(42))
         assert value == 0.0
-        assert max(np.abs(g).max() for g in grads) <= 1e-10
+        assert np.abs(net.grads).max() <= 1e-10
 
     def test_finite_difference_all_layer_types(self):
         """Central differences (h=1e-5) against every parameter of the tiny net.
@@ -270,25 +269,23 @@ class TestGradients:
             pred = net.forward(grids, train=True, rng=sampling.stream(1234))
             return neuralnet.loss(pred, targets)
 
-        _, grads = neuralnet.compute_gradients(net, grids, targets, sampling.stream(1234))
-        grads = [g.copy() for g in grads]
-        params = net.parameters()
+        neuralnet.compute_gradients(net, grids, targets, sampling.stream(1234))
+        grads = net.grads.copy()
+        params = net.params  # every layer's w and b are views into it
         h = 1e-5
         checked = 0
-        for p, g in zip(params, grads):
-            flat_p, flat_g = p.reshape(-1), g.reshape(-1)
-            for idx in range(flat_p.size):
-                orig = flat_p[idx]
-                flat_p[idx] = orig + h
-                up = loss_value()
-                flat_p[idx] = orig - h
-                down = loss_value()
-                flat_p[idx] = orig
-                fd = (up - down) / (2 * h)
-                scale = max(abs(fd), abs(flat_g[idx]), 1e-8)
-                assert abs(fd - flat_g[idx]) / scale <= 1e-4
-                checked += 1
-        assert checked == sum(p.size for p in params)
+        for idx in range(params.size):
+            orig = params[idx]
+            params[idx] = orig + h
+            up = loss_value()
+            params[idx] = orig - h
+            down = loss_value()
+            params[idx] = orig
+            fd = (up - down) / (2 * h)
+            scale = max(abs(fd), abs(grads[idx]), 1e-8)
+            assert abs(fd - grads[idx]) / scale <= 1e-4
+            checked += 1
+        assert checked == sum(p.size for p in net.parameters())
 
     def test_batch_doubling_invariance(self):
         """Duplicating every example leaves the mean-loss gradient unchanged."""
@@ -298,55 +295,56 @@ class TestGradients:
         targets = rng.standard_normal((4, 16))
         cfg = neuralnet.NetworkConfig(seed=3, dropout_rate=0.0, **{k: v for k, v in TINY.items()})
         net = neuralnet.Network.build(cfg, sampling.stream(3, neuralnet.TRAIN_STREAM))
-        _, single = neuralnet.compute_gradients(net, grids, targets, None)
-        single = [g.copy() for g in single]
+        neuralnet.compute_gradients(net, grids, targets, None)
+        single = net.grads.copy()
         doubled_grids = np.concatenate([grids, grids])
         doubled_targets = np.concatenate([targets, targets])
-        _, double = neuralnet.compute_gradients(net, doubled_grids, doubled_targets, None)
-        for a, b in zip(single, double):
-            assert np.abs(a - b).max() <= 1e-12
+        neuralnet.compute_gradients(net, doubled_grids, doubled_targets, None)
+        assert np.abs(single - net.grads).max() <= 1e-12
 
 
 class TestAdagrad:
     def test_zero_gradient_leaves_parameters(self):
         p = np.ones(4)
-        opt = neuralnet.Adagrad([p], 0.01)
-        opt.step([np.zeros(4)])
+        opt = neuralnet.Adagrad(p, 0.01)
+        opt.step(np.zeros(4))
         np.testing.assert_array_equal(p, np.ones(4))
 
     def test_first_step_is_signed_learning_rate(self):
         """From a zero accumulator the step is lr * sign(g) for |g| >> eps."""
         p = np.zeros(3)
-        opt = neuralnet.Adagrad([p], 0.01)
-        opt.step([np.array([0.5, -2.0, 1e-3])])
+        opt = neuralnet.Adagrad(p, 0.01)
+        opt.step(np.array([0.5, -2.0, 1e-3]))
         np.testing.assert_allclose(p, [-0.01, 0.01, -0.01], rtol=1e-4)
 
     def test_accumulators_never_decrease(self):
         rng = sampling.stream(511)
         p = np.zeros(8)
-        opt = neuralnet.Adagrad([p], 0.01)
-        prev = opt.accumulators[0].copy()
+        opt = neuralnet.Adagrad(p, 0.01)
+        prev = opt.accumulator.copy()
         for _ in range(100):
-            opt.step([rng.standard_normal(8)])
-            assert np.all(opt.accumulators[0] >= prev)
-            prev = opt.accumulators[0].copy()
+            opt.step(rng.standard_normal(8))
+            assert np.all(opt.accumulator >= prev)
+            prev = opt.accumulator.copy()
 
     def test_scratch_buffers_match_plain_formula(self):
-        """50 steps on several shapes equal a += g*g; p -= lr*g/(sqrt(a)+1e-8) bit for bit."""
+        """50 steps on several shapes' concatenation equal a += g*g;
+        p -= lr*g/(sqrt(a)+1e-8) per shape, bit for bit."""
         rng = sampling.stream(512)
         shapes = [(3, 1, 2, 2), (3,), (17, 5), (5,)]
-        params = [rng.standard_normal(shape) for shape in shapes]
-        want = [p.copy() for p in params]
-        want_acc = [np.zeros_like(p) for p in params]
+        want = [rng.standard_normal(shape) for shape in shapes]
+        want_acc = [np.zeros_like(p) for p in want]
+        params = np.concatenate([p.ravel() for p in want])
         opt = neuralnet.Adagrad(params, 0.01)
         for _ in range(50):
             grads = [rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 2) for shape in shapes]
-            opt.step(grads)
             for p, g, a in zip(want, grads, want_acc):
                 a += g * g
                 p -= 0.01 * g / (np.sqrt(a) + 1e-8)
-        for got, ref in zip(params + opt.accumulators, want + want_acc, strict=True):
-            np.testing.assert_array_equal(got, ref)
+            opt.step(np.concatenate([g.ravel() for g in grads]))
+        np.testing.assert_array_equal(params, np.concatenate([p.ravel() for p in want]))
+        np.testing.assert_array_equal(opt.accumulator,
+                                      np.concatenate([a.ravel() for a in want_acc]))
 
 
 class TestTraining:
@@ -389,6 +387,17 @@ class TestTraining:
         )
         _, _, history = neuralnet.train(cfg, meas[:1000], taus[:1000], meas[1000:], taus[1000:])
         assert max(history.val_fidelities) >= history.val_fidelities[0]
+
+    def test_init_state_of_another_architecture_rejected(self):
+        """Equal parameter counts, other shapes: the per-tensor check names the first pair."""
+        _, meas, taus = small_dataset(2, 20, 605)
+        cfg = neuralnet.NetworkConfig(num_qubits=2, conv_filters=2, dense_widths=(6, 4),
+                                      max_epochs=1)
+        source = neuralnet.Network.build(
+            neuralnet.NetworkConfig(num_qubits=2, conv_filters=3, dense_widths=(2, 4)))
+        assert source.params.size == neuralnet.Network.build(cfg).params.size
+        with pytest.raises(ValueError, match=r"shape mismatch: \(2, 1, 2, 2\) vs \(3, 1, 2, 2\)"):
+            neuralnet.train(cfg, meas, taus, meas, taus, (source, np.zeros_like(source.params)))
 
     def test_m_mismatch_rejected(self):
         _, meas, taus = small_dataset(2, 20, 605)
@@ -435,17 +444,17 @@ class TestInfer:
 class TestCheckpoints:
     def test_roundtrip_is_bitwise(self, tmp_path):
         cfg, net = tiny_net(seed=8)
-        opt = neuralnet.Adagrad(net.parameters(), cfg.learning_rate)
-        opt.step([np.full_like(p, 0.125) for p in net.parameters()])
+        opt = neuralnet.Adagrad(net.params, cfg.learning_rate)
+        opt.step(np.full_like(net.params, 0.125))
         path = tmp_path / "model.qstck"
-        neuralnet.save_checkpoint(path, net, opt.accumulators)
-        loaded, accumulators = neuralnet.load_checkpoint(path)
+        neuralnet.save_checkpoint(path, net, opt.accumulator)
+        loaded, accumulator = neuralnet.load_checkpoint(path)
         v = sampling.stream(610).random((3, 36))
         np.testing.assert_array_equal(
             adapt.reconstruct(net, v, "engineered"), adapt.reconstruct(loaded, v, "engineered")
         )
-        for a, b in zip(opt.accumulators, accumulators, strict=True):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(opt.accumulator, accumulator)
+        np.testing.assert_array_equal(net.params, loaded.params)
         assert loaded.config == cfg
 
     def test_little_endian_layout(self, tmp_path):
@@ -456,7 +465,7 @@ class TestCheckpoints:
         _, net = tiny_net(seed=8)
         params = net.parameters()
         accumulators = [np.full_like(p, 0.25) for p in params]
-        neuralnet.save_checkpoint(path, net, accumulators)
+        neuralnet.save_checkpoint(path, net, np.concatenate([a.ravel() for a in accumulators]))
         header = struct.pack("<8sI6IddIIQI", b"QSTCKPT\x00", 1, 2, 2, 2, 2, 8, 4, 0.5, 0.01,
                              100, 300, 8, 10)
         header += b"".join(struct.pack(f"<I{p.ndim}I", p.ndim, *p.shape) for p in params)
@@ -465,15 +474,15 @@ class TestCheckpoints:
 
     def test_accumulators_must_match_parameters(self, tmp_path):
         _, net = tiny_net()
-        with pytest.raises(ValueError, match="accumulators"):
-            neuralnet.save_checkpoint(tmp_path / "model.qstck", net, net.parameters()[:-1])
+        with pytest.raises(ValueError, match="accumulator"):
+            neuralnet.save_checkpoint(tmp_path / "model.qstck", net, net.params[:-1])
         assert not (tmp_path / "model.qstck").exists()
 
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "model.qstck"
         cfg, net = tiny_net()
-        opt = neuralnet.Adagrad(net.parameters(), cfg.learning_rate)
-        neuralnet.save_checkpoint(path, net, opt.accumulators)
+        opt = neuralnet.Adagrad(net.params, cfg.learning_rate)
+        neuralnet.save_checkpoint(path, net, opt.accumulator)
         raw = bytearray(path.read_bytes())
         raw[:4] = b"XXXX"
         path.write_bytes(bytes(raw))
@@ -483,8 +492,8 @@ class TestCheckpoints:
     def test_truncation_detected(self, tmp_path):
         path = tmp_path / "model.qstck"
         cfg, net = tiny_net()
-        opt = neuralnet.Adagrad(net.parameters(), cfg.learning_rate)
-        neuralnet.save_checkpoint(path, net, opt.accumulators)
+        opt = neuralnet.Adagrad(net.params, cfg.learning_rate)
+        neuralnet.save_checkpoint(path, net, opt.accumulator)
         raw = path.read_bytes()
         path.write_bytes(raw[:-8])
         with pytest.raises(neuralnet.FormatError, match="payload"):
@@ -493,8 +502,8 @@ class TestCheckpoints:
     def test_corrupt_shape_table_detected(self, tmp_path):
         path = tmp_path / "model.qstck"
         cfg, net = tiny_net()
-        opt = neuralnet.Adagrad(net.parameters(), cfg.learning_rate)
-        neuralnet.save_checkpoint(path, net, opt.accumulators)
+        opt = neuralnet.Adagrad(net.params, cfg.learning_rate)
+        neuralnet.save_checkpoint(path, net, opt.accumulator)
         raw = bytearray(path.read_bytes())
         # First shape-table entry sits after magic+version+config block.
         off = 8 + 4 + 24 + 8 + 8 + 4 + 4 + 8 + 4

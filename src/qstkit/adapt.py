@@ -29,11 +29,11 @@ ground truth (including every successive trace-down) with stacked
 fidelities. They return record rows for ``records.csv`` and, straight from
 each fidelity array, its summary row: ``_curve`` is the one mean and
 standard error. ``mc_fidelities`` draws the Monte Carlo fidelities of
-random pairs, or of random states against I/2**n, and ``baseline_curves``
-turns them into the baseline rows of both the fig3 experiment and the
-``baselines`` command. These estimates are the oracle for the reference
-values 0.67 / 0.59 / 0.57 (Hilbert-Schmidt, dims 2 / 4 / 8) and 0.590
-(Bures, dim 2).
+random pairs, or of random states against I/2**n in closed form
+(``qcore.fidelity_to_mixed``), and ``baseline_curves`` turns them into the
+baseline rows of both the fig3 experiment and the ``baselines`` command.
+These estimates are the oracle for the reference values 0.67 / 0.59 / 0.57
+(Hilbert-Schmidt, dims 2 / 4 / 8) and 0.590 (Bures, dim 2).
 """
 
 from __future__ import annotations
@@ -169,7 +169,8 @@ def mc_fidelities(measure: str, n: int, count: int, seed: int,
     ``count`` states against I/2**n when ``against_mixed``.
 
     Draw i comes from ``sampling.stream(seed, i)``; the draws are sampled and
-    compared in chunks, which changes no fidelity.
+    compared in chunks, which changes no fidelity. Against I/2**n a state's
+    fidelity is the closed form ``qcore.fidelity_to_mixed`` of its eigenvalues.
     """
     if count < 100:
         raise ValueError(f"need at least 100 draws for a stable estimate, got {count}")
@@ -178,8 +179,8 @@ def mc_fidelities(measure: str, n: int, count: int, seed: int,
     for start in range(0, count, _MC_CHUNK):
         stop = min(start + _MC_CHUNK, count)
         states = sampling.sample_streams(n, measure, seed, start, stop, per_stream)
-        other = qcore.maximally_mixed(n) if against_mixed else states[1]
-        fids[start:stop] = qcore.fidelity(states[0], other)
+        fids[start:stop] = (qcore.fidelity_to_mixed(states[0]) if against_mixed
+                            else qcore.fidelity(states[0], states[1]))
     return fids
 
 

@@ -19,8 +19,9 @@ on the length of the chunk it is forwarded in, such as a short last chunk;
 the other rows in that chunk do not change them.
 
 Exit codes: 0 success, 1 usage error (bad flags or config values, unreadable or
-unwritable paths, n > m, a request too large to allocate), 2 data/format error,
-3 numerical failure (including floating-point overflow, invalid and divide).
+unwritable paths, a checkpoint that does not fit the run, n > m, a request too
+large to allocate), 2 data/format error, 3 numerical failure (including
+floating-point overflow, invalid and divide).
 """
 
 from __future__ import annotations
@@ -129,7 +130,7 @@ def cmd_train(args) -> int:
     if args.init_checkpoint is not None:
         init_state = neuralnet.load_checkpoint(args.init_checkpoint)
         if (ck_m := init_state[0].config.num_qubits) != config.num_qubits:
-            raise FormatError(f"checkpoint is for m={ck_m}, dataset has m={config.num_qubits}")
+            raise ValueError(f"checkpoint is for m={ck_m}, dataset has m={config.num_qubits}")
 
     net, opt, history = neuralnet.train(config, tr_meas, tr_taus, va_meas, va_taus, init_state)
     out_dir = Path(args.out_dir)

@@ -6,8 +6,8 @@ Conventions used throughout the package:
   plain complex ndarray. Qubit 0 is the most-significant tensor factor: basis
   index i carries the bit of qubit q at place value 2**(k-1-q), and
   ``np.kron(a, b)`` puts ``a`` on the high-order qubits.
-* ``partial_trace``, ``sqrt_psd``, ``fidelity`` and ``assert_physical`` work
-  on (..., d, d) stacks of states; a single state is the 2-D case.
+* ``partial_trace``, ``sqrt_psd``, both fidelities and ``assert_physical``
+  work on (..., d, d) stacks of states; a single state is the 2-D case.
 * Physicality means Hermitian within 1e-10 elementwise, eigenvalues above
   -1e-10, and trace within 1e-10 of one. ``assert_physical`` checks this
   once, on the stack where states enter (``tomography.sample_dataset``); the
@@ -56,12 +56,6 @@ def num_qubits(rho: np.ndarray) -> int:
     return qubit_count(rho.shape[-1], 2)
 
 
-def maximally_mixed(k: int) -> np.ndarray:
-    """I/2**k, the uniform-ignorance state on k qubits."""
-    d = 2**k
-    return np.eye(d, dtype=complex) / d
-
-
 def partial_trace(rho: np.ndarray, remove: Iterable[int]) -> np.ndarray:
     """Trace out the qubits listed in ``remove``, from one state or a stack.
 
@@ -101,21 +95,26 @@ def _assert_hermitian(m: np.ndarray, atol: float) -> None:
         raise ValueError(f"matrix is not Hermitian within {atol}")
 
 
-def sqrt_psd(m: np.ndarray) -> np.ndarray:
-    """Hermitian PSD square root via eigendecomposition, of one matrix or a stack.
-
-    Eigenvalues in [-1e-10, 0) are treated as round-off and clamped to zero;
-    anything below -1e-8 raises, since that indicates a non-PSD input rather
-    than numerical noise. Both checks cover every member of a stack.
-    """
+def _psd_spectrum(m: np.ndarray, vectors: bool):
+    """Clamped eigenvalues, and eigenvectors when ``vectors``, checked as ``sqrt_psd`` says."""
     _assert_hermitian(m, HERMITICITY_ATOL)
-    w, v = np.linalg.eigh(m)
+    w, v = np.linalg.eigh(m) if vectors else (np.linalg.eigvalsh(m), None)
     lowest = w[..., 0]
     if np.any(lowest < _PSD_FAIL_TOL):
         raise np.linalg.LinAlgError(
             f"matrix is not positive semidefinite (min eigenvalue {lowest.min():.3e})"
         )
-    w = np.clip(w, 0.0, None)
+    return np.clip(w, 0.0, None), v
+
+
+def sqrt_psd(m: np.ndarray) -> np.ndarray:
+    """Hermitian PSD square root via eigendecomposition, of one matrix or a stack.
+
+    Eigenvalues in [-1e-8, 0) are treated as round-off and clamped to zero;
+    anything lower raises, since that indicates a non-PSD input rather than
+    numerical noise. Both checks cover every member of a stack.
+    """
+    w, v = _psd_spectrum(m, vectors=True)
     return (v * np.sqrt(w)[..., None, :]) @ _adjoint(v)
 
 
@@ -133,6 +132,14 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float | np.ndarray:
     # Round-off can leave tiny anti-Hermitian parts in the product.
     inner = (inner + _adjoint(inner)) / 2
     f = np.abs(np.trace(sqrt_psd(inner), axis1=-2, axis2=-1)) ** 2
+    f = np.clip(f, 0.0, 1.0)
+    return float(f) if f.ndim == 0 else f
+
+
+def fidelity_to_mixed(rho: np.ndarray) -> float | np.ndarray:
+    """``fidelity(rho, I/d)`` of one state (a float) or a stack, in closed form: (sum of
+    sqrt(eigenvalue))**2 / d, from one ``eigvalsh``; ``rho`` is checked as by ``sqrt_psd``."""
+    f = np.sqrt(_psd_spectrum(rho, vectors=False)[0]).sum(axis=-1) ** 2 / rho.shape[-1]
     f = np.clip(f, 0.0, 1.0)
     return float(f) if f.ndim == 0 else f
 

@@ -23,6 +23,7 @@ to 1 within 1e-9.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -120,7 +121,20 @@ def pauli6_projectors() -> np.ndarray:
     return np.einsum("si,sj->sij", kets, kets.conj())
 
 
-_PROJECTORS = pauli6_projectors()  # built once; measure runs once per state
+_PROJECTORS = pauli6_projectors()
+_STEP_MATRIX = _PROJECTORS.transpose(2, 1, 0).reshape(4, 6)  # (ket, bra) x setting
+
+
+@functools.cache
+def _measure_plan(m: int) -> tuple:
+    """(transpose, rows, output shape) of each qubit's ``measure`` step, the operations (so the
+    bits) of ``np.tensordot(t, _PROJECTORS, axes=((0, r), (2, 1)))``. With r qubits left, t has
+    axes (2,)*2r + (6,)*(m-r): rows, columns, settings so far. Tr(rho Π) pairs the qubit's row
+    (axis 0) with the ket index and its column (axis r) with the bra index; the new settings
+    axis lands last, so after m steps the axes read (s_0, ..., s_{m-1})."""
+    return tuple((tuple(a for a in range(m + r) if a not in (0, r)) + (0, r),
+                  4 ** (r - 1) * 6 ** (m - r), (2,) * (2 * r - 2) + (6,) * (m - r + 1))
+                 for r in range(m, 0, -1))
 
 
 def measure(rho: np.ndarray) -> np.ndarray:
@@ -128,17 +142,13 @@ def measure(rho: np.ndarray) -> np.ndarray:
 
     Entry sum_q s_q 6**(m-1-q), the base-6 index of the joint setting with
     qubit 0 most significant, is Tr(rho · Π_{s_0} ⊗ ... ⊗ Π_{s_{m-1}}). It is
-    evaluated by contracting one qubit at a time rather than materializing
+    evaluated one qubit at a time (``_measure_plan``) rather than materializing
     the joint projectors. ``rho`` is trusted to be physical, as by every kernel.
     """
     m = qcore.num_qubits(rho)
     t = rho.reshape((2,) * (2 * m))
-    for remaining in range(m, 0, -1):
-        # Current qubit's row index is axis 0, its column index axis
-        # ``remaining``; Tr(rho Π) pairs the row index with the projector's
-        # ket index. The new settings axis lands at the end, so after m
-        # contractions the axes read (s_0, ..., s_{m-1}).
-        t = np.tensordot(t, _PROJECTORS, axes=((0, remaining), (2, 1)))
+    for perm, rows, shape in _measure_plan(m):
+        t = np.dot(t.transpose(perm).reshape(rows, 4), _STEP_MATRIX).reshape(shape)
     return np.clip(t.real.reshape(-1), 0.0, 1.0)
 
 

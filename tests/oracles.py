@@ -3,8 +3,11 @@
 They are written from the definitions, not from the library's code paths:
 the Pauli-6 projectors are built from the Pauli matrices here, not taken
 from ``tomography.pauli6_projectors``, and random states are drawn one at a
-time in plain 2-D numpy, not through ``sampling.sample_streams``. They import
-nothing but numpy.
+time in plain 2-D numpy, not through ``sampling.sample_streams``. The one
+exception is ``measure_tensordot``, ``tomography.measure``'s contraction
+written as one ``np.tensordot`` per qubit: it is the bit-for-bit reference of
+the spelled-out steps, so it takes the library's projectors as given. They
+import nothing but numpy.
 """
 
 import numpy as np
@@ -14,6 +17,12 @@ PAULIS = (
     np.array([[0, -1j], [1j, 0]], dtype=complex),
     np.array([[1, 0], [0, -1]], dtype=complex),
 )
+
+
+def maximally_mixed(k: int) -> np.ndarray:
+    """I/2**k, the uniform-ignorance state on k qubits."""
+    d = 2**k
+    return np.eye(d, dtype=complex) / d
 
 
 def ginibre(d: int, rng) -> np.ndarray:
@@ -67,3 +76,18 @@ def linear_inversion(probabilities: np.ndarray) -> np.ndarray:
     while len(frame) < len(probabilities):
         frame = [np.kron(a, b) for a in frame for b in single]
     return np.tensordot(probabilities, np.stack(frame), axes=1)
+
+
+def measure_tensordot(rho: np.ndarray, projectors: np.ndarray) -> np.ndarray:
+    """Pauli-6 probabilities of ``rho`` by one ``np.tensordot`` per qubit.
+
+    ``projectors`` is the (6, 2, 2) stack in setting order. The current qubit's
+    row index is axis 0 and its column index axis ``remaining``; Tr(rho Π)
+    pairs the row index with the projector's ket index. The new settings axis
+    lands at the end, so after m contractions the axes read (s_0, ..., s_{m-1}).
+    """
+    m = len(rho).bit_length() - 1
+    t = rho.reshape((2,) * (2 * m))
+    for remaining in range(m, 0, -1):
+        t = np.tensordot(t, projectors, axes=((0, remaining), (2, 1)))
+    return np.clip(t.real.reshape(-1), 0.0, 1.0)

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import sample_state
+from oracles import maximally_mixed, sample_state
 from qstkit import adapt, cholesky, cli, neuralnet, qcore, sampling, tomography
 
 pytestmark = pytest.mark.acceptance
@@ -145,7 +145,7 @@ def test_c03_padding_oracle():
             rho = sample_state(n, HS, rng)
             extended = rho
             for _ in range(m - n):
-                extended = np.kron(qcore.maximally_mixed(1), extended)
+                extended = np.kron(maximally_mixed(1), extended)
             got = adapt.engineered_pad(tomography.measure(rho), m)
             want = tomography.measure(extended)
             worst = max(worst, float(np.abs(got - want).max()))

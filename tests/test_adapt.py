@@ -6,7 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
-from oracles import joint_index, linear_inversion, sample_state
+from oracles import joint_index, linear_inversion, maximally_mixed, sample_state
 from qstkit import adapt, cholesky, cli, neuralnet, qcore, sampling, tomography
 
 HS = sampling.MEASURE_HS
@@ -41,7 +41,7 @@ class TestEngineeredPad:
                 rho = sample_state(n, HS, rng)
                 extended = rho
                 for _ in range(m - n):
-                    extended = np.kron(qcore.maximally_mixed(1), extended)
+                    extended = np.kron(maximally_mixed(1), extended)
                 got = adapt.engineered_pad(tomography.measure(rho), m)
                 want = tomography.measure(extended)
                 assert np.abs(got - want).max() <= 1e-13
@@ -53,7 +53,7 @@ class TestEngineeredPad:
             for _ in range(5):
                 rho = sample_state(n, HS, rng)
                 got = linear_inversion(adapt.engineered_pad(tomography.measure(rho), m))
-                want = np.kron(qcore.maximally_mixed(m - n), rho)
+                want = np.kron(maximally_mixed(m - n), rho)
                 assert np.abs(got - want).max() <= 1e-12
 
     def test_preserves_per_axis_normalization(self):
@@ -272,6 +272,16 @@ class TestMonteCarlo:
         monkeypatch.setattr(adapt, "_MC_CHUNK", 7)
         chunked = adapt.mc_fidelities(measure, m, 140, 21, against_mixed)
         assert chunked.tobytes() == default.tobytes()
+
+    def test_mixed_rows_match_uhlmann_fidelity_across_a_chunk(self):
+        """The closed form against I/2**n agrees with qcore.fidelity on both sides of a
+        ``_MC_CHUNK`` boundary (Hilbert-Schmidt draws; see test_qcore for Bures)."""
+        for n in (1, 2, 3):
+            count = adapt._MC_CHUNK + 100
+            states = sampling.sample_streams(n, HS, 23, 0, count, 1)[0]
+            want = qcore.fidelity(states, maximally_mixed(n))
+            got = adapt.mc_fidelities(HS, n, count, 23, against_mixed=True)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
     def test_dimension_validation(self, tmp_path, capsys):
         """A dimension that is not a power of two is a usage error."""

@@ -207,7 +207,8 @@ class TestTrain:
         assert run("generate", "--out", data3, "--m", 3, "--count", 40, "--seed", 2) == 0
         code = run("train", "--dataset", data3, "--out-dir", tmp_path / "x",
                    "--val-count", 10, "--epochs", 1, "--init-checkpoint", checkpoint)
-        assert code == cli.EXIT_DATA
+        assert code == cli.EXIT_USAGE
+        assert not (tmp_path / "x").exists()
 
     def test_checkpoint_of_another_architecture_rejected(self, tmp_path, trained, capsys):
         """Resuming a 3-filter run from a 25-filter checkpoint names both conv1 shapes."""

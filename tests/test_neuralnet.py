@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from oracles import maximally_mixed
 from qstkit import adapt, neuralnet, qcore, sampling, tomography
 
 TINY = dict(num_qubits=2, conv_filters=2, dense_widths=(8, 4))
@@ -430,7 +431,7 @@ class TestInfer:
         held_states = np.stack(held_states)
         estimates = adapt.reconstruct(net, held_meas, "engineered")
         net_fid = np.mean(qcore.fidelity(estimates, held_states))
-        mixed_fid = np.mean(qcore.fidelity(held_states, qcore.maximally_mixed(2)))
+        mixed_fid = np.mean(qcore.fidelity(held_states, maximally_mixed(2)))
         assert net_fid > mixed_fid
 
     def test_wrong_length_rejected(self):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import ginibre, sample_state
+from oracles import ginibre, maximally_mixed, sample_state
 from qstkit import qcore, sampling
 
 HS = sampling.MEASURE_HS
@@ -259,6 +259,54 @@ class TestFidelityStack:
             loop = [qcore.fidelity(r, s) for r, s in zip(rhos, sigmas)]
             assert batch.shape == (40,)
             np.testing.assert_allclose(batch, loop, atol=1e-12)
-            mixed = qcore.maximally_mixed(m)
+            mixed = maximally_mixed(m)
             against_mixed = [qcore.fidelity(r, mixed) for r in rhos]
             np.testing.assert_allclose(qcore.fidelity(rhos, mixed), against_mixed, atol=1e-12)
+
+
+class TestFidelityToMixed:
+    """Both the closed form and ``fidelity`` take square roots of eigenvalues, so a state
+    whose lowest eigenvalue is near zero loses digits in either as eps / sqrt(lowest): its
+    round-off of a few eps is amplified by the slope of sqrt there. Bures draws reach a
+    lowest eigenvalue of 1e-11; Hilbert-Schmidt draws agree within 1e-13 outright."""
+
+    @pytest.mark.parametrize("measure", [HS, BURES])
+    def test_matches_uhlmann_fidelity_against_mixed(self, measure):
+        eps = np.finfo(float).eps
+        for n in (1, 2, 3):
+            states = sampling.sample_streams(n, measure, 31, 0, 300, 1)[0]
+            want = qcore.fidelity(states, maximally_mixed(n))
+            got = qcore.fidelity_to_mixed(states)
+            assert got.shape == (300,)
+            lowest = np.linalg.eigvalsh(states)[:, 0]
+            bound = 1e-13 + 2**n * eps / np.sqrt(np.maximum(lowest, eps))
+            assert np.all(np.abs(got - want) <= bound)
+            if measure == HS:
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+    def test_exact_cases(self):
+        """A pure state gives 1/d; a diagonal state gives (sum_i sqrt(p_i))**2 / d."""
+        eps = np.finfo(float).eps
+        for n in (1, 2, 3):
+            d = 2**n
+            basis = np.zeros((d, d), dtype=complex)
+            basis[-1, -1] = 1.0
+            assert qcore.fidelity_to_mixed(basis) == 1 / d
+            # A random pure state's zero eigenvalues carry round-off of a few eps,
+            # which the square root turns into about sqrt(eps).
+            ket = ginibre(d, sampling.stream(32 + n))[0]
+            got = qcore.fidelity_to_mixed(pure(ket / np.linalg.norm(ket)))
+            assert got == pytest.approx(1 / d, abs=d * np.sqrt(eps))
+            p = np.arange(1.0, d + 1) / (d * (d + 1) / 2)
+            assert qcore.fidelity_to_mixed(np.diag(p).astype(complex)) == pytest.approx(
+                np.sqrt(p).sum() ** 2 / d, abs=1e-15)
+
+    def test_single_state_gives_float(self):
+        got = qcore.fidelity_to_mixed(maximally_mixed(2))
+        assert isinstance(got, float) and got == pytest.approx(1.0, abs=1e-15)
+
+    def test_checks_as_sqrt_psd(self):
+        with pytest.raises(np.linalg.LinAlgError, match="positive semidefinite"):
+            qcore.fidelity_to_mixed(np.diag([1.0 + 1e-6, -1e-6]).astype(complex))
+        with pytest.raises(ValueError, match="Hermitian"):
+            qcore.fidelity_to_mixed(np.array([[0.5, 0.1], [0.0, 0.5]], dtype=complex))

@@ -6,10 +6,12 @@ import struct
 import numpy as np
 import pytest
 
-from oracles import joint_index, linear_inversion, sample_state
-from qstkit import qcore, sampling, tomography
+from oracles import (joint_index, linear_inversion, maximally_mixed, measure_tensordot,
+                     sample_state)
+from qstkit import cli, qcore, sampling, tomography
 
 HS = sampling.MEASURE_HS
+BURES = sampling.MEASURE_BURES
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -75,8 +77,25 @@ class TestMeasure:
     def test_maximally_mixed_is_uniform(self):
         """Every projective outcome of I/2**m is exactly (1/2)**m."""
         for m in (1, 2, 3):
-            v = tomography.measure(qcore.maximally_mixed(m))
+            v = tomography.measure(maximally_mixed(m))
             np.testing.assert_allclose(v, np.full(6**m, 0.5**m), atol=1e-15)
+
+    @pytest.mark.parametrize("measure", [HS, BURES])
+    def test_equals_tensordot_contraction_bit_for_bit(self, measure):
+        projectors = tomography.pauli6_projectors()
+        for m in (1, 2, 3, 4):
+            for rho in sampling.sample_streams(m, measure, 305, 0, 20, 1)[0]:
+                got, want = tomography.measure(rho), measure_tensordot(rho, projectors)
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_generated_dataset_equals_tensordot_contraction_bytes(self, tmp_path, monkeypatch):
+        """A ``generate`` file is byte-identical with ``measure`` replaced by the oracle."""
+        argv = ["generate", "--m", "3", "--count", "30", "--seed", "306", "--out"]
+        assert cli.main(argv + [str(tmp_path / "new.qst")]) == 0
+        projectors = tomography.pauli6_projectors()
+        monkeypatch.setattr(tomography, "measure", lambda rho: measure_tensordot(rho, projectors))
+        assert cli.main(argv + [str(tmp_path / "old.qst")]) == 0
+        assert (tmp_path / "new.qst").read_bytes() == (tmp_path / "old.qst").read_bytes()
 
     def test_matches_kronecker_projector_oracle(self):
         """Contraction path equals explicit joint projectors and traces."""

@@ -129,8 +129,6 @@ def cmd_train(args) -> int:
     init_state = None
     if args.init_checkpoint is not None:
         init_state = neuralnet.load_checkpoint(args.init_checkpoint)
-        if (ck_m := init_state[0].config.num_qubits) != config.num_qubits:
-            raise ValueError(f"checkpoint is for m={ck_m}, dataset has m={config.num_qubits}")
 
     net, opt, history = neuralnet.train(config, tr_meas, tr_taus, va_meas, va_taus, init_state)
     out_dir = Path(args.out_dir)
@@ -301,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default=net.learning_rate, help="Adagrad learning rate (default %(default)s)")
     p.add_argument("--batch-size", dest="batch_size", type=int, default=net.batch_size,
                    help="batch size (default %(default)s)")
-    p.add_argument("--epochs", type=int, default=50,
+    p.add_argument("--epochs", type=int, default=net.max_epochs,
                    help="epochs; the paper's full recipe is 300 with --val-count 500 "
                         "(default %(default)s)")
     add_seed(p)

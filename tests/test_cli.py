@@ -16,6 +16,7 @@ import pytest
 import qstkit
 from oracles import sample_state
 from qstkit import adapt, cholesky, cli, neuralnet, sampling, tomography
+from test_neuralnet import zero_net
 from test_sampling import zero_draws
 
 
@@ -261,11 +262,13 @@ class TestReconstruct:
         qcore.assert_physical(tomography.read_states(tmp_path / "rec" / "states.qstst"))
 
     def test_checkpoint_network_is_built_once(self, trained, tmp_path, monkeypatch):
-        """``load_checkpoint`` builds the network it returns, and nothing builds another."""
+        """``load_checkpoint`` constructs the network it returns, and nothing constructs
+        another."""
         root, checkpoint = trained
-        build, built = neuralnet.Network.build, []
-        monkeypatch.setattr(neuralnet.Network, "build",
-                            lambda config, rng=None: built.append(config) or build(config, rng))
+        init, built = neuralnet.Network.__init__, []
+        monkeypatch.setattr(neuralnet.Network, "__init__",
+                            lambda net, config, params: built.append(config) or
+                            init(net, config, params))
         assert run("reconstruct", "--checkpoint", checkpoint, "--input", root / "train.qst",
                    "--out-dir", tmp_path / "rec") == 0
         assert len(built) == 1
@@ -565,7 +568,7 @@ class TestExitCodes:
     def test_all_zero_checkpoint_is_numerical_error(self, trained, tmp_path, capsys):
         """Zero weights give all-zero taus, which define no state."""
         root, _ = trained
-        net = neuralnet.Network.build(neuralnet.NetworkConfig(num_qubits=2))
+        net = zero_net(neuralnet.NetworkConfig(num_qubits=2))
         checkpoint = tmp_path / "zero.qstck"
         neuralnet.save_checkpoint(checkpoint, net, np.zeros_like(net.params))
         capsys.readouterr()

@@ -1,11 +1,12 @@
 """Unit tests for the from-scratch network, its gradients, and checkpoints."""
 
+import math
 import struct
 
 import numpy as np
 import pytest
 
-from oracles import maximally_mixed
+from oracles import initial_params, maximally_mixed
 from qstkit import adapt, neuralnet, qcore, sampling, tomography
 
 TINY = dict(num_qubits=2, conv_filters=2, dense_widths=(8, 4))
@@ -15,6 +16,17 @@ def tiny_net(seed=3):
     cfg = neuralnet.NetworkConfig(seed=seed, **TINY)
     rng = sampling.stream(cfg.seed, neuralnet.TRAIN_STREAM)
     return cfg, neuralnet.Network.build(cfg, rng)
+
+
+def zero_net(cfg):
+    """The network of ``cfg`` with every parameter zero."""
+    size = sum(math.prod(shape) for shape in neuralnet.tensor_shapes(cfg))
+    return neuralnet.Network(cfg, np.zeros(size))
+
+
+def conv_layer(w, b):
+    """A standalone Conv2D over the given weights and biases, with its own gradients."""
+    return neuralnet.Conv2D(w, b, np.empty_like(w), np.empty_like(b))
 
 
 def small_dataset(m, count, seed, measure=sampling.MEASURE_HS):
@@ -52,10 +64,37 @@ class TestReshape:
         np.testing.assert_array_equal(grids[3, 0].ravel(), meas[3])
 
 
+class TestBuild:
+    def test_tensor_shapes(self):
+        """Conv1 and conv2 weights and biases, then the three dense layers'; m=3's conv2
+        leaves a 16 x 1 map of 25 channels, so 400 inputs to the first dense layer."""
+        assert neuralnet.tensor_shapes(neuralnet.NetworkConfig(num_qubits=3)) == [
+            (25, 1, 2, 2), (25,), (25, 25, 2, 2), (25,),
+            (400, 512), (512,), (512, 256), (256,), (256, 64), (64,)]
+
+    @pytest.mark.parametrize("m, filters, widths",
+                             [(2, 25, (512, 256)), (3, 25, (512, 256)), (4, 2, (8, 4))])
+    def test_initial_params_equal_oracle_bit_for_bit(self, m, filters, widths):
+        cfg = neuralnet.NetworkConfig(num_qubits=m, conv_filters=filters, dense_widths=widths,
+                                      seed=11)
+        net = neuralnet.Network.build(cfg, sampling.stream(cfg.seed, neuralnet.TRAIN_STREAM))
+        want = initial_params(m, filters, widths, sampling.stream(cfg.seed, neuralnet.TRAIN_STREAM))
+        np.testing.assert_array_equal(net.params.view(np.uint64), want.view(np.uint64))
+
+    def test_layers_are_views_of_the_vectors(self):
+        _, net = tiny_net()
+        weighted = [layer for layer in net.layers if hasattr(layer, "w")]
+        assert len(weighted) == 5
+        for layer in weighted:
+            assert all(np.shares_memory(t, vector) for t, vector in (
+                (layer.w, net.params), (layer.b, net.params),
+                (layer.dw, net.grads), (layer.db, net.grads)))
+
+
 class TestForward:
     def test_zero_parameters_give_zero_output(self):
         cfg = neuralnet.NetworkConfig(num_qubits=2)
-        net = neuralnet.Network.build(cfg)  # zero weights
+        net = zero_net(cfg)
         out = net.forward(sampling.stream(503).random((4, 1, 6, 6)))
         np.testing.assert_array_equal(out, np.zeros((4, 16)))
 
@@ -74,9 +113,7 @@ class TestForward:
         conv(1,0) = 0 - 4 + 2  + 0.5 = -1.5    conv(1,1) = 1 - 1 + 0 + 0.5 = 0.5
         ReLU zeroes the -1.5; maxpool over the 2x2 map keeps 7.5.
         """
-        conv = neuralnet.Conv2D(1, 1, 2)
-        conv.w[0, 0] = [[1.0, 0.0], [-1.0, 2.0]]
-        conv.b[0] = 0.5
+        conv = conv_layer(np.array([[[[1.0, 0.0], [-1.0, 2.0]]]]), np.array([0.5]))
         x = np.array([[[[1.0, 2.0, 0.0], [0.0, 1.0, 3.0], [4.0, 1.0, 0.0]]]])
         out = conv.forward(x)
         np.testing.assert_allclose(out[0, 0], [[3.5, 7.5], [-1.5, 0.5]], atol=1e-15)
@@ -141,8 +178,8 @@ class TestKernels:
     def test_conv_matches_loop_oracle(self, k):
         rng = sampling.stream(520 + k)
         x = rng.standard_normal((2, 3, 7, 4))
-        conv = neuralnet.Conv2D(3, 2, k, rng)
-        conv.b[:] = rng.standard_normal(2)
+        w = rng.standard_normal((2, 3, k, k)) * np.sqrt(2.0 / (3 * k * k))
+        conv = conv_layer(w, rng.standard_normal(2))
         out = conv.forward(x)
         dout = rng.standard_normal(out.shape)
         dx = conv.backward(dout)
@@ -191,18 +228,19 @@ class TestLayerOrder:
 
         Rounded inputs and half-integer conv1 weights give conv1 maps with
         exact ties, negative ones included; the reference network shares the
-        parameters of ``Network.build``'s, with every ReLU in the old form. Both share
-        the weighted layers, so both write their gradients into ``net.grads``.
+        parameters of ``Network.build``'s, with every ReLU in the old form.
         """
         cfg, net = tiny_net()
         rng = sampling.stream(540)
-        conv1, pool, relu, *rest = net.layers
+        conv1, pool, relu, *_ = net.layers
         assert (type(conv1), type(pool), type(relu)) == (
             neuralnet.Conv2D, neuralnet.MaxPool2D, neuralnet.ReLU)
         conv1.w[...] = np.round(2 * conv1.w) / 2
         conv1.b[...] = [-0.5, 0.5]
-        old = neuralnet.Network(cfg, [conv1, OldReLU(), pool] + [
-            OldReLU() if isinstance(layer, neuralnet.ReLU) else layer for layer in rest])
+        old = neuralnet.Network(cfg, net.params)
+        old_conv1, old_pool, _, *old_rest = old.layers
+        old.layers = [old_conv1, OldReLU(), old_pool] + [
+            OldReLU() if isinstance(layer, neuralnet.ReLU) else layer for layer in old_rest]
         grids = np.round(rng.standard_normal((6, 1, 6, 6)))
         targets = rng.standard_normal((6, 16))
         maps = conv1.forward(grids)
@@ -215,7 +253,7 @@ class TestLayerOrder:
         for network in (net, old):
             out = network.forward(grids, train=True, rng=sampling.stream(41))
             value = neuralnet.compute_gradients(network, grids, targets, sampling.stream(41))
-            results.append((out, value, net.grads.copy()))
+            results.append((out, value, network.grads))
         (out, value, grads), (old_out, old_value, old_grads) = results
         np.testing.assert_array_equal(out, old_out)
         assert value == old_value
@@ -261,7 +299,7 @@ class TestGradients:
         trainable parameters in total, so the check is exhaustive and covers
         every layer type including the dropout path.
         """
-        _, net = tiny_net()
+        cfg, net = tiny_net()
         rng = sampling.stream(509)
         grids = rng.random((5, 1, 6, 6))
         targets = rng.standard_normal((5, 16)) * 0.3
@@ -286,7 +324,7 @@ class TestGradients:
             scale = max(abs(fd), abs(grads[idx]), 1e-8)
             assert abs(fd - grads[idx]) / scale <= 1e-4
             checked += 1
-        assert checked == sum(p.size for p in net.parameters())
+        assert checked == sum(math.prod(s) for s in neuralnet.tensor_shapes(cfg)) == 168
 
     def test_batch_doubling_invariance(self):
         """Duplicating every example leaves the mean-loss gradient unchanged."""
@@ -394,9 +432,9 @@ class TestTraining:
         _, meas, taus = small_dataset(2, 20, 605)
         cfg = neuralnet.NetworkConfig(num_qubits=2, conv_filters=2, dense_widths=(6, 4),
                                       max_epochs=1)
-        source = neuralnet.Network.build(
-            neuralnet.NetworkConfig(num_qubits=2, conv_filters=3, dense_widths=(2, 4)))
-        assert source.params.size == neuralnet.Network.build(cfg).params.size
+        source = zero_net(neuralnet.NetworkConfig(num_qubits=2, conv_filters=3,
+                                                  dense_widths=(2, 4)))
+        assert source.params.size == zero_net(cfg).params.size
         with pytest.raises(ValueError, match=r"shape mismatch: \(2, 1, 2, 2\) vs \(3, 1, 2, 2\)"):
             neuralnet.train(cfg, meas, taus, meas, taus, (source, np.zeros_like(source.params)))
 
@@ -464,14 +502,51 @@ class TestCheckpoints:
         entry per parameter tensor, then every parameter and accumulator as LE doubles."""
         path = tmp_path / "model.qstck"
         _, net = tiny_net(seed=8)
-        params = net.parameters()
+        params = [t for layer in net.layers if hasattr(layer, "w") for t in (layer.w, layer.b)]
         accumulators = [np.full_like(p, 0.25) for p in params]
         neuralnet.save_checkpoint(path, net, np.concatenate([a.ravel() for a in accumulators]))
         header = struct.pack("<8sI6IddIIQI", b"QSTCKPT\x00", 1, 2, 2, 2, 2, 8, 4, 0.5, 0.01,
-                             100, 300, 8, 10)
+                             100, 50, 8, 10)
         header += b"".join(struct.pack(f"<I{p.ndim}I", p.ndim, *p.shape) for p in params)
         payload = b"".join(t.astype("<f8").tobytes() for t in params + accumulators)
         assert path.read_bytes() == header + payload
+
+    def test_loaded_network_is_a_read_only_view(self, tmp_path):
+        cfg, net = tiny_net(seed=8)
+        path = tmp_path / "model.qstck"
+        neuralnet.save_checkpoint(path, net, np.full_like(net.params, 0.25))
+        loaded, accumulator = neuralnet.load_checkpoint(path)
+        assert not loaded.params.flags.writeable and not accumulator.flags.writeable
+        np.testing.assert_array_equal(loaded.params, net.params)
+        assert [t.shape for layer in loaded.layers if hasattr(layer, "w")
+                for t in (layer.w, layer.b)] == neuralnet.tensor_shapes(cfg)
+        assert loaded.grads.flags.writeable and loaded.grads.shape == net.params.shape
+
+    def test_training_from_a_loaded_checkpoint_matches_the_saved_state(self, tmp_path):
+        """A run resumed from the file's read-only vectors writes the bytes of one resumed
+        from the writeable arrays that were saved."""
+        _, meas, taus = small_dataset(2, 40, 611)
+        cfg = neuralnet.NetworkConfig(max_epochs=2, **TINY)
+        net, opt, _ = neuralnet.train(cfg, meas[:30], taus[:30], meas[30:], taus[30:])
+        path = tmp_path / "model.qstck"
+        neuralnet.save_checkpoint(path, net, opt.accumulator)
+        runs = [neuralnet.train(cfg, meas[:30], taus[:30], meas[30:], taus[30:], state)
+                for state in ((net, opt.accumulator), neuralnet.load_checkpoint(path))]
+        (a, a_opt, a_history), (b, b_opt, b_history) = runs
+        assert a_history == b_history
+        np.testing.assert_array_equal(a.params.view(np.uint64), b.params.view(np.uint64))
+        np.testing.assert_array_equal(a_opt.accumulator, b_opt.accumulator)
+
+    def test_shapes_beyond_the_table_fields_are_format_error(self, tmp_path):
+        """m = 12 asks for a dense layer of 25 * 23326**2 inputs, more than a uint32 holds."""
+        net = zero_net(neuralnet.NetworkConfig(num_qubits=2))
+        path = tmp_path / "model.qstck"
+        neuralnet.save_checkpoint(path, net, np.zeros_like(net.params))
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<I", raw, 12, 12)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(neuralnet.FormatError, match="no network"):
+            neuralnet.load_checkpoint(path)
 
     def test_accumulators_must_match_parameters(self, tmp_path):
         _, net = tiny_net()

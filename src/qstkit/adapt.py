@@ -1,7 +1,7 @@
 """Dimension-adaptive reconstruction via measurement padding and partial trace.
 
-An n-qubit measurement vector can be lifted into the frame of a network
-trained on m >= n qubits in two ways:
+``pad_measurements`` lifts an n-qubit measurement vector into the frame of a
+network trained on m >= n qubits, in one of two modes:
 
 * engineered padding: pretend the system was extended with m-n fictitious
   maximally mixed qubits. Each projective outcome of I/2 is exactly 1/2, so
@@ -53,30 +53,16 @@ PADDING_MODES = (PADDING_ENGINEERED, PADDING_ZERO)
 _MC_CHUNK = 4096  # Monte Carlo draws sampled and compared at a time
 
 
-def engineered_pad(values: np.ndarray, target_qubits: int) -> np.ndarray:
-    """Extend by fictitious I/2 qubits: replicate blocks, scale by (1/2)**(m-n)."""
-    n = qcore.qubit_count(values.shape[-1], 6)
-    extra = target_qubits - n
-    if extra < 0:
-        raise ValueError(f"cannot pad {n} qubits down to {target_qubits}")
-    return np.tile(values, 6**extra) * 0.5**extra
-
-
-def zero_pad(values: np.ndarray, target_qubits: int) -> np.ndarray:
-    """Place the real measurements in the first 6**n slots, zero elsewhere."""
-    n = qcore.qubit_count(values.shape[-1], 6)
-    if target_qubits < n:
-        raise ValueError(f"cannot pad {n} qubits down to {target_qubits}")
-    out = np.zeros(values.shape[:-1] + (6**target_qubits,))
-    out[..., : values.shape[-1]] = values
-    return out
-
-
-def pad_measurements(values: np.ndarray, target_qubits: int, mode: str) -> np.ndarray:
+def pad_measurements(values: np.ndarray, m: int, mode: str) -> np.ndarray:
+    """Lift (..., 6**n) measurement rows to m >= n qubits: engineered padding tiles them
+    over every extra-setting block, scaled by (1/2)**(m-n); zero padding zero-fills."""
+    extra = m - qcore.qubit_count(values.shape[-1], 6)
     if mode == PADDING_ENGINEERED:
-        return engineered_pad(values, target_qubits)
+        return np.tile(values, 6**extra) * 0.5**extra
     if mode == PADDING_ZERO:
-        return zero_pad(values, target_qubits)
+        out = np.zeros(values.shape[:-1] + (6**m,))
+        out[..., : values.shape[-1]] = values
+        return out
     raise ValueError(f"unknown padding mode {mode!r}; expected one of {PADDING_MODES}")
 
 

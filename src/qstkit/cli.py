@@ -18,10 +18,11 @@ Rows are forwarded through the network in chunks of the checkpoint's
 on the length of the chunk it is forwarded in, such as a short last chunk;
 the other rows in that chunk do not change them.
 
-Exit codes: 0 success, 1 usage error (bad flags or config values, unreadable or
-unwritable paths, a checkpoint that does not fit the run, n > m, a request too
-large to allocate), 2 data/format error, 3 numerical failure (including
-floating-point overflow, invalid and divide).
+Exit codes: 0 success, 1 usage error (any ``ValueError``: bad flags or config
+values, a seed or setting that a file header cannot hold; unreadable or
+unwritable paths; a checkpoint or validation set that does not fit the run,
+n > m; a request too large to allocate), 2 data/format error, 3 numerical
+failure (including floating-point overflow, invalid and divide).
 """
 
 from __future__ import annotations
@@ -51,17 +52,13 @@ CONFIG_KEYS = frozenset({
 })
 
 
-class UsageError(Exception):
-    """Bad flag values or inconsistent options."""
-
-
 def _read_config_file(path) -> dict:
     parser = configparser.ConfigParser(interpolation=None)
     try:
         if not parser.read(path):
-            raise UsageError(f"config file not found: {path}")
+            raise ValueError(f"config file not found: {path}")
     except configparser.Error as exc:
-        raise UsageError(f"bad config file: {exc}") from exc
+        raise ValueError(f"bad config file: {exc}".replace("\n", " ")) from exc
     merged = {}
     for section in parser.sections():
         merged.update(dict(parser[section]))
@@ -95,13 +92,9 @@ def _load_train_val(args):
     train_ds = tomography.read_dataset(args.dataset)
     if args.val_dataset is not None:
         val_ds = tomography.read_dataset(args.val_dataset)
-        if val_ds.num_qubits != train_ds.num_qubits:
-            raise FormatError(
-                f"validation set has m={val_ds.num_qubits}, training set m={train_ds.num_qubits}"
-            )
         return train_ds, train_ds.measurements, train_ds.taus, val_ds.measurements, val_ds.taus
     if args.val_count >= train_ds.count:
-        raise UsageError(f"val_count {args.val_count} must be smaller than the dataset "
+        raise ValueError(f"val_count {args.val_count} must be smaller than the dataset "
                          f"({train_ds.count} states)")
     split = train_ds.count - args.val_count
     return (
@@ -170,7 +163,7 @@ def cmd_reconstruct(args) -> int:
 
 def _parse_checkpoint_args(args) -> dict[int, neuralnet.Network]:
     if not args.checkpoints:
-        raise UsageError(f"{args.name} needs --checkpoint entries (path or m=path, repeatable)")
+        raise ValueError(f"{args.name} needs --checkpoint entries (path or m=path, repeatable)")
     nets = {}
     for entry in args.checkpoints:
         prefix, _, path = entry.partition("=")  # an m= prefix only if it is a number
@@ -178,9 +171,9 @@ def _parse_checkpoint_args(args) -> dict[int, neuralnet.Network]:
         net, _ = neuralnet.load_checkpoint(path)
         m = net.config.num_qubits
         if want not in (None, m):
-            raise UsageError(f"checkpoint {path} is for m={m}, not m={want}")
+            raise ValueError(f"checkpoint {path} is for m={m}, not m={want}")
         if m in nets:
-            raise UsageError(f"two checkpoints given for m={m}")
+            raise ValueError(f"two checkpoints given for m={m}")
         nets[m] = net
     return nets
 
@@ -215,7 +208,7 @@ def _experiment_fig3(args) -> tuple[list, list]:
 def _experiment_baselines(args) -> tuple[None, list]:
     measure, seed = args.measure, args.seed
     if len(set(args.dims)) != len(args.dims):
-        raise UsageError(f"--dims {','.join(map(str, args.dims))} repeats a dimension")
+        raise ValueError(f"--dims {','.join(map(str, args.dims))} repeats a dimension")
     seeds = {qubit_count(dim, 2): (sampling.sub_seed(seed, f"baseline-pair-{measure}-{dim}"),
                                    sampling.sub_seed(seed, f"baseline-mixed-{measure}-{dim}"))
              for dim in args.dims}
@@ -370,7 +363,7 @@ def main(argv=None) -> int:
     except FormatError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (UsageError, ValueError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

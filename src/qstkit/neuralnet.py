@@ -97,6 +97,15 @@ class NetworkConfig:
             raise ValueError(f"dropout rate must be in [0, 1), got {self.dropout_rate}")
         if not 0 < self.learning_rate < math.inf or self.batch_size < 1 or self.max_epochs < 1:
             raise ValueError("learning rate, batch size and max epochs must be positive and finite")
+        self._header(0)
+
+    def _header(self, tensor_count: int) -> bytes:
+        """The checkpoint's config header; a ValueError if a setting does not fit its field."""
+        m, filters, widths, *rest = astuple(self)
+        try:
+            return _CONFIG.pack(m, filters, KERNEL, POOL, *widths, *rest, tensor_count)
+        except struct.error as exc:
+            raise ValueError(f"{self} does not fit the checkpoint header: {exc}") from exc
 
     @property
     def tau_width(self) -> int:
@@ -438,10 +447,9 @@ def save_checkpoint(path, net: Network, accumulator: np.ndarray) -> None:
     if accumulator.shape != net.params.shape:
         raise ValueError("accumulator does not match the network's parameters")
     shapes = tensor_shapes(net.config)
-    m, filters, widths, *rest = astuple(net.config)
-    header = _CONFIG.pack(m, filters, KERNEL, POOL, *widths, *rest, len(shapes))
     tomography.write_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
-                               header + _shape_table(shapes), [net.params, accumulator], "<f8")
+                               net.config._header(len(shapes)) + _shape_table(shapes),
+                               [net.params, accumulator], "<f8")
 
 
 def load_checkpoint(path) -> tuple[Network, np.ndarray]:

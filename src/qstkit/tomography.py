@@ -171,8 +171,9 @@ def sample_dataset(m: int, sampling_measure: str, count: int,
                    seed: int) -> tuple[np.ndarray, Dataset]:
     """``count`` m-qubit states, state i from ``stream(seed, i)``, as a (count, 2**m, 2**m)
     stack checked for physicality once, and their measurement rows and tau targets."""
-    if not 1 <= m <= 4 or count < 1:
-        raise ValueError(f"need 1 <= m <= 4 and count >= 1, got m={m}, count={count}")
+    if not 1 <= m <= 4 or count < 1 or not 0 <= seed < 2**64:
+        raise ValueError(f"need 1 <= m <= 4, count >= 1 and 0 <= seed < 2**64, got m={m}, "
+                         f"count={count}, seed={seed}")
     states = sampling.sample_streams(m, sampling_measure, seed, 0, count, 1)[0]
     qcore.assert_physical(states, "sampled states")
     measurements = np.stack([measure(rho) for rho in states])

@@ -137,7 +137,7 @@ def test_c02_monotonicity_suite():
 
 
 def test_c03_padding_oracle():
-    """engineered_pad equals exact measurement of the I/2-extended state."""
+    """Engineered padding equals exact measurement of the I/2-extended state."""
     worst = 0.0
     for n, m in [(1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4)]:
         for i in range(100):
@@ -146,7 +146,7 @@ def test_c03_padding_oracle():
             extended = rho
             for _ in range(m - n):
                 extended = np.kron(maximally_mixed(1), extended)
-            got = adapt.engineered_pad(tomography.measure(rho), m)
+            got = adapt.pad_measurements(tomography.measure(rho), m, "engineered")
             want = tomography.measure(extended)
             worst = max(worst, float(np.abs(got - want).max()))
     report(

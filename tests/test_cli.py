@@ -337,6 +337,23 @@ class TestStatesFormat:
             tomography.write_states(path, np.zeros((0, 2, 2)))
         assert not path.exists()
 
+    @pytest.mark.parametrize("meas_shape, tau_shape, match", [
+        ((3, 6), (3, 16), "measurement block"), ((3, 36), (2, 16), "tau block")])
+    def test_misshapen_dataset_not_written(self, tmp_path, meas_shape, tau_shape, match):
+        """The writer rejects blocks its own reader would reject, before opening a file."""
+        path = tmp_path / "d.qst"
+        dataset = tomography.Dataset(2, sampling.MEASURE_HS, 7, np.full(meas_shape, 0.5),
+                                     np.full(tau_shape, 0.5))
+        with pytest.raises(ValueError, match=match):
+            tomography.write_dataset(path, dataset)
+        assert not path.exists()
+
+    def test_single_matrix_not_written(self, tmp_path):
+        path = tmp_path / "s.qstst"
+        with pytest.raises(ValueError, match=r"\(count, d, d\) stack"):
+            tomography.write_states(path, np.eye(2))
+        assert not path.exists()
+
 
 class TestExperiments:
     def test_fig2_schema(self, trained, tmp_path):
@@ -656,6 +673,27 @@ class TestExitCodes:
         assert proc.returncode == cli.EXIT_NUMERICAL
         assert proc.stderr.splitlines() == ["numerical failure: overflow encountered in dot"]
 
+    # Out of the range of the seed (uint64) or batch size (uint32) field of the file's header.
+    @pytest.mark.parametrize("command, setting", [
+        ("generate", ("--seed", -1)), ("generate", ("--seed", 2**64)),
+        ("train", ("--seed", -1)), ("train", ("--seed", 2**64)),
+        ("train", ("--batch-size", 2**32)),
+    ], ids=["generate-seed-negative", "generate-seed-2**64", "train-seed-negative",
+            "train-seed-2**64", "train-batch-size-2**32"])
+    def test_setting_the_header_cannot_hold_is_usage_error(self, trained, tmp_path, capsys,
+                                                            monkeypatch, command, setting):
+        """Rejected before any work: one error line, no traceback, no directory left."""
+        root, _ = trained
+        monkeypatch.chdir(tmp_path)
+        argv = {"generate": ["generate", "--count", 3, "--out", "sub/x.qst"],
+                "train": ["train", "--dataset", root / "train.qst", "--val-count", 60,
+                          "--epochs", 1, "--out-dir", "run"]}[command]
+        capsys.readouterr()
+        assert run(*argv, *setting) == cli.EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and str(setting[1]) in err[0]
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_val_count_is_usage_error(self, tmp_path):
         data = tmp_path / "d.qst"
         assert run("generate", "--out", data, "--m", 2, "--count", 10, "--seed", 1) == 0
@@ -674,11 +712,16 @@ class TestExitCodes:
     @pytest.mark.parametrize("case", ["linalg-error", "missing-dataset", "missing-checkpoint",
                                       "out-under-a-file", "config-without-section",
                                       "repeated-dims", "learning-rate-nan",
-                                      "learning-rate-inf"])
+                                      "learning-rate-inf", "missing-config",
+                                      "checkpoint-m-repeated", "no-filters",
+                                      "one-dense-width", "no-val-count",
+                                      "val-dataset-of-another-m"])
     def test_failures_get_their_exit_code(self, trained, tmp_path, capsys, monkeypatch, case):
+        """One message line naming the failure, no traceback and no output directory."""
         root, checkpoint = trained
-        data, regular = root / "train.qst", tmp_path / "regular"
+        data, regular, val = root / "train.qst", tmp_path / "regular", tmp_path / "val1.qst"
         regular.write_text("m = 2\n")
+        train = ["train", "--dataset", data, "--epochs", 1, "--out-dir", tmp_path / "x"]
         argv, code, named = {
             "linalg-error": (["reconstruct", "--checkpoint", checkpoint, "--input", data,
                               "--out-dir", tmp_path / "x"], cli.EXIT_NUMERICAL, "eigh failed"),
@@ -699,15 +742,33 @@ class TestExitCodes:
             "learning-rate-inf": (["train", "--dataset", data, "--learning-rate", "inf",
                                    "--out-dir", tmp_path / "x"], cli.EXIT_USAGE,
                                   "learning rate"),
+            "missing-config": (["generate", "--config", tmp_path / "missing.ini", "--out",
+                                tmp_path / "x" / "d.qst"], cli.EXIT_USAGE,
+                               "config file not found"),
+            "checkpoint-m-repeated": (["experiment", "--name", "fig2", "--checkpoint",
+                                       checkpoint, "--checkpoint", f"2={checkpoint}",
+                                       "--out-dir", tmp_path / "x"], cli.EXIT_USAGE,
+                                      "two checkpoints given for m=2"),
+            "no-filters": ([*train, "--filters", 0], cli.EXIT_USAGE,
+                           "conv filters must be positive"),
+            "one-dense-width": ([*train, "--dense-widths", 8], cli.EXIT_USAGE,
+                                "expected two positive dense widths"),
+            "no-val-count": ([*train, "--val-count", 0], cli.EXIT_USAGE,
+                             "training and validation sets must be non-empty"),
+            "val-dataset-of-another-m": ([*train, "--val-dataset", val], cli.EXIT_USAGE,
+                                         "rows of 36 entries, got 36 and 6"),
         }[case]
         if case == "linalg-error":
             def eigh(*_):
                 raise np.linalg.LinAlgError("eigh failed")
             monkeypatch.setattr(np.linalg, "eigh", eigh)
+        if case == "val-dataset-of-another-m":
+            assert run("generate", "--out", val, "--m", 1, "--count", 3) == 0
         capsys.readouterr()
         assert run(*argv) == code
-        err = capsys.readouterr().err
-        assert named in err and "Traceback" not in err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and named in err[0]
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("argv, setting, option", [
         (["generate", "--out", "d.qst"], "m = two", "--m"),

@@ -548,6 +548,13 @@ class TestCheckpoints:
         with pytest.raises(neuralnet.FormatError, match="no network"):
             neuralnet.load_checkpoint(path)
 
+    @pytest.mark.parametrize("field, value", [("seed", -1), ("seed", 2**64),
+                                              ("batch_size", 2**32), ("max_epochs", 2**32)])
+    def test_config_beyond_the_header_fields_rejected(self, field, value):
+        """A config that ``save_checkpoint`` could not write is rejected when made."""
+        with pytest.raises(ValueError, match=f"{field}={value}.* does not fit the checkpoint"):
+            neuralnet.NetworkConfig(num_qubits=2, **{field: value})
+
     def test_accumulators_must_match_parameters(self, tmp_path):
         _, net = tiny_net()
         with pytest.raises(ValueError, match="accumulator"):

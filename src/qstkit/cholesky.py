@@ -22,6 +22,8 @@ import numpy as np
 from . import qcore
 
 _CHOLESKY_SHIFT = 1e-12
+# A tau whose squared norm is at most this defines no state.
+MIN_NORM_SQ = 1e-300
 
 
 def tau_layout(d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -67,14 +69,14 @@ def matrix_to_tau(t: np.ndarray) -> np.ndarray:
 def tau_to_rho(tau: np.ndarray) -> np.ndarray:
     """rho = T T† / Tr(T T†) for one tau vector or a (..., 4**m) stack.
 
-    Raises ArithmeticError if any tau is all zero or not finite.
+    Raises ArithmeticError if any tau's squared norm is not finite or at most MIN_NORM_SQ.
     """
     tau = np.asarray(tau, dtype=np.float64)
     # Tr(T T†) is the squared Euclidean norm of tau.
     norm_sq = np.sum(tau * tau, axis=-1)[..., None, None]
     if not np.all(np.isfinite(norm_sq)):
         raise ArithmeticError("tau vector is not finite; no state is defined")
-    if np.any(norm_sq <= 1e-300):
+    if np.any(norm_sq <= MIN_NORM_SQ):
         raise ArithmeticError("tau vector has zero norm; no state is defined")
     t = tau_to_matrix(tau)
     rho = (t @ t.conj().swapaxes(-1, -2)) / norm_sq

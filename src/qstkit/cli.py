@@ -12,11 +12,7 @@ Each command does its work before it creates its output directory, so a
 failed run leaves none behind. The files it reads and writes are defined in
 ``tomography``; this module defines no file format.
 
-Reconstructions are deterministic given the checkpoint and the input file.
-Rows are forwarded through the network in chunks of the checkpoint's
-``batch_size``, so the last bits of a row's state (about 1e-15) can depend
-on the length of the chunk it is forwarded in, such as a short last chunk;
-the other rows in that chunk do not change them.
+A reconstructed state's bits depend only on the checkpoint's parameters and its own row.
 
 Exit codes: 0 success, 1 usage error (any ``ValueError``: bad flags or config
 values, a seed or setting that a file header cannot hold; unreadable or

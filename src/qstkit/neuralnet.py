@@ -21,8 +21,8 @@ with Adagrad, shuffling batches each epoch, and keeps the parameters from
 the epoch with the best mean validation fidelity. Everything random (weight
 init, shuffling, dropout masks) is drawn from one Philox stream derived from
 the config seed, so a (seed, data, config) triple fully determines the run.
-``Network.predict`` is the one inference path, forwarding rows in chunks of
-``batch_size``; validation and ``adapt.reconstruct`` use it.
+``Network.predict`` is the one inference path, forwarding rows in zero-filled chunks of
+``PREDICT_ROWS``; validation and ``adapt.reconstruct`` use it.
 A network is its config plus one flat vector ``params``: every layer's w, b and dw, db
 are views of it and of ``grads``, cut by ``tensor_shapes(config)``. A checkpoint holds
 ``params`` and ``Adagrad.accumulator``; ``load_checkpoint`` builds the network over the
@@ -52,6 +52,9 @@ _CONFIG = struct.Struct("<6IddIIQI")
 
 # The one architecture: 2x2 convolution kernels and 2x2 max pooling.
 KERNEL = POOL = 2
+# Rows of every inference forward, so a row's taus never depend on how many rows share the
+# call. Not batch_size, which may be 2**32 - 1; 100 is its default.
+PREDICT_ROWS = 100
 
 # Adagrad's denominator offset: no 0/0 where every gradient so far was zero.
 _ADAGRAD_EPS = 1e-8
@@ -313,12 +316,15 @@ class Network:
         return x
 
     def predict(self, measurements: np.ndarray) -> np.ndarray:
-        """(count, 4**m) taus of (count, 6**m) rows, forwarded ``batch_size`` rows at a time."""
+        """(count, 4**m) taus of (count, 6**m) rows, forwarded ``PREDICT_ROWS`` rows at a
+        time; the last chunk is zero-filled and its extra outputs dropped."""
         grids = grids_from_measurements(measurements)
         taus = np.empty((len(grids), self.config.tau_width))
-        step = self.config.batch_size
-        for start in range(0, len(grids), step):
-            taus[start : start + step] = self.forward(grids[start : start + step])
+        for start in range(0, len(grids), PREDICT_ROWS):
+            rows = grids[start : start + PREDICT_ROWS]
+            chunk = np.zeros((PREDICT_ROWS,) + rows.shape[1:])
+            chunk[: len(rows)] = rows
+            taus[start : start + len(rows)] = self.forward(chunk)[: len(rows)]
         return taus
 
     def backward(self, dout: np.ndarray) -> None:

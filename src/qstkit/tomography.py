@@ -15,10 +15,10 @@ The dataset file and the reconstructed-states file are defined here; they and
 the network checkpoint are the binary containers framed by ``write_container``.
 A dataset header embeds the setting order tag, sampling measure and master
 seed alongside the record count, so a file fully determines how it was
-produced and how to interpret the payload. ``read_dataset`` rejects an
-all-zero tau target, which defines no state, and measurements that are not
-probabilities: an entry outside [0, 1], or a basis whose outcomes do not sum
-to 1 within 1e-9.
+produced and how to interpret the payload. ``read_dataset`` rejects a tau
+target that defines no state (its squared norm at most ``cholesky.MIN_NORM_SQ``
+or overflowing), and measurements that are not probabilities: an entry outside
+[0, 1], or a basis whose outcomes do not sum to 1 within 1e-9.
 """
 
 from __future__ import annotations
@@ -211,8 +211,10 @@ def read_dataset(path) -> Dataset:
     if measure_tag not in sampling.MEASURES:
         raise FormatError(f"{path}: unknown measure tag {measure_tag!r}")
     records = payload_array(path, payload, "<f8", (count, 6**m + 4**m))
-    if (zero := np.flatnonzero(~records[:, 6**m :].any(axis=1))).size:
-        raise FormatError(f"{path}: tau target of record {zero[0]} is all zero")
+    with np.errstate(over="ignore", under="ignore"):
+        norm_sq = np.sum(records[:, 6**m :] ** 2, axis=1)
+    if (bad := np.flatnonzero((norm_sq <= cholesky.MIN_NORM_SQ) | np.isinf(norm_sq))).size:
+        raise FormatError(f"{path}: tau target of record {bad[0]} defines no state")
     meas = records[:, : 6**m]
     if (bad := np.flatnonzero(((meas < 0.0) | (meas > 1.0)).any(axis=1))).size:
         raise FormatError(f"{path}: measurement of record {bad[0]} lies outside [0, 1]")

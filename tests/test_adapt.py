@@ -97,9 +97,8 @@ class TestZeroPad:
 
 
 def plain_inference(net, values):
-    """The unpadded network path written out: forward the rows, decode each tau."""
-    taus = net.forward(neuralnet.grids_from_measurements(values), train=False)
-    return cholesky.tau_to_rho(taus)
+    """The unpadded network path written out: predict the rows' taus, decode each one."""
+    return cholesky.tau_to_rho(net.predict(values))
 
 
 class TestReconstructAdaptive:
@@ -134,16 +133,21 @@ class TestReconstructAdaptive:
             adapt.reconstruct(net, np.zeros((1, 36)), "reflect")
 
     def test_chunked_rows_match_one_row_calls(self):
-        """250 rows at batch size 100 (last chunk partial) against 250 one-row calls."""
-        net = tiny_net()
-        assert net.config.batch_size == 100
+        """250 rows (last chunk partial) against one-row calls, a permutation and a 33-row
+        slice, bit for bit, through a network of default widths."""
+        cfg = neuralnet.NetworkConfig(num_qubits=2, seed=3)
+        net = neuralnet.Network.build(cfg, sampling.stream(3, neuralnet.TRAIN_STREAM))
         states = sampling.sample_streams(2, "hilbert-schmidt", 711, 0, 250, 1)[0]
         values = np.stack([tomography.measure(rho) for rho in states])
         batched = adapt.reconstruct(net, values, "engineered")
         rows = np.stack([adapt.reconstruct(net, v[None], "engineered")[0] for v in values])
         assert batched.shape == (250, 4, 4)
-        assert np.abs(batched - rows).max() <= 1e-12
-        np.testing.assert_array_equal(adapt.reconstruct(net, values, "engineered"), batched)
+        np.testing.assert_array_equal(rows, batched)
+        order = sampling.stream(712).permutation(250)
+        np.testing.assert_array_equal(adapt.reconstruct(net, values[order], "engineered"),
+                                      batched[order])
+        np.testing.assert_array_equal(adapt.reconstruct(net, values[7:40], "engineered"),
+                                      batched[7:40])
 
 
 def measured(states):

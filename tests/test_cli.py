@@ -261,6 +261,18 @@ class TestReconstruct:
                    "--out-dir", tmp_path / "rec") == 0
         qcore.assert_physical(tomography.read_states(tmp_path / "rec" / "states.qstst"))
 
+    def test_one_state_file_matches_its_row_in_a_larger_file(self, trained, tmp_path):
+        """A state reconstructed alone has the bits it has as row 0 of 120."""
+        _, checkpoint = trained
+        states = []
+        for count in (1, 120):
+            data, out_dir = tmp_path / f"{count}.qst", tmp_path / f"rec{count}"
+            assert run("generate", "--out", data, "--m", 1, "--count", count, "--seed", 8) == 0
+            assert run("reconstruct", "--checkpoint", checkpoint, "--input", data,
+                       "--out-dir", out_dir) == 0
+            states.append(tomography.read_states(out_dir / "states.qstst"))
+        assert states[0][0].tobytes() == states[1][0].tobytes()
+
     def test_checkpoint_network_is_built_once(self, trained, tmp_path, monkeypatch):
         """``load_checkpoint`` constructs the network it returns, and nothing constructs
         another."""
@@ -468,8 +480,8 @@ BAD_CHECKPOINT_HEADERS = {
     "checkpoint-learning-rate-nan": (44, "<d", np.nan),
 }
 CORRUPTIONS = ("garbage", "truncated", "zero-records", "nan-measurement", "inf-tau",
-               "zero-tau", "unknown-measure", "measurement-7", "scaled-row", "nan-checkpoint",
-               *BAD_CHECKPOINT_HEADERS)
+               "zero-tau", "tiny-tau", "huge-tau", "unknown-measure", "measurement-7",
+               "scaled-row", "nan-checkpoint", *BAD_CHECKPOINT_HEADERS)
 
 
 def corrupt(kind, data, checkpoint, tmp_path):
@@ -501,6 +513,11 @@ def corrupt(kind, data, checkpoint, tmp_path):
             ds.taus[3, 2] = np.inf
         elif kind == "zero-tau":  # a target that defines no state
             ds.taus[7] = 0.0
+        elif kind == "tiny-tau":  # squared norm 1e-320, in the validation split
+            ds.taus[-1] = 0.0
+            ds.taus[-1, 0] = 1e-160
+        elif kind == "huge-tau":  # squared norm overflows, in the validation split
+            ds.taus[-1] *= 1e200
         elif kind == "measurement-7":  # no probability
             ds.measurements[2, 9] = 7.0
         elif kind == "scaled-row":  # each basis sums to 3

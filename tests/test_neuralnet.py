@@ -472,6 +472,21 @@ class TestInfer:
         mixed_fid = np.mean(qcore.fidelity(held_states, maximally_mixed(2)))
         assert net_fid > mixed_fid
 
+    def test_predict_ignores_batch_size(self, monkeypatch):
+        """Networks over one ``params`` that differ only in batch size predict the same bits,
+        and every forward ``predict`` makes has exactly ``PREDICT_ROWS`` rows."""
+        configs = [neuralnet.NetworkConfig(num_qubits=2, batch_size=b) for b in (1, 7, 2**32 - 1)]
+        params = neuralnet.Network.build(configs[0], sampling.stream(610)).params
+        rows = sampling.stream(611).random((250, 36))
+        forward, seen = neuralnet.Network.forward, []
+        monkeypatch.setattr(neuralnet.Network, "forward",
+                            lambda net, grids, *a, **k: seen.append(len(grids)) or
+                            forward(net, grids, *a, **k))
+        first, *rest = (neuralnet.Network(cfg, params).predict(rows) for cfg in configs)
+        for taus in rest:
+            np.testing.assert_array_equal(taus, first)
+        assert seen == [neuralnet.PREDICT_ROWS] * 9
+
     def test_wrong_length_rejected(self):
         _, net = tiny_net()
         with pytest.raises(ValueError, match="power of six"):

@@ -89,10 +89,10 @@ def rho_to_tau(rho: np.ndarray) -> np.ndarray:
     Cholesky-factorizes rho + 1e-12*I (the Tikhonov shift keeps rank-deficient
     targets factorizable), then scales tau to unit Euclidean norm. numpy's
     factorization returns a positive diagonal, which removes the sign
-    ambiguity, so targets are unique.
+    ambiguity, so targets are unique. The input is trusted to be exactly Hermitian, as
+    ``sampling.sample_streams`` makes every stack it returns.
     """
-    h = (rho + rho.conj().swapaxes(-1, -2)) / 2
-    t = np.linalg.cholesky(h + _CHOLESKY_SHIFT * np.eye(rho.shape[-1]))
+    t = np.linalg.cholesky(rho + _CHOLESKY_SHIFT * np.eye(rho.shape[-1]))
     tau = matrix_to_tau(t)
     # A vector dot per row, the same sum as a 1-D np.linalg.norm.
     return tau / np.sqrt(tau[..., None, :] @ tau[..., :, None])[..., 0]

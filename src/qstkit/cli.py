@@ -7,10 +7,12 @@ command line's own, so argparse checks their types and choices and explicit
 flags override them; paths and other keys in the file are ignored. Every
 command writes the options it read and the facts of the run as an INI file next
 to its outputs, so any run can be re-executed from its artifacts. All commands
-are deterministic given (config, seed). Checkpoints load as built networks.
+are deterministic given (config, seed). A checkpoint loads as one network.
 Each command does its work before it creates its output directory, so a
-failed run leaves none behind. The files it reads and writes are defined in
-``tomography``; this module defines no file format.
+failed run leaves none behind. ``tomography`` defines the dataset and states containers
+and the framing of all three binary containers, ``neuralnet`` the checkpoint, ``adapt``
+``records.csv`` and ``summary.csv``, and this module ``history.csv``, ``fidelity.csv``
+and ``config.ini``.
 
 A reconstructed state's bits depend only on the checkpoint's parameters and its own row.
 
@@ -114,16 +116,13 @@ def cmd_train(args) -> int:
         max_epochs=args.epochs,
         seed=args.seed,
     )
-
-    init_state = None
-    if args.init_checkpoint is not None:
-        init_state = neuralnet.load_checkpoint(args.init_checkpoint)
-
-    net, opt, history = neuralnet.train(config, tr_meas, tr_taus, va_meas, va_taus, init_state)
+    init = (None if args.init_checkpoint is None
+            else neuralnet.load_checkpoint(args.init_checkpoint))
+    net, history = neuralnet.train(config, tr_meas, tr_taus, va_meas, va_taus, init)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ck_path = out_dir / "checkpoint.qstck"
-    neuralnet.save_checkpoint(ck_path, net, opt.accumulator)
+    neuralnet.save_checkpoint(ck_path, net)
     adapt.write_csv(out_dir / "history.csv", ["epoch", "mean_loss", "val_mean_fidelity"],
                     ([epoch, f"{lo:.12e}", f"{fi:.12f}"] for epoch, (lo, fi)
                      in enumerate(zip(history.losses, history.val_fidelities), start=1)))
@@ -139,7 +138,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    net, _ = neuralnet.load_checkpoint(args.checkpoint)
+    net = neuralnet.load_checkpoint(args.checkpoint)
     ds = tomography.read_dataset(args.input)
     m, n = net.config.num_qubits, ds.num_qubits
     states = adapt.reconstruct(net, ds.measurements, args.mode)
@@ -164,7 +163,7 @@ def _parse_checkpoint_args(args) -> dict[int, neuralnet.Network]:
     for entry in args.checkpoints:
         prefix, _, path = entry.partition("=")  # an m= prefix only if it is a number
         want, path = (int(prefix), path) if prefix.isdecimal() else (None, entry)
-        net, _ = neuralnet.load_checkpoint(path)
+        net = neuralnet.load_checkpoint(path)
         m = net.config.num_qubits
         if want not in (None, m):
             raise ValueError(f"checkpoint {path} is for m={m}, not m={want}")

@@ -23,10 +23,10 @@ init, shuffling, dropout masks) is drawn from one Philox stream derived from
 the config seed, so a (seed, data, config) triple fully determines the run.
 ``Network.predict`` is the one inference path, forwarding rows in zero-filled chunks of
 ``PREDICT_ROWS``; validation and ``adapt.reconstruct`` use it.
-A network is its config plus one flat vector ``params``: every layer's w, b and dw, db
-are views of it and of ``grads``, cut by ``tensor_shapes(config)``. A checkpoint holds
-``params`` and ``Adagrad.accumulator``; ``load_checkpoint`` builds the network over the
-file's bytes, without a copy. Its header still records the fixed kernel and pool (2).
+A network is its config plus flat vectors ``params``, ``grads`` and Adagrad's
+``accumulator``; each layer's w, b, dw and db are views cut by ``tensor_shapes(config)``.
+A checkpoint is one network: ``load_checkpoint`` builds it over the file's ``params`` and
+``accumulator`` bytes, without a copy. Its header records the fixed kernel and pool (2).
 """
 
 from __future__ import annotations
@@ -166,18 +166,15 @@ class ReLU:
 
 
 class MaxPool2D:
-    """Square max pooling, stride equal to size, floor division (no padding).
+    """``POOL`` x ``POOL`` max pooling, stride ``POOL``, floor division (no padding).
 
-    The maximum is taken elementwise over size**2 strided views of the input
+    The maximum is taken elementwise over POOL**2 strided views of the input
     ("taps"), one per position in the window, each of shape (n, c, ph, pw).
     """
 
-    def __init__(self, size: int):
-        self.size = size
-
     def _taps(self, x):
         """The s*s strided views x[:, :, p::s, q::s] over whole windows, row-major."""
-        s = self.size
+        s = POOL
         ph, pw = x.shape[2] // s, x.shape[3] // s
         return [x[:, :, p : ph * s : s, q : pw * s : s] for p in range(s) for q in range(s)]
 
@@ -270,11 +267,12 @@ def tensor_shapes(config: NetworkConfig) -> list[tuple[int, ...]]:
 
 
 class Network:
-    """The layer pipeline over one flat parameter vector ``params``, cut into the
-    ``tensor_shapes`` of its config, and a gradient vector ``grads`` cut the same way."""
+    """The layer pipeline over a flat parameter vector ``params`` cut into the
+    ``tensor_shapes`` of its config, ``grads`` cut the same way, and ``accumulator``."""
 
-    def __init__(self, config: NetworkConfig, params: np.ndarray):
-        self.config, self.params, self.grads = config, params, np.zeros(params.shape)
+    def __init__(self, config: NetworkConfig, params: np.ndarray, accumulator: np.ndarray):
+        self.config, self.params, self.accumulator = config, params, accumulator
+        self.grads = np.zeros(params.shape)
         shapes = tensor_shapes(config)
         cuts = np.cumsum([math.prod(shape) for shape in shapes])[:-1]
         p, g = ([t.reshape(shape) for t, shape in zip(np.split(v, cuts), shapes)]
@@ -282,7 +280,7 @@ class Network:
         conv1, conv2, dense1, dense2, out = zip(p[::2], p[1::2], g[::2], g[1::2])  # w, b, dw, db
         self.layers = [
             Conv2D(*conv1),
-            MaxPool2D(POOL),
+            MaxPool2D(),
             ReLU(),
             Conv2D(*conv2),
             ReLU(),
@@ -297,17 +295,18 @@ class Network:
 
     @classmethod
     def build(cls, config: NetworkConfig, rng) -> "Network":
-        """A network of weights drawn from ``rng`` and zero biases: He-normal convolutions,
-        then orthogonal dense layers, gain sqrt(2) where a ReLU follows and 1 for the linear
-        output. Orthogonal starts reach usable validation fidelity in far fewer Adagrad
-        epochs than scaled-normal starts at desk-scale budgets."""
+        """A network of weights drawn from ``rng``, zero biases and a zero accumulator:
+        He-normal convolutions, then orthogonal dense layers, gain sqrt(2) where a ReLU
+        follows and 1 for the linear output. Orthogonal starts reach usable validation
+        fidelity in far fewer Adagrad epochs than scaled-normal starts at desk-scale budgets."""
         shapes = tensor_shapes(config)
         gains = iter((np.sqrt(2.0), np.sqrt(2.0), 1.0))
         weights = [rng.standard_normal(shape) * np.sqrt(2.0 / math.prod(shape[1:]))
                    if len(shape) == 4 else _orthogonal(shape, rng, next(gains))
                    for shape in shapes[::2]]
         tensors = (t for w, b in zip(weights, shapes[1::2]) for t in (w, np.zeros(b)))
-        return cls(config, np.concatenate([t.ravel() for t in tensors]))
+        params = np.concatenate([t.ravel() for t in tensors])
+        return cls(config, params, np.zeros_like(params))
 
     def forward(self, grids: np.ndarray, train: bool = False, rng=None) -> np.ndarray:
         x = grids
@@ -356,13 +355,13 @@ def compute_gradients(net: Network, grids, targets, rng) -> float:
 class Adagrad:
     """accumulator += g**2; params -= (lr * g) / (sqrt(accumulator) + 1e-8).
 
-    ``params`` is one flat vector. A step overwrites its gradient vector with the
-    update, so one scratch vector (g**2, then the denominator) is its only temporary.
+    ``params`` and ``accumulator`` are flat vectors, stepped in place; the update overwrites
+    the gradient vector, so one scratch vector (g**2, then the denominator) is all it allocates.
     """
 
-    def __init__(self, params: np.ndarray, learning_rate: float):
-        self.params, self.learning_rate = params, learning_rate
-        self.accumulator, self._scratch = np.zeros_like(params), np.empty_like(params)
+    def __init__(self, params: np.ndarray, accumulator: np.ndarray, learning_rate: float):
+        self.params, self.accumulator, self.learning_rate = params, accumulator, learning_rate
+        self._scratch = np.empty_like(params)
 
     def step(self, grads: np.ndarray) -> None:
         den = self._scratch
@@ -393,12 +392,12 @@ def train(
     train_taus: np.ndarray,
     val_measurements: np.ndarray,
     val_taus: np.ndarray,
-    init_state: tuple[Network, np.ndarray] | None = None,
-) -> tuple[Network, Adagrad, TrainingHistory]:
-    """Run the full training loop; returns the best-validation-epoch parameters.
+    init: Network | None = None,
+) -> tuple[Network, TrainingHistory]:
+    """Run the full training loop; returns the network at its best validation epoch.
 
-    ``init_state``, a (network, accumulator) pair as ``load_checkpoint`` returns, replaces
-    the drawn weights and zero accumulator; its config must give the same tensor shapes."""
+    ``init`` (a network, as ``load_checkpoint`` returns) replaces the drawn weights and zero
+    accumulator; its config must give the same tensor shapes."""
     if len(train_measurements) == 0 or len(val_measurements) == 0:
         raise ValueError("training and validation sets must be non-empty")
     if {train_measurements.shape[1], val_measurements.shape[1]} != {6**config.num_qubits}:
@@ -407,13 +406,12 @@ def train(
 
     rng = sampling.stream(config.seed, TRAIN_STREAM)
     net = Network.build(config, rng)
-    opt = Adagrad(net.params, config.learning_rate)
-    if init_state is not None:
-        source, accumulator = init_state
-        for dst, src in zip(tensor_shapes(config), tensor_shapes(source.config)):
+    if init is not None:
+        for dst, src in zip(tensor_shapes(config), tensor_shapes(init.config)):
             if dst != src:
                 raise ValueError(f"parameter shape mismatch: {dst} vs {src}")
-        net.params[...], opt.accumulator[...] = source.params, accumulator
+        net.params[...], net.accumulator[...] = init.params, init.accumulator
+    opt = Adagrad(net.params, net.accumulator, config.learning_rate)
 
     grids = grids_from_measurements(train_measurements)
     count = grids.shape[0]
@@ -434,12 +432,12 @@ def train(
         if val_fid > best_fid:
             best_fid = val_fid
             history.best_epoch = epoch
-            best_state = net.params.copy(), opt.accumulator.copy()
+            best_state = net.params.copy(), net.accumulator.copy()
 
     if best_state is None:
         raise ArithmeticError("no epoch produced a finite validation fidelity")
-    net.params[...], opt.accumulator[...] = best_state
-    return net, opt, history
+    net.params[...], net.accumulator[...] = best_state
+    return net, history
 
 
 def _shape_table(shapes) -> bytes:
@@ -447,22 +445,20 @@ def _shape_table(shapes) -> bytes:
     return b"".join(struct.pack(f"<I{len(shape)}I", len(shape), *shape) for shape in shapes)
 
 
-def save_checkpoint(path, net: Network, accumulator: np.ndarray) -> None:
+def save_checkpoint(path, net: Network) -> None:
     """Versioned binary checkpoint: header, config, shape table, then the network's
-    ``params`` vector and its Adagrad ``accumulator``."""
-    if accumulator.shape != net.params.shape:
-        raise ValueError("accumulator does not match the network's parameters")
+    ``params`` and ``accumulator`` vectors."""
     shapes = tensor_shapes(net.config)
     tomography.write_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
                                net.config._header(len(shapes)) + _shape_table(shapes),
-                               [net.params, accumulator], "<f8")
+                               [net.params, net.accumulator], "<f8")
 
 
-def load_checkpoint(path) -> tuple[Network, np.ndarray]:
-    """Read a checkpoint; returns the ready-to-infer network and its Adagrad accumulator.
+def load_checkpoint(path) -> Network:
+    """Read a checkpoint; returns the ready-to-infer network.
 
     The header's config, the shape table and the payload length are checked before
-    anything is built; the network's ``params`` and the accumulator are read-only views
+    anything is built; the network's ``params`` and ``accumulator`` are read-only views
     of the file's bytes."""
     fields, payload = tomography.read_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
                                                 _CONFIG)
@@ -479,4 +475,4 @@ def load_checkpoint(path) -> tuple[Network, np.ndarray]:
         raise FormatError(f"{path}: shape table does not match the declared config")
     size = sum(math.prod(shape) for shape in shapes)
     values = tomography.payload_array(path, payload[len(table) :], "<f8", (2, size))
-    return Network(config, values[0]), values[1]
+    return Network(config, *values)

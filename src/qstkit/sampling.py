@@ -51,9 +51,11 @@ def stream(seed: int, index: int = 0) -> np.random.Generator:
 
 
 def sub_seed(seed: int, *labels: str) -> int:
-    """Derive a 64-bit seed from a master seed and a label path."""
+    """Derive a 64-bit seed from a master seed in 0..2**64-1 and a label path."""
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed {seed} is outside 0..2**64-1")
     h = hashlib.sha256()
-    h.update((seed & _MASK64).to_bytes(8, "little"))
+    h.update(seed.to_bytes(8, "little"))
     for label in labels:
         h.update(b"/")
         h.update(label.encode("utf-8"))

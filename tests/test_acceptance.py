@@ -57,7 +57,7 @@ def desk_networks():
             _, va_meas, va_taus = make_dataset(m, measure, DESK_VAL, f"val-{measure}-{m}")
             config = neuralnet.NetworkConfig(num_qubits=m, max_epochs=DESK_EPOCHS, seed=NET_SEED)
             start = time.perf_counter()
-            net, _, _ = neuralnet.train(config, tr_meas, tr_taus, va_meas, va_taus)
+            net, _ = neuralnet.train(config, tr_meas, tr_taus, va_meas, va_taus)
             nets[(measure, m)] = (net, time.perf_counter() - start)
     return nets
 

@@ -234,7 +234,7 @@ class TestReconstruct:
                    "--out-dir", out_dir, "--mode", "engineered") == 0
         states = tomography.read_states(out_dir / "states.qstst")
         ds = tomography.read_dataset(data)
-        net, _ = neuralnet.load_checkpoint(checkpoint)
+        net = neuralnet.load_checkpoint(checkpoint)
         np.testing.assert_array_equal(states, adapt.reconstruct(net, ds.measurements, "engineered"))
         rows = read_csv(out_dir / "fidelity.csv")
         assert rows[0] == ["state_id", "fidelity"]
@@ -279,8 +279,8 @@ class TestReconstruct:
         root, checkpoint = trained
         init, built = neuralnet.Network.__init__, []
         monkeypatch.setattr(neuralnet.Network, "__init__",
-                            lambda net, config, params: built.append(config) or
-                            init(net, config, params))
+                            lambda net, config, params, accumulator: built.append(config) or
+                            init(net, config, params, accumulator))
         assert run("reconstruct", "--checkpoint", checkpoint, "--input", root / "train.qst",
                    "--out-dir", tmp_path / "rec") == 0
         assert len(built) == 1
@@ -604,7 +604,7 @@ class TestExitCodes:
         root, _ = trained
         net = zero_net(neuralnet.NetworkConfig(num_qubits=2))
         checkpoint = tmp_path / "zero.qstck"
-        neuralnet.save_checkpoint(checkpoint, net, np.zeros_like(net.params))
+        neuralnet.save_checkpoint(checkpoint, net)
         capsys.readouterr()
         code = run("reconstruct", "--checkpoint", checkpoint, "--input", root / "train.qst",
                    "--out-dir", tmp_path / "x")
@@ -690,21 +690,32 @@ class TestExitCodes:
         assert proc.returncode == cli.EXIT_NUMERICAL
         assert proc.stderr.splitlines() == ["numerical failure: overflow encountered in dot"]
 
-    # Out of the range of the seed (uint64) or batch size (uint32) field of the file's header.
+    # A seed outside 0..2**64-1, the range of a file header's seed field and of the master
+    # seed of sampling.sub_seed, or a batch size beyond the checkpoint's uint32 field.
     @pytest.mark.parametrize("command, setting", [
         ("generate", ("--seed", -1)), ("generate", ("--seed", 2**64)),
         ("train", ("--seed", -1)), ("train", ("--seed", 2**64)),
         ("train", ("--batch-size", 2**32)),
+        ("fig2", ("--seed", -1)), ("fig2", ("--seed", 2**64)),
+        ("fig3", ("--seed", -1)), ("fig3", ("--seed", 2**64)),
+        ("baselines", ("--seed", -1)), ("baselines", ("--seed", 2**64)),
     ], ids=["generate-seed-negative", "generate-seed-2**64", "train-seed-negative",
-            "train-seed-2**64", "train-batch-size-2**32"])
+            "train-seed-2**64", "train-batch-size-2**32", "fig2-seed-negative",
+            "fig2-seed-2**64", "fig3-seed-negative", "fig3-seed-2**64",
+            "baselines-seed-negative", "baselines-seed-2**64"])
     def test_setting_the_header_cannot_hold_is_usage_error(self, trained, tmp_path, capsys,
                                                             monkeypatch, command, setting):
         """Rejected before any work: one error line, no traceback, no directory left."""
-        root, _ = trained
+        root, checkpoint = trained
         monkeypatch.chdir(tmp_path)
+        experiment = ["experiment", "--checkpoint", checkpoint, "--test-count", 5,
+                      "--out-dir", "run", "--name"]
         argv = {"generate": ["generate", "--count", 3, "--out", "sub/x.qst"],
                 "train": ["train", "--dataset", root / "train.qst", "--val-count", 60,
-                          "--epochs", 1, "--out-dir", "run"]}[command]
+                          "--epochs", 1, "--out-dir", "run"],
+                "fig2": experiment + ["fig2"],
+                "fig3": experiment + ["fig3", "--pairs", 100],
+                "baselines": ["baselines", "--pairs", 100, "--out-dir", "run"]}[command]
         capsys.readouterr()
         assert run(*argv, *setting) == cli.EXIT_USAGE
         err = capsys.readouterr().err.splitlines()
@@ -942,7 +953,7 @@ class TestM4Smoke:
                    "--batch-size", 10, "--epochs", 1, "--val-count", 10, "--seed", 42,
                    "--out-dir", tmp_path / "run") == 0
         checkpoint = tmp_path / "run" / "checkpoint.qstck"
-        net, _ = neuralnet.load_checkpoint(checkpoint)
+        net = neuralnet.load_checkpoint(checkpoint)
         assert net.config.num_qubits == 4 and net.config.tau_width == 256
         for n in (1, 2, 3):
             small = tmp_path / f"n{n}.qst"

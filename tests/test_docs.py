@@ -1,10 +1,11 @@
-"""README stays in step with the package: its module table and its config-key list."""
+"""README stays in step with the package: its module table, its config-key list and its
+container format strings."""
 
 import re
 from pathlib import Path
 
 import qstkit
-from qstkit import cli
+from qstkit import cli, neuralnet, tomography
 
 README = (Path(__file__).parents[1] / "README.md").read_text()
 
@@ -23,3 +24,11 @@ def test_config_key_list_is_config_keys():
     listed = re.findall(r"`(\w+)`", keys)
     assert len(listed) == int(count) == len(set(listed))
     assert set(listed) == cli.CONFIG_KEYS
+
+
+def test_container_format_strings_are_the_headers():
+    """The dataset, checkpoint and states formats: the framing, then each one's header."""
+    formats = README.split("## File formats", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"`(<\w+)`", formats)
+    headers = (tomography._HEADER, neuralnet._CONFIG, tomography._STATES_HEADER)
+    assert listed == [tomography._FRAME.format + h.format.lstrip("<") for h in headers]

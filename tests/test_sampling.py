@@ -201,6 +201,14 @@ class TestEnsembles:
             assert rho.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("measure", sampling.MEASURES)
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_stacks_are_exactly_hermitian(self, m, measure):
+        """Every sampled stack equals its conjugate transpose exactly: ``cholesky.rho_to_tau``
+        trusts its input to."""
+        for states in sampling.sample_streams(m, measure, 19, 0, 300 // m, 2):
+            np.testing.assert_array_equal(states, states.conj().swapaxes(-1, -2))
+
+    @pytest.mark.parametrize("measure", sampling.MEASURES)
     def test_pairs_are_consecutive_draws_of_one_stream(self, measure):
         for count in (20, sampling._BLOCK + 5):  # within one block of normals, then across
             pairs = sampling.sample_streams(2, measure, 8, 5, 5 + count, 2)

@@ -2,11 +2,11 @@
 
 Submodules:
 
-* ``qcore``: qubit counts, and a stacked physicality check, partial trace, PSD
-  square root and fidelity.
-* ``sampling``: seeded Ginibre / Hilbert-Schmidt / Bures ensembles.
+* ``qcore``: qubit counts, a stacked physicality check, and states as factors:
+  partial trace, density matrix and fidelity.
+* ``sampling``: seeded Ginibre / Hilbert-Schmidt / Bures ensembles, as factors.
 * ``tomography``: Pauli-6 measurement simulation, the dataset builder and container.
-* ``cholesky``: tau-vector <-> density-matrix bijection.
+* ``cholesky``: tau vectors <-> their factors T, and density matrix -> tau.
 * ``neuralnet``: from-scratch CNN, chunked inference, Adagrad training, checkpoints.
 * ``adapt``: measurement padding, batched reconstruction, experiment drivers and
   their summary rows, Monte Carlo average-fidelity baselines.

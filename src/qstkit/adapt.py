@@ -20,18 +20,19 @@ inference removes qubits 0..m-n-1.
 
 ``reconstruct`` is the one reconstruction path: it pads a (count, 6**n)
 block of measurement rows, predicts their tau vectors (``Network.predict``),
-decodes them and traces the fictitious qubits off, all on stacks. A single
-state is a batch of one. The command line and the experiment drivers go
-through it, and it is the one check that n <= m.
+decodes them into factors (``qcore``'s convention) and traces the fictitious
+qubits off, all on stacks. A single state is a batch of one. The command line
+and the experiment drivers go through it, and it is the one check that n <= m.
 
 Experiment drivers reconstruct test ensembles and compare them against
 ground truth (including every successive trace-down) with stacked
-fidelities. They return record rows for ``records.csv`` and, straight from
-each fidelity array, its summary row: ``_curve`` is the one mean and
-standard error. ``mc_fidelities`` draws the Monte Carlo fidelities of
-random pairs, or of random states against I/2**n in closed form
-(``qcore.fidelity_to_mixed``), and ``baseline_curves`` turns them into the
-baseline rows of both the fig3 experiment and the ``baselines`` command.
+fidelities of factors. They return record rows for ``records.csv`` and,
+straight from each fidelity array, its summary row: ``_curve`` is the one
+mean and standard error. ``mc_fidelities`` draws the Monte Carlo fidelities
+of random pairs, or of random states against I/2**n (the factor
+``np.eye(2**n)``), by the same ``qcore.fidelity``, and ``baseline_curves``
+turns them into the baseline rows of both the fig3 experiment and the
+``baselines`` command.
 These estimates are the oracle for the reference values 0.67 / 0.59 / 0.57
 (Hilbert-Schmidt, dims 2 / 4 / 8) and 0.590 (Bures, dim 2).
 """
@@ -67,17 +68,18 @@ def pad_measurements(values: np.ndarray, m: int, mode: str) -> np.ndarray:
 
 
 def reconstruct(net: neuralnet.Network, measurements: np.ndarray, mode: str) -> np.ndarray:
-    """Reconstruct (count, 2**n, 2**n) states from (count, 6**n) measurement rows.
+    """Reconstruct the factors of states from (count, 6**n) measurement rows.
 
     Rows are padded to the network's m qubits, predicted by ``Network.predict``,
-    decoded through ``tau_to_rho`` and traced down to the n real qubits.
+    decoded by ``tau_to_matrix`` and traced down to the n real qubits: a
+    (count, 2**n, 2**m * 2**(m-n)) stack, whose states ``qcore.density`` gives.
     """
     m = net.config.num_qubits
     n = qcore.qubit_count(measurements.shape[-1], 6)
     if n > m:
         raise ValueError(f"input has {n} qubits but the network was trained on {m}")
     taus = net.predict(pad_measurements(measurements, m, mode))
-    return qcore.partial_trace(cholesky.tau_to_rho(taus), range(m - n))
+    return qcore.partial_trace(cholesky.tau_to_matrix(taus), range(m - n))
 
 
 @dataclass
@@ -101,19 +103,19 @@ def _curve(experiment, measure, m, n, mode, fids: np.ndarray) -> CurveSummary:
 
 
 def subsystem_experiment(
-    net: neuralnet.Network, states: np.ndarray, measurements: np.ndarray, measure: str
+    net: neuralnet.Network, factors: np.ndarray, measurements: np.ndarray, measure: str
 ) -> tuple[list[tuple], list[CurveSummary]]:
     """Reconstruct full m-qubit states, then compare every trace-down.
 
     Trace-downs remove qubit 0, then 0 and 1, and so on, each compared
-    against the matching trace-down of the ground truth. Returns one record
-    row per state (its full fidelity, then one per trace-down) and one
-    summary per subsystem size, smallest first.
+    against the matching trace-down of the ground truth, given as ``factors``.
+    Returns one record row per state (its full fidelity, then one per
+    trace-down) and one summary per subsystem size, smallest first.
     """
     m = net.config.num_qubits
     estimates = reconstruct(net, measurements, PADDING_ENGINEERED)
     levels = [qcore.fidelity(qcore.partial_trace(estimates, range(removed)),
-                             qcore.partial_trace(states, range(removed)))
+                             qcore.partial_trace(factors, range(removed)))
               for removed in range(m)]
     records = [("fig2", measure, m, m, "none", state_id, *fids)
                for state_id, fids in enumerate(np.stack(levels, axis=1).tolist())]
@@ -126,7 +128,7 @@ def padding_experiment(
     ensembles: Mapping[int, tuple[np.ndarray, np.ndarray]],
     measure: str,
 ) -> tuple[list[tuple], list[CurveSummary]]:
-    """Reconstruct each n-qubit ensemble, given as (states, measurements), through
+    """Reconstruct each n-qubit ensemble, given as (factors, measurements), through
     every network with m >= n.
 
     Both padding modes run for every (m, n) combination; record rows are
@@ -155,8 +157,7 @@ def mc_fidelities(measure: str, n: int, count: int, seed: int,
     ``count`` states against I/2**n when ``against_mixed``.
 
     Draw i comes from ``sampling.stream(seed, i)``; the draws are sampled and
-    compared in chunks, which changes no fidelity. Against I/2**n a state's
-    fidelity is the closed form ``qcore.fidelity_to_mixed`` of its eigenvalues.
+    compared in chunks, which changes no fidelity.
     """
     if count < 100:
         raise ValueError(f"need at least 100 draws for a stable estimate, got {count}")
@@ -164,9 +165,9 @@ def mc_fidelities(measure: str, n: int, count: int, seed: int,
     fids = np.empty(count)
     for start in range(0, count, _MC_CHUNK):
         stop = min(start + _MC_CHUNK, count)
-        states = sampling.sample_streams(n, measure, seed, start, stop, per_stream)
-        fids[start:stop] = (qcore.fidelity_to_mixed(states[0]) if against_mixed
-                            else qcore.fidelity(states[0], states[1]))
+        factors = sampling.sample_streams(n, measure, seed, start, stop, per_stream)
+        fids[start:stop] = qcore.fidelity(factors[0], np.eye(2**n) if against_mixed
+                                          else factors[1])
     return fids
 
 

@@ -10,9 +10,11 @@ increasing offset, each sub-diagonal traversed top to bottom. For d = 4:
         [ t10+i t11  t6+i t7    t2                ]
         [ t14+i t15  t12+i t13  t8+i t9   t3      ]
 
-The state follows as rho = T T† / Tr(T T†), which is positive semidefinite
-and unit trace for any nonzero tau, so network outputs are physical by
-construction.
+T is the state's factor in ``qcore``'s convention: the state is
+rho = T T† / Tr(T T†), positive semidefinite and of unit trace for any nonzero
+tau, so network outputs are physical by construction. ``tau_to_matrix`` is the
+whole decode; ``qcore.density`` makes rho where a matrix is needed, and
+``qcore.fidelity`` and ``qcore.partial_trace`` take T as it is.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ import numpy as np
 from . import qcore
 
 _CHOLESKY_SHIFT = 1e-12
-# A tau whose squared norm is at most this defines no state.
-MIN_NORM_SQ = 1e-300
 
 
 def tau_layout(d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -50,7 +50,9 @@ def tau_to_matrix(tau: np.ndarray) -> np.ndarray:
     rows, cols = tau_layout(d)
     t = np.zeros(tau.shape[:-1] + (d, d), dtype=complex)
     t[..., rows[:d], cols[:d]] = tau[..., :d]
-    t[..., rows[d:], cols[d:]] = tau[..., d::2] + 1j * tau[..., d + 1 :: 2]
+    # Real and imaginary parts are set apart, so no arithmetic touches a non-finite tau.
+    t.real[..., rows[d:], cols[d:]] = tau[..., d::2]
+    t.imag[..., rows[d:], cols[d:]] = tau[..., d + 1 :: 2]
     return t
 
 
@@ -66,23 +68,6 @@ def matrix_to_tau(t: np.ndarray) -> np.ndarray:
     return tau
 
 
-def tau_to_rho(tau: np.ndarray) -> np.ndarray:
-    """rho = T T† / Tr(T T†) for one tau vector or a (..., 4**m) stack.
-
-    Raises ArithmeticError if any tau's squared norm is not finite or at most MIN_NORM_SQ.
-    """
-    tau = np.asarray(tau, dtype=np.float64)
-    # Tr(T T†) is the squared Euclidean norm of tau.
-    norm_sq = np.sum(tau * tau, axis=-1)[..., None, None]
-    if not np.all(np.isfinite(norm_sq)):
-        raise ArithmeticError("tau vector is not finite; no state is defined")
-    if np.any(norm_sq <= MIN_NORM_SQ):
-        raise ArithmeticError("tau vector has zero norm; no state is defined")
-    t = tau_to_matrix(tau)
-    rho = (t @ t.conj().swapaxes(-1, -2)) / norm_sq
-    return (rho + rho.conj().swapaxes(-1, -2)) / 2
-
-
 def rho_to_tau(rho: np.ndarray) -> np.ndarray:
     """Canonical tau target for a physical state or a (..., d, d) stack of them.
 
@@ -90,7 +75,7 @@ def rho_to_tau(rho: np.ndarray) -> np.ndarray:
     targets factorizable), then scales tau to unit Euclidean norm. numpy's
     factorization returns a positive diagonal, which removes the sign
     ambiguity, so targets are unique. The input is trusted to be exactly Hermitian, as
-    ``sampling.sample_streams`` makes every stack it returns.
+    ``qcore.density`` makes every stack it returns.
     """
     t = np.linalg.cholesky(rho + _CHOLESKY_SHIFT * np.eye(rho.shape[-1]))
     tau = matrix_to_tau(t)

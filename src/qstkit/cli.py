@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import adapt, cholesky, neuralnet, sampling, tomography
-from .qcore import fidelity, qubit_count
+from .qcore import density, fidelity, qubit_count
 # perfbench reads and writes states as cli.read_states and cli.write_states.
 from .tomography import STATES_VERSION, FormatError, read_states, write_states  # noqa: F401
 
@@ -141,8 +141,9 @@ def cmd_reconstruct(args) -> int:
     net = neuralnet.load_checkpoint(args.checkpoint)
     ds = tomography.read_dataset(args.input)
     m, n = net.config.num_qubits, ds.num_qubits
-    states = adapt.reconstruct(net, ds.measurements, args.mode)
-    fids = fidelity(states, cholesky.tau_to_rho(ds.taus))
+    factors = adapt.reconstruct(net, ds.measurements, args.mode)
+    states = density(factors)
+    fids = fidelity(factors, cholesky.tau_to_matrix(ds.taus))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_states(out_dir / "states.qstst", states)
@@ -177,8 +178,8 @@ def _experiment_fig2(args) -> tuple[list, list]:
     records, summaries = [], []
     for m, net in sorted(_parse_checkpoint_args(args).items()):
         seed = sampling.sub_seed(args.seed, f"fig2-test-{args.measure}-{m}")
-        states, ds = tomography.sample_dataset(m, args.measure, args.test_count, seed)
-        rows, curves = adapt.subsystem_experiment(net, states, ds.measurements, args.measure)
+        factors, ds = tomography.sample_dataset(m, args.measure, args.test_count, seed)
+        rows, curves = adapt.subsystem_experiment(net, factors, ds.measurements, args.measure)
         records += rows
         summaries += curves
     return records, summaries
@@ -189,8 +190,8 @@ def _experiment_fig3(args) -> tuple[list, list]:
     ensembles = {}
     for n in range(1, max(nets) + 1):
         seed = sampling.sub_seed(args.seed, f"fig3-test-{args.measure}-{n}")
-        states, ds = tomography.sample_dataset(n, args.measure, args.test_count, seed)
-        ensembles[n] = (states, ds.measurements)
+        factors, ds = tomography.sample_dataset(n, args.measure, args.test_count, seed)
+        ensembles[n] = (factors, ds.measurements)
     baselines = []
     if args.pairs != 0:  # first, so a --pairs the estimates reject costs no reconstruction
         seed = sampling.sub_seed(args.seed, "fig3-baseline")

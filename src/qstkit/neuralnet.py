@@ -382,8 +382,8 @@ class TrainingHistory:
 
 def mean_reconstruction_fidelity(net: Network, measurements: np.ndarray, taus: np.ndarray) -> float:
     """Mean fidelity between the predicted states and the targets' states."""
-    estimates = cholesky.tau_to_rho(net.predict(measurements))
-    return float(np.mean(qcore.fidelity(estimates, cholesky.tau_to_rho(taus))))
+    estimates = cholesky.tau_to_matrix(net.predict(measurements))
+    return float(np.mean(qcore.fidelity(estimates, cholesky.tau_to_matrix(taus))))
 
 
 def train(

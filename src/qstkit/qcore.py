@@ -6,8 +6,11 @@ Conventions used throughout the package:
   plain complex ndarray. Qubit 0 is the most-significant tensor factor: basis
   index i carries the bit of qubit q at place value 2**(k-1-q), and
   ``np.kron(a, b)`` puts ``a`` on the high-order qubits.
-* ``partial_trace``, ``sqrt_psd``, both fidelities and ``assert_physical``
-  work on (..., d, d) stacks of states; a single state is the 2-D case.
+* A (d, c) factor A names the state AA†/Tr(AA†): a network estimate or a
+  dataset target is the T of its tau, a sampled state its draw, I/d is
+  ``np.eye(d)``. ``partial_trace`` and ``fidelity`` take factors, with no
+  eigendecomposition; ``density`` is the one step from a factor to a matrix.
+  All of them and ``assert_physical`` take stacks on the leading axes.
 * Physicality means Hermitian within 1e-10 elementwise, eigenvalues above
   -1e-10, and trace within 1e-10 of one. ``assert_physical`` checks this
   once, on the stack where states enter (``tomography.sample_dataset``); the
@@ -26,8 +29,8 @@ HERMITICITY_ATOL = 1e-10
 EIGENVALUE_ATOL = 1e-10
 TRACE_ATOL = 1e-10
 
-# Below this an eigenvalue signals a genuinely non-PSD matrix, not round-off.
-_PSD_FAIL_TOL = -1e-8
+# A factor whose Tr AA† is at most this defines no state.
+MIN_NORM_SQ = 1e-300
 
 _POWER_NAMES = {2: "two", 4: "four", 6: "six"}
 
@@ -56,83 +59,68 @@ def num_qubits(rho: np.ndarray) -> int:
     return qubit_count(rho.shape[-1], 2)
 
 
-def partial_trace(rho: np.ndarray, remove: Iterable[int]) -> np.ndarray:
-    """Trace out the qubits listed in ``remove``, from one state or a stack.
-
-    The remaining qubits keep their original relative order; leading batch
-    axes are kept. ``remove`` may be empty (returns a copy) but must not
-    cover every qubit.
-    """
-    k = num_qubits(rho)
+def partial_trace(a: np.ndarray, remove: Iterable[int]) -> np.ndarray:
+    """Trace the qubits in ``remove`` out of a (..., 2**k, c) factor: their row axes move
+    into the columns, giving (..., 2**(k-r), 2**r * c) with no arithmetic. The remaining
+    qubits keep their order. ``remove`` may be empty (a copy), not every qubit."""
+    k = qubit_count(a.shape[-2], 2)
     removed = sorted(set(int(q) for q in remove))
     if removed and (removed[0] < 0 or removed[-1] >= k):
         raise ValueError(f"qubit index out of range for {k} qubits: {removed}")
     if len(removed) == k:
         raise ValueError("cannot trace out every qubit")
     if not removed:
-        return rho.copy()
-
-    lead = rho.shape[:-2]
-    b = len(lead)
-    t = rho.reshape(lead + (2,) * (2 * k))
-    kept = k
-    for q in reversed(removed):
-        # Row axis of qubit q sits at b + q, column axis at b + kept + q.
-        t = np.trace(t, axis1=b + q, axis2=b + kept + q)
-        kept -= 1
-    d = 2**kept
-    return t.reshape(lead + (d, d))
+        return a.copy()
+    lead = a.shape[:-2]
+    t = a.reshape(lead + (2,) * k + a.shape[-1:])
+    t = np.moveaxis(t, [len(lead) + q for q in removed], range(-len(removed), 0))
+    return t.reshape(lead + (2 ** (k - len(removed)), -1))
 
 
 def _adjoint(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
-def _psd_spectrum(m: np.ndarray, vectors: bool):
-    """Clamped eigenvalues, and eigenvectors when ``vectors``, checked as ``sqrt_psd`` says."""
-    w, v = np.linalg.eigh(m) if vectors else (np.linalg.eigvalsh(m), None)
-    lowest = w[..., 0]
-    if np.any(lowest < _PSD_FAIL_TOL):
-        raise np.linalg.LinAlgError(
-            f"matrix is not positive semidefinite (min eigenvalue {lowest.min():.3e})"
-        )
-    return np.clip(w, 0.0, None), v
+def norm_sq(a: np.ndarray) -> np.ndarray:
+    """Tr AA† of a factor, or of each factor of a stack: the sum of its squared moduli."""
+    return (np.abs(a) ** 2).sum(axis=(-2, -1))
 
 
-def sqrt_psd(m: np.ndarray) -> np.ndarray:
-    """Hermitian PSD square root via eigendecomposition, of one matrix or a stack.
-
-    The input is trusted to be Hermitian. Eigenvalues in [-1e-8, 0) are treated as
-    round-off and clamped to zero; anything lower raises, since that indicates a non-PSD
-    input rather than numerical noise. Clamp and check cover every member of a stack.
-    """
-    w, v = _psd_spectrum(m, vectors=True)
-    return (v * np.sqrt(w)[..., None, :]) @ _adjoint(v)
-
-
-def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float | np.ndarray:
-    """Uhlmann fidelity |Tr sqrt(sqrt(rho) sigma sqrt(rho))|**2 in [0, 1].
-
-    Two matrices give a float. Stacks on the leading axes (broadcast against
-    each other, so one state can be compared with a whole stack) give an
-    array of pairwise fidelities.
-    """
-    if rho.shape[-2:] != sigma.shape[-2:]:
-        raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
-    sr = sqrt_psd(rho)
-    inner = sr @ sigma @ sr
-    # Round-off can leave tiny anti-Hermitian parts in the product.
-    inner = (inner + _adjoint(inner)) / 2
-    f = np.abs(np.trace(sqrt_psd(inner), axis1=-2, axis2=-1)) ** 2
-    f = np.clip(f, 0.0, 1.0)
-    return float(f) if f.ndim == 0 else f
+def _state_norm_sq(a: np.ndarray) -> np.ndarray:
+    """``norm_sq(a)``; ArithmeticError if one is not finite or at most MIN_NORM_SQ."""
+    n = norm_sq(a)
+    if not np.all(np.isfinite(n)):
+        raise ArithmeticError("state factor is not finite; no state is defined")
+    if np.any(n <= MIN_NORM_SQ):
+        raise ArithmeticError("state factor has zero norm; no state is defined")
+    return n
 
 
-def fidelity_to_mixed(rho: np.ndarray) -> float | np.ndarray:
-    """``fidelity(rho, I/d)`` of one state (a float) or a stack, in closed form: (sum of
-    sqrt(eigenvalue))**2 / d, from one ``eigvalsh``; ``rho`` is checked as by ``sqrt_psd``."""
-    f = np.sqrt(_psd_spectrum(rho, vectors=False)[0]).sum(axis=-1) ** 2 / rho.shape[-1]
-    f = np.clip(f, 0.0, 1.0)
+def density(a: np.ndarray) -> np.ndarray:
+    """The state W/Tr W, W = AA†, made exactly Hermitian as (W + W†)/2; these operations
+    fix the bits of every sampled state. The norm is checked before the product."""
+    _state_norm_sq(a)
+    w = a @ _adjoint(a)
+    w /= np.trace(w, axis1=-2, axis2=-1).real[..., None, None]
+    w += _adjoint(w)
+    w *= 0.5
+    return w
+
+
+def _square(a: np.ndarray) -> np.ndarray:
+    """A (d, d) factor of a wide factor's state: R† for A† = QR, as AA† = R†R."""
+    return _adjoint(np.linalg.qr(_adjoint(a), mode="r")) if a.shape[-1] > a.shape[-2] else a
+
+
+def fidelity(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
+    """Uhlmann fidelity of the states of factors A and B: (sum of the singular values of
+    A†B)**2 / (Tr AA† · Tr BB†), accurate for pure states too. Both norms are checked
+    before the SVD. Two factors give a float; stacks broadcast, giving an array."""
+    if a.shape[-2] != b.shape[-2]:
+        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    norms = _state_norm_sq(a) * _state_norm_sq(b)
+    s = np.linalg.svd(_adjoint(_square(a)) @ _square(b), compute_uv=False).sum(axis=-1)
+    f = np.clip(s * s / norms, 0.0, 1.0)
     return float(f) if f.ndim == 0 else f
 
 

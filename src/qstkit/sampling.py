@@ -6,14 +6,15 @@ Every draw comes from numpy's Philox4x64-10 counter-based generator, which is
 a fixed, platform-independent algorithm. ``stream(seed, index)`` keys the
 cipher with the pair ``(seed, index)``; distinct indices give statistically
 independent streams. Stream i's draws are those of Philox keyed ``(seed, i)``
-at counter 0. ``sample_streams``, the library's one sampler, draws the states
-of stream i from exactly those draws, so the output does not depend on how
-the index range is split into chunks. It rekeys one generator to each stream
-in turn, through one reused state dict and the public Philox state setter,
-rather than build one per stream, and copies the normals of a block of
-streams into the complex stack at once, with the bytes of sampling each
-stream alone. It checks the measure; the qubit-count and count limits of a
-dataset, and its physicality, are checked by ``tomography.sample_dataset``.
+at counter 0. ``sample_streams``, the library's one sampler, draws the factors
+(``qcore``'s convention) of the states of stream i from exactly those draws, so
+the output does not depend on how the index range is split into chunks. It
+rekeys one generator to each stream in turn, through one reused state dict and
+the public Philox state setter, rather than build one per stream, and copies
+the normals of a block of streams into the complex stack at once, with the
+bytes of sampling each stream alone. It checks the measure; the qubit-count and
+count limits of a dataset, and its physicality, are checked by
+``tomography.sample_dataset``.
 
 ``sub_seed(seed, *labels)`` derives further 64-bit seeds from string labels
 via SHA-256 for coarser partitioning (train/validation/test roles and the
@@ -29,14 +30,13 @@ import hashlib
 
 import numpy as np
 
+from . import qcore
+
 MEASURE_HS = "hilbert-schmidt"
 MEASURE_BURES = "bures"
 MEASURES = (MEASURE_HS, MEASURE_BURES)
 
 _MASK64 = (1 << 64) - 1
-
-# A Gram trace at or below this is a degenerate draw, of probability zero.
-_ZERO_TRACE_TOL = 1e-300
 
 # Streams whose normals are drawn into one real block before they join the complex
 # stack: two copies per block, not per stream, and a buffer of 0.5 MB for m=3 pairs
@@ -94,19 +94,17 @@ def _rekeyer(bit_generator: np.random.Philox, seed: int):
 
 def sample_streams(m: int, measure: str, seed: int, start: int, stop: int,
                    per_stream: int) -> np.ndarray:
-    """States of streams start..stop-1 as a (per_stream, stop - start, d, d) stack.
+    """Factors of the states of streams start..stop-1, a (per_stream, stop - start, d, d) stack.
 
-    Entry [s, j] is the s-th state of ``stream(seed, start + j)``. Per state, a
-    stream yields the draw G and then, for Bures, the draw U's Haar unitary
-    comes from; each draw is 2·d² normals, the real block and then the
-    imaginary one, divided by √2. Hilbert-Schmidt: W = GG†. Bures: W = AA†
-    with A = (I + U)G. The state is (W/Tr W + (W/Tr W)†)/2. One generator is
-    rekeyed to each stream in turn (one state dict, reused, whose key's index
-    word is set per stream) and makes all of the stream's normals in one call,
-    into a real block of ``_BLOCK`` streams; each full block goes into the
-    complex stack by one real-part and one imaginary-part copy. The QR, Gram
-    product and normalization run once on the stack. The bytes do not depend on
-    the block. A zero-trace draw, of probability zero, raises ArithmeticError.
+    Entry [s, j] is the factor of the s-th state of ``stream(seed, start + j)``.
+    Per state, a stream yields the draw G and then, for Bures, the draw U's Haar
+    unitary comes from; each draw is 2·d² normals, the real block and then the
+    imaginary one, divided by √2. Hilbert-Schmidt: the factor is G. Bures: it is
+    (I + U)G. One generator is rekeyed to each stream in turn (one state dict,
+    reused) and makes all of the stream's normals in one call, into a real block
+    of ``_BLOCK`` streams; each block goes into the complex stack by one
+    real-part and one imaginary-part copy, so the bytes do not depend on the
+    block. A zero-trace draw, of probability zero, raises ArithmeticError.
     """
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}; expected one of {MEASURES}")
@@ -123,16 +121,8 @@ def sample_streams(m: int, measure: str, seed: int, start: int, stop: int,
         z.real[:, b:b + len(block)] = block[:, :, :, 0].swapaxes(0, 1)
         z.imag[:, b:b + len(block)] = block[:, :, :, 1].swapaxes(0, 1)
     z /= np.sqrt(2.0)  # as the complex division (re + i·im)/√2, bit for bit
-    a = z[:, :, 0]
-    if draws == 2:
-        a = (np.eye(d) + _haar(z[:, :, 1])) @ a
-    w = a @ a.conj().swapaxes(-1, -2)
-    t = np.trace(w, axis1=-2, axis2=-1).real
-    del z, a
-    bad = np.flatnonzero(~np.all(t > _ZERO_TRACE_TOL, axis=0))
+    a = z[:, :, 0] if draws == 1 else (np.eye(d) + _haar(z[:, :, 1])) @ z[:, :, 0]
+    bad = np.flatnonzero(~np.all(qcore.norm_sq(a) > qcore.MIN_NORM_SQ, axis=0))
     if bad.size:
         raise ArithmeticError(f"degenerate zero-trace draw in stream {start + int(bad[0])}")
-    w /= t[..., None, None]
-    w += w.conj().swapaxes(-1, -2)
-    w *= 0.5
-    return w
+    return a

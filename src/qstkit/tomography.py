@@ -8,15 +8,15 @@ The six single-qubit settings are fixed globally as
 is a tuple (s_0, ..., s_{m-1}) indexed base-6 with qubit 0 (the
 most-significant tensor factor) in the highest place value. Measurement
 vectors hold exact Born probabilities (the infinite-measurement limit); no
-shot noise is simulated. ``sample_dataset`` checks its sampled stack for
-physicality; ``measure`` trusts its input.
+shot noise is simulated. ``sample_dataset`` checks the states of its sampled
+factors for physicality; ``measure`` trusts its input.
 
 The dataset file and the reconstructed-states file are defined here; they and
 the network checkpoint are the binary containers framed by ``write_container``.
 A dataset header embeds the setting order tag, sampling measure and master
 seed alongside the record count, so a file fully determines how it was
 produced and how to interpret the payload. ``read_dataset`` rejects a tau
-target that defines no state (its squared norm at most ``cholesky.MIN_NORM_SQ``
+target that defines no state (its squared norm at most ``qcore.MIN_NORM_SQ``
 or overflowing), and measurements that are not probabilities: an entry outside
 [0, 1], or a basis whose outcomes do not sum to 1 within 1e-9.
 """
@@ -169,15 +169,17 @@ class Dataset:
 
 def sample_dataset(m: int, sampling_measure: str, count: int,
                    seed: int) -> tuple[np.ndarray, Dataset]:
-    """``count`` m-qubit states, state i from ``stream(seed, i)``, as a (count, 2**m, 2**m)
-    stack checked for physicality once, and their measurement rows and tau targets."""
+    """``count`` m-qubit states, state i from ``stream(seed, i)``: their (count, 2**m, 2**m)
+    factors, and a dataset of their measurement rows and tau targets. The density matrices
+    (``qcore.density``) are checked for physicality once, as one stack."""
     if not 1 <= m <= 4 or count < 1 or not 0 <= seed < 2**64:
         raise ValueError(f"need 1 <= m <= 4, count >= 1 and 0 <= seed < 2**64, got m={m}, "
                          f"count={count}, seed={seed}")
-    states = sampling.sample_streams(m, sampling_measure, seed, 0, count, 1)[0]
+    factors = sampling.sample_streams(m, sampling_measure, seed, 0, count, 1)[0]
+    states = qcore.density(factors)
     qcore.assert_physical(states, "sampled states")
     measurements = np.stack([measure(rho) for rho in states])
-    return states, Dataset(m, sampling_measure, seed, measurements, cholesky.rho_to_tau(states))
+    return factors, Dataset(m, sampling_measure, seed, measurements, cholesky.rho_to_tau(states))
 
 
 def write_dataset(path, dataset: Dataset) -> None:
@@ -213,7 +215,7 @@ def read_dataset(path) -> Dataset:
     records = payload_array(path, payload, "<f8", (count, 6**m + 4**m))
     with np.errstate(over="ignore", under="ignore"):
         norm_sq = np.sum(records[:, 6**m :] ** 2, axis=1)
-    if (bad := np.flatnonzero((norm_sq <= cholesky.MIN_NORM_SQ) | np.isinf(norm_sq))).size:
+    if (bad := np.flatnonzero((norm_sq <= qcore.MIN_NORM_SQ) | np.isinf(norm_sq))).size:
         raise FormatError(f"{path}: tau target of record {bad[0]} defines no state")
     meas = records[:, : 6**m]
     if (bad := np.flatnonzero(((meas < 0.0) | (meas > 1.0)).any(axis=1))).size:

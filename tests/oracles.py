@@ -31,12 +31,11 @@ def ginibre(d: int, rng) -> np.ndarray:
     return (re + 1j * im) / np.sqrt(2.0)
 
 
-def sample_state(m: int, measure: str, rng) -> np.ndarray:
-    """The next m-qubit "hilbert-schmidt" or "bures" state that ``rng`` yields.
+def sample_factor(m: int, measure: str, rng) -> np.ndarray:
+    """Factor A of the next m-qubit "hilbert-schmidt" or "bures" state that ``rng`` yields.
 
     G is one Ginibre draw; A = G for Hilbert-Schmidt, and A = (I + Q·diag(r/|r|))G
-    for Bures, Q and r from the QR of a second draw. W = AA†, then W/Tr W, then
-    (W + W†)/2.
+    for Bures, Q and r from the QR of a second draw.
     """
     d = 2**m
     a = ginibre(d, rng)
@@ -45,9 +44,19 @@ def sample_state(m: int, measure: str, rng) -> np.ndarray:
         a = (np.eye(d) + q * (np.diagonal(r) / np.abs(np.diagonal(r)))) @ a
     elif measure != "hilbert-schmidt":
         raise ValueError(f"unknown measure {measure!r}")
+    return a
+
+
+def state(a: np.ndarray) -> np.ndarray:
+    """The state of one 2-D factor A: W = AA†, then W/Tr W, then (W + W†)/2."""
     w = a @ a.conj().T
     w = w / np.trace(w).real
     return (w + w.conj().T) / 2
+
+
+def sample_state(m: int, measure: str, rng) -> np.ndarray:
+    """The next m-qubit state that ``rng`` yields: the state of ``sample_factor``."""
+    return state(sample_factor(m, measure, rng))
 
 
 def joint_index(settings) -> int:

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import maximally_mixed, sample_state
+from oracles import maximally_mixed, sample_factor, sample_state, state
 from qstkit import adapt, cholesky, cli, neuralnet, qcore, sampling, tomography
 
 pytestmark = pytest.mark.acceptance
@@ -37,8 +37,8 @@ def report(criterion: str, ok: bool, detail: str) -> None:
 
 
 def make_dataset(m, measure, count, label):
-    states, ds = tomography.sample_dataset(m, measure, count, sampling.sub_seed(DATA_SEED, label))
-    return states, ds.measurements, ds.taus
+    factors, ds = tomography.sample_dataset(m, measure, count, sampling.sub_seed(DATA_SEED, label))
+    return factors, ds.measurements, ds.taus
 
 
 def mc_mean(measure, n, count, label, against_mixed):
@@ -64,24 +64,23 @@ def desk_networks():
 
 def mean_test_fidelity(net, measure):
     m = net.config.num_qubits
-    states, meas, _ = make_dataset(m, measure, TEST_COUNT, f"test-{measure}-{m}")
+    factors, meas, _ = make_dataset(m, measure, TEST_COUNT, f"test-{measure}-{m}")
     estimates = adapt.reconstruct(net, meas, "engineered")
-    return float(np.mean(qcore.fidelity(estimates, np.stack(states))))
+    return float(np.mean(qcore.fidelity(estimates, factors)))
 
 
 def padding_means(net, measure):
-    states, meas, _ = make_dataset(1, measure, TEST_COUNT, f"test-{measure}-1")
-    truth = np.stack(states)
+    truth, meas, _ = make_dataset(1, measure, TEST_COUNT, f"test-{measure}-1")
     eng = np.mean(qcore.fidelity(adapt.reconstruct(net, meas, "engineered"), truth))
     zero = np.mean(qcore.fidelity(adapt.reconstruct(net, meas, "zero"), truth))
     return float(eng), float(zero)
 
 
 def fig2_summaries(net, measure):
-    states, meas, _ = make_dataset(
+    factors, meas, _ = make_dataset(
         net.config.num_qubits, measure, FIG2_COUNT, f"test-{measure}-{net.config.num_qubits}"
     )
-    _, summaries = adapt.subsystem_experiment(net, states, meas, measure)
+    _, summaries = adapt.subsystem_experiment(net, factors, meas, measure)
     return summaries[::-1]  # full state first
 
 
@@ -119,12 +118,12 @@ def test_c02_monotonicity_suite():
         ]
         for i in range(1000):
             rng = sampling.stream(sampling.sub_seed(DATA_SEED, f"c2-{m}"), i)
-            rho = sample_state(m, HS, rng)
-            sigma = sample_state(m, HS, rng)
-            full = qcore.fidelity(rho, sigma)
+            a = sample_factor(m, HS, rng)
+            b = sample_factor(m, HS, rng)
+            full = qcore.fidelity(a, b)
             for remove in subsets:
                 reduced = qcore.fidelity(
-                    qcore.partial_trace(rho, remove), qcore.partial_trace(sigma, remove)
+                    qcore.partial_trace(a, remove), qcore.partial_trace(b, remove)
                 )
                 checks += 1
                 if full > reduced + 1e-9:
@@ -162,9 +161,9 @@ def test_c04_cholesky_roundtrip():
     for m in (2, 3):
         for i in range(1000):
             rng = sampling.stream(sampling.sub_seed(DATA_SEED, f"c4-{m}"), i)
-            rho = sample_state(m, HS, rng)
-            back = cholesky.tau_to_rho(cholesky.rho_to_tau(rho))
-            worst = max(worst, 1.0 - qcore.fidelity(rho, back))
+            a = sample_factor(m, HS, rng)
+            back = cholesky.tau_to_matrix(cholesky.rho_to_tau(state(a)))
+            worst = max(worst, 1.0 - qcore.fidelity(a, back))
     rows, cols = cholesky.tau_layout(4)
     layout_ok = list(zip(rows.tolist(), cols.tolist())) == [
         (0, 0), (1, 1), (2, 2), (3, 3),

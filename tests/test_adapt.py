@@ -98,7 +98,7 @@ class TestZeroPad:
 
 def plain_inference(net, values):
     """The unpadded network path written out: predict the rows' taus, decode each one."""
-    return cholesky.tau_to_rho(net.predict(values))
+    return cholesky.tau_to_matrix(net.predict(values))
 
 
 class TestReconstructAdaptive:
@@ -115,8 +115,8 @@ class TestReconstructAdaptive:
             rhos = [sample_state(n, HS, rng) for _ in range(3)]
             values = np.stack([tomography.measure(rho) for rho in rhos])
             out = adapt.reconstruct(net, values, "engineered")
-            assert out.shape == (3, 2**n, 2**n)
-            qcore.assert_physical(out)
+            assert out.shape == (3, 2**n, 4 * 2 ** (2 - n))
+            qcore.assert_physical(qcore.density(out))
 
     def test_modes_differ_for_padded_input(self):
         net = tiny_net()
@@ -150,16 +150,17 @@ class TestReconstructAdaptive:
                                       batched[7:40])
 
 
-def measured(states):
-    return states, np.stack([tomography.measure(rho) for rho in states])
+def measured(factors):
+    return factors, np.stack([tomography.measure(rho) for rho in qcore.density(factors)])
 
 
 class TestExperiments:
     def test_subsystem_records_bookkeeping(self):
-        """A single product test state yields one record row with m fidelities."""
+        """A single product test state, |0><0| ⊗ I/2 as its factor, yields one record row
+        with m fidelities."""
         net = tiny_net()
-        rho = np.kron(np.diag([1.0, 0.0]), np.diag([0.5, 0.5])).astype(complex)
-        records, summaries = adapt.subsystem_experiment(net, *measured(rho[None]), HS)
+        factor = np.kron(np.diag([1.0, 0.0]), np.eye(2)).astype(complex)
+        records, summaries = adapt.subsystem_experiment(net, *measured(factor[None]), HS)
         assert len(records) == 1
         experiment, measure, m, n, mode, state_id, *fids = records[0]
         assert (experiment, measure, m, n, mode, state_id) == ("fig2", HS, 2, 2, "none", 0)
@@ -275,12 +276,14 @@ class TestMonteCarlo:
         assert chunked.tobytes() == default.tobytes()
 
     def test_mixed_rows_match_uhlmann_fidelity_across_a_chunk(self):
-        """The closed form against I/2**n agrees with qcore.fidelity on both sides of a
-        ``_MC_CHUNK`` boundary (Hilbert-Schmidt draws; see test_qcore for Bures)."""
+        """Rows against I/2**n equal the Uhlmann fidelity's closed form there,
+        (sum of sqrt(eigenvalue))**2 / d, on both sides of a ``_MC_CHUNK`` boundary
+        (Hilbert-Schmidt draws; see test_qcore for Bures)."""
         for n in (1, 2, 3):
             count = adapt._MC_CHUNK + 100
-            states = sampling.sample_streams(n, HS, 23, 0, count, 1)[0]
-            want = qcore.fidelity(states, maximally_mixed(n))
+            states = qcore.density(sampling.sample_streams(n, HS, 23, 0, count, 1)[0])
+            spectra = np.clip(np.linalg.eigvalsh(states), 0.0, None)
+            want = np.sqrt(spectra).sum(axis=-1) ** 2 / 2**n
             got = adapt.mc_fidelities(HS, n, count, 23, against_mixed=True)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import sample_state
+from oracles import sample_factor, sample_state, state
 from qstkit import cholesky, qcore, sampling
 
 HS = sampling.MEASURE_HS
@@ -60,11 +60,18 @@ class TestLayout:
             cholesky.tau_to_matrix(np.ones(5))
 
 
+def tau_to_rho(tau):
+    """The state a tau decodes to: T = ``tau_to_matrix(tau)`` is its factor."""
+    return qcore.density(cholesky.tau_to_matrix(tau))
+
+
 class TestTauToRho:
+    """tau decodes to the factor T, whose state ``qcore.density`` gives."""
+
     def test_single_diagonal_entry_gives_pure_state(self):
         tau = np.zeros(16)
         tau[0] = 1.0
-        rho = cholesky.tau_to_rho(tau)
+        rho = tau_to_rho(tau)
         want = np.zeros((4, 4), dtype=complex)
         want[0, 0] = 1.0
         np.testing.assert_allclose(rho, want, atol=1e-15)
@@ -72,7 +79,7 @@ class TestTauToRho:
     def test_equal_diagonal_gives_maximally_mixed(self):
         tau = np.zeros(16)
         tau[:4] = 1.0
-        np.testing.assert_allclose(cholesky.tau_to_rho(tau), np.eye(4) / 4, atol=1e-15)
+        np.testing.assert_allclose(tau_to_rho(tau), np.eye(4) / 4, atol=1e-15)
 
     def test_any_tau_yields_physical_state(self):
         """Physicality holds by construction for arbitrary coefficients."""
@@ -80,20 +87,18 @@ class TestTauToRho:
         for _ in range(10000):
             m = int(rng.integers(1, 3))
             tau = rng.standard_normal(4**m) * 10.0 ** rng.integers(-3, 3)
-            rho = cholesky.tau_to_rho(tau)
+            rho = tau_to_rho(tau)
             assert abs(np.trace(rho) - 1.0) <= 1e-12
             assert np.linalg.eigvalsh(rho)[0] >= -1e-12
 
     def test_scale_invariance(self):
         rng = sampling.stream(403)
         tau = rng.standard_normal(16)
-        np.testing.assert_allclose(
-            cholesky.tau_to_rho(tau), cholesky.tau_to_rho(3.7 * tau), atol=1e-14
-        )
+        np.testing.assert_allclose(tau_to_rho(tau), tau_to_rho(3.7 * tau), atol=1e-14)
 
     def test_zero_tau_rejected(self):
         with pytest.raises(ArithmeticError, match="zero norm"):
-            cholesky.tau_to_rho(np.zeros(16))
+            tau_to_rho(np.zeros(16))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_tau_rejected(self, value):
@@ -101,7 +106,7 @@ class TestTauToRho:
         taus = sampling.stream(404).standard_normal((3, 16))
         taus[1, 5] = value
         with pytest.raises(ArithmeticError, match="not finite"):
-            cholesky.tau_to_rho(taus)
+            tau_to_rho(taus)
 
 
 class TestRhoToTau:
@@ -127,7 +132,8 @@ class TestRhoToTau:
     def test_stack_equals_per_state_calls(self):
         """Bitwise: the stack, each row alone, and the per-state formula with a 1-D norm."""
         for m in (1, 2, 3):
-            states = sampling.sample_streams(m, sampling.MEASURE_BURES, 406, 0, 200, 1)[0]
+            factors = sampling.sample_streams(m, sampling.MEASURE_BURES, 406, 0, 200, 1)[0]
+            states = qcore.density(factors)
             stacked = cholesky.rho_to_tau(states)
             assert stacked.shape == (200, 4**m)
             rows = np.stack([cholesky.rho_to_tau(rho) for rho in states])
@@ -145,13 +151,13 @@ class TestRhoToTau:
         rng = sampling.stream(405)
         for m in (2, 3):
             for _ in range(300):
-                rho = sample_state(m, HS, rng)
-                back = cholesky.tau_to_rho(cholesky.rho_to_tau(rho))
-                assert 1.0 - qcore.fidelity(rho, back) <= 1e-9
+                a = sample_factor(m, HS, rng)
+                back = cholesky.tau_to_matrix(cholesky.rho_to_tau(state(a)))
+                assert 1.0 - qcore.fidelity(a, back) <= 1e-9
 
     def test_rank_deficient_roundtrip(self):
         """Pure states pay at most the regularization cost."""
         ket = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2)
         rho = np.outer(ket, ket.conj())
-        back = cholesky.tau_to_rho(cholesky.rho_to_tau(rho))
-        assert 1.0 - qcore.fidelity(rho, back) <= 1e-6
+        back = cholesky.tau_to_matrix(cholesky.rho_to_tau(rho))
+        assert 1.0 - qcore.fidelity(ket[:, None], back) <= 1e-6

@@ -15,7 +15,7 @@ import pytest
 
 import qstkit
 from oracles import sample_state
-from qstkit import adapt, cholesky, cli, neuralnet, sampling, tomography
+from qstkit import adapt, cholesky, cli, neuralnet, qcore, sampling, tomography
 from test_neuralnet import zero_net
 from test_sampling import zero_draws
 
@@ -235,7 +235,8 @@ class TestReconstruct:
         states = tomography.read_states(out_dir / "states.qstst")
         ds = tomography.read_dataset(data)
         net = neuralnet.load_checkpoint(checkpoint)
-        np.testing.assert_array_equal(states, adapt.reconstruct(net, ds.measurements, "engineered"))
+        factors = adapt.reconstruct(net, ds.measurements, "engineered")
+        np.testing.assert_array_equal(states, qcore.density(factors))
         rows = read_csv(out_dir / "fidelity.csv")
         assert rows[0] == ["state_id", "fidelity"]
         assert len(rows) == 1 + ds.count
@@ -752,7 +753,7 @@ class TestExitCodes:
         train = ["train", "--dataset", data, "--epochs", 1, "--out-dir", tmp_path / "x"]
         argv, code, named = {
             "linalg-error": (["reconstruct", "--checkpoint", checkpoint, "--input", data,
-                              "--out-dir", tmp_path / "x"], cli.EXIT_NUMERICAL, "eigh failed"),
+                              "--out-dir", tmp_path / "x"], cli.EXIT_NUMERICAL, "svd failed"),
             "missing-dataset": (["train", "--dataset", tmp_path / "missing.qst",
                                  "--out-dir", tmp_path / "x"], cli.EXIT_USAGE, "missing.qst"),
             "missing-checkpoint": (["reconstruct", "--checkpoint", tmp_path / "missing.qstck",
@@ -787,9 +788,9 @@ class TestExitCodes:
                                          "rows of 36 entries, got 36 and 6"),
         }[case]
         if case == "linalg-error":
-            def eigh(*_):
-                raise np.linalg.LinAlgError("eigh failed")
-            monkeypatch.setattr(np.linalg, "eigh", eigh)
+            def svd(*_, **__):
+                raise np.linalg.LinAlgError("svd failed")
+            monkeypatch.setattr(np.linalg, "svd", svd)
         if case == "val-dataset-of-another-m":
             assert run("generate", "--out", val, "--m", 1, "--count", 3) == 0
         capsys.readouterr()

@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from oracles import initial_params, maximally_mixed
+from oracles import initial_params
 from qstkit import adapt, neuralnet, qcore, sampling, tomography
 
 TINY = dict(num_qubits=2, conv_filters=2, dense_widths=(8, 4))
@@ -30,8 +30,8 @@ def conv_layer(w, b):
 
 
 def small_dataset(m, count, seed, measure=sampling.MEASURE_HS):
-    states, ds = tomography.sample_dataset(m, measure, count, seed)
-    return states, ds.measurements, ds.taus
+    factors, ds = tomography.sample_dataset(m, measure, count, seed)
+    return factors, ds.measurements, ds.taus
 
 
 class TestReshape:
@@ -451,8 +451,8 @@ class TestInfer:
 
     def test_untrained_output_is_physical(self):
         _, net = tiny_net()
-        rhos = adapt.reconstruct(net, sampling.stream(606).random((20, 36)), "engineered")
-        qcore.assert_physical(rhos)
+        factors = adapt.reconstruct(net, sampling.stream(606).random((20, 36)), "engineered")
+        qcore.assert_physical(qcore.density(factors))
 
     def test_bitwise_repeatable(self):
         _, net = tiny_net()
@@ -466,11 +466,10 @@ class TestInfer:
         states, meas, taus = small_dataset(2, 1100, 608)
         cfg = neuralnet.NetworkConfig(num_qubits=2, max_epochs=20, seed=4)
         net, _ = neuralnet.train(cfg, meas[:1000], taus[:1000], meas[1000:], taus[1000:])
-        held_states, held_meas, _ = small_dataset(2, 40, 609)
-        held_states = np.stack(held_states)
+        held_factors, held_meas, _ = small_dataset(2, 40, 609)
         estimates = adapt.reconstruct(net, held_meas, "engineered")
-        net_fid = np.mean(qcore.fidelity(estimates, held_states))
-        mixed_fid = np.mean(qcore.fidelity(held_states, maximally_mixed(2)))
+        net_fid = np.mean(qcore.fidelity(estimates, held_factors))
+        mixed_fid = np.mean(qcore.fidelity(held_factors, np.eye(4)))
         assert net_fid > mixed_fid
 
     def test_predict_ignores_batch_size(self, monkeypatch):

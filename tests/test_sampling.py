@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from oracles import ginibre, sample_state
+from oracles import ginibre, sample_factor, sample_state
 from qstkit import neuralnet, qcore, sampling, tomography
 
 HS = sampling.MEASURE_HS
@@ -74,14 +74,15 @@ class TestHilbertSchmidt:
         )
 
     def test_matches_per_state_formula(self):
-        """Bitwise equal to G G† / Tr(G G†), hermitized as (W + W†)/2."""
+        """The factor is G; its state is bitwise G G† / Tr(G G†), hermitized as (W + W†)/2."""
         for m in (1, 2, 3):
             g = ginibre(2**m, sampling.stream(13, m))
             w = g @ g.conj().T
             w = w / np.trace(w).real
             expected = (w + w.conj().T) / 2
             got = sampling.sample_streams(m, HS, 13, m, m + 1, 1)[0, 0]
-            assert got.tobytes() == expected.tobytes()
+            assert got.tobytes() == g.tobytes()
+            assert qcore.density(got).tobytes() == expected.tobytes()
 
     def test_mean_pair_fidelity_single_qubit(self):
         """10^4 independent pairs reproduce the 0.67 reference value."""
@@ -157,7 +158,8 @@ class TestBures:
             w = w / np.trace(w).real
             expected = (w + w.conj().T) / 2
             got = sampling.sample_streams(m, BURES, 14, m, m + 1, 1)[0, 0]
-            assert got.tobytes() == expected.tobytes()
+            assert got.tobytes() == a.tobytes()
+            assert qcore.density(got).tobytes() == expected.tobytes()
 
     def test_mean_pair_fidelity_single_qubit(self):
         """10^4 independent pairs reproduce the 0.590 reference value."""
@@ -194,18 +196,19 @@ class TestEnsembles:
     @pytest.mark.parametrize("measure", sampling.MEASURES)
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_rows_equal_batch_of_one(self, m, measure):
-        """Row i of the stacked sampler is sample_state on stream(seed, i), bit for bit."""
-        states = sampling.sample_streams(m, measure, 17, 0, 40, 1)[0]
-        for i, rho in enumerate(states):
-            expected = sample_state(m, measure, sampling.stream(17, i))
-            assert rho.tobytes() == expected.tobytes()
+        """Row i of the stacked sampler is sample_factor on stream(seed, i), and the stack's
+        states are sample_state's, bit for bit."""
+        factors = sampling.sample_streams(m, measure, 17, 0, 40, 1)[0]
+        for i, (a, rho) in enumerate(zip(factors, qcore.density(factors))):
+            assert a.tobytes() == sample_factor(m, measure, sampling.stream(17, i)).tobytes()
+            assert rho.tobytes() == sample_state(m, measure, sampling.stream(17, i)).tobytes()
 
     @pytest.mark.parametrize("measure", sampling.MEASURES)
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_stacks_are_exactly_hermitian(self, m, measure):
-        """Every sampled stack equals its conjugate transpose exactly: ``cholesky.rho_to_tau``
-        trusts its input to."""
-        for states in sampling.sample_streams(m, measure, 19, 0, 300 // m, 2):
+        """The states of every sampled stack equal their conjugate transpose exactly:
+        ``cholesky.rho_to_tau`` trusts its input to."""
+        for states in qcore.density(sampling.sample_streams(m, measure, 19, 0, 300 // m, 2)):
             np.testing.assert_array_equal(states, states.conj().swapaxes(-1, -2))
 
     @pytest.mark.parametrize("measure", sampling.MEASURES)
@@ -217,7 +220,7 @@ class TestEnsembles:
             for j in range(count):
                 rng = sampling.stream(8, 5 + j)
                 for s in range(2):
-                    assert pairs[s, j].tobytes() == sample_state(2, measure, rng).tobytes()
+                    assert pairs[s, j].tobytes() == sample_factor(2, measure, rng).tobytes()
 
     @pytest.mark.parametrize("measure", sampling.MEASURES)
     def test_rekeyed_rows_equal_fresh_streams_at_high_indices(self, measure):
@@ -227,7 +230,7 @@ class TestEnsembles:
         for j in range(4):
             rng = sampling.stream(23, start + j)
             for s in range(2):
-                assert pairs[s, j].tobytes() == sample_state(4, measure, rng).tobytes()
+                assert pairs[s, j].tobytes() == sample_factor(4, measure, rng).tobytes()
 
 
 def zero_draws(monkeypatch, index=None):

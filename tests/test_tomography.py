@@ -84,7 +84,7 @@ class TestMeasure:
     def test_equals_tensordot_contraction_bit_for_bit(self, measure):
         projectors = tomography.pauli6_projectors()
         for m in (1, 2, 3, 4):
-            for rho in sampling.sample_streams(m, measure, 305, 0, 20, 1)[0]:
+            for rho in qcore.density(sampling.sample_streams(m, measure, 305, 0, 20, 1)[0]):
                 got, want = tomography.measure(rho), measure_tensordot(rho, projectors)
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -153,9 +153,9 @@ class TestMeasure:
 class TestSampleDataset:
     def test_rejects_non_physical_member(self, monkeypatch):
         """The sampled stack is checked once, so one bad member among good ones is caught."""
-        states = sampling.sample_streams(1, HS, 9, 0, 4, 1)
-        states[0, 2] = np.diag([1.5, -0.5])
-        monkeypatch.setattr(sampling, "sample_streams", lambda *args: states)
+        states = qcore.density(sampling.sample_streams(1, HS, 9, 0, 4, 1)[0])
+        states[2] = np.diag([1.5, -0.5])
+        monkeypatch.setattr(qcore, "density", lambda factors: states)
         with pytest.raises(ValueError, match="sampled states: negative eigenvalue -5.000e-01"):
             tomography.sample_dataset(1, HS, 4, 9)
 
@@ -163,8 +163,9 @@ class TestSampleDataset:
         calls = []
         check = qcore.assert_physical
         monkeypatch.setattr(qcore, "assert_physical", lambda *a: calls.append(a) or check(*a))
-        states, ds = tomography.sample_dataset(2, HS, 7, 3)
-        assert len(calls) == 1 and calls[0][0] is states
+        factors, ds = tomography.sample_dataset(2, HS, 7, 3)
+        assert len(calls) == 1
+        assert calls[0][0].tobytes() == qcore.density(factors).tobytes()
         assert ds.measurements.shape == (7, 36)
 
 

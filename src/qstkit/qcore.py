@@ -11,10 +11,10 @@ Conventions used throughout the package:
   ``np.eye(d)``. ``partial_trace`` and ``fidelity`` take factors, with no
   eigendecomposition; ``density`` is the one step from a factor to a matrix.
   All of them and ``assert_physical`` take stacks on the leading axes.
-* Physicality means Hermitian within 1e-10 elementwise, eigenvalues above
-  -1e-10, and trace within 1e-10 of one. ``assert_physical`` checks this
-  once, on the stack where states enter (``tomography.sample_dataset``); the
-  numerical kernels trust their callers.
+* Physicality means Hermitian, eigenvalues above zero and unit trace, each within
+  the one tolerance ``PHYSICAL_ATOL``; ``assert_physical`` checks it once, where
+  states enter (``tomography.sample_dataset``). Kernels trust their callers, but
+  ``density`` and ``fidelity`` reject a factor of zero or non-finite norm.
 
 All functions are pure and safe for concurrent use.
 """
@@ -25,9 +25,7 @@ from typing import Iterable
 
 import numpy as np
 
-HERMITICITY_ATOL = 1e-10
-EIGENVALUE_ATOL = 1e-10
-TRACE_ATOL = 1e-10
+PHYSICAL_ATOL = 1e-10  # elementwise Hermiticity, trace and lowest-eigenvalue deviation
 
 # A factor whose Tr AA† is at most this defines no state.
 MIN_NORM_SQ = 1e-300
@@ -52,13 +50,6 @@ def qubit_count(size: int, base: int) -> int:
     return k
 
 
-def num_qubits(rho: np.ndarray) -> int:
-    """Qubit count of a square matrix, or of a stack of them on the last two axes."""
-    if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
-        raise ValueError(f"expected a square matrix, got shape {rho.shape}")
-    return qubit_count(rho.shape[-1], 2)
-
-
 def partial_trace(a: np.ndarray, remove: Iterable[int]) -> np.ndarray:
     """Trace the qubits in ``remove`` out of a (..., 2**k, c) factor: their row axes move
     into the columns, giving (..., 2**(k-r), 2**r * c) with no arithmetic. The remaining
@@ -81,14 +72,10 @@ def _adjoint(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
-def norm_sq(a: np.ndarray) -> np.ndarray:
-    """Tr AA† of a factor, or of each factor of a stack: the sum of its squared moduli."""
-    return (np.abs(a) ** 2).sum(axis=(-2, -1))
-
-
 def _state_norm_sq(a: np.ndarray) -> np.ndarray:
-    """``norm_sq(a)``; ArithmeticError if one is not finite or at most MIN_NORM_SQ."""
-    n = norm_sq(a)
+    """Tr AA† of a factor, or of each factor of a stack, as the sum of its squared moduli;
+    ArithmeticError if one is not finite or at most MIN_NORM_SQ."""
+    n = (np.abs(a) ** 2).sum(axis=(-2, -1))
     if not np.all(np.isfinite(n)):
         raise ArithmeticError("state factor is not finite; no state is defined")
     if np.any(n <= MIN_NORM_SQ):
@@ -115,13 +102,10 @@ def _square(a: np.ndarray) -> np.ndarray:
 def fidelity(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     """Uhlmann fidelity of the states of factors A and B: (sum of the singular values of
     A†B)**2 / (Tr AA† · Tr BB†), accurate for pure states too. Both norms are checked
-    before the SVD. Two factors give a float; stacks broadcast, giving an array."""
-    if a.shape[-2] != b.shape[-2]:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    before the SVD. Two factors give an ``np.float64``; stacks broadcast, giving an array."""
     norms = _state_norm_sq(a) * _state_norm_sq(b)
     s = np.linalg.svd(_adjoint(_square(a)) @ _square(b), compute_uv=False).sum(axis=-1)
-    f = np.clip(s * s / norms, 0.0, 1.0)
-    return float(f) if f.ndim == 0 else f
+    return np.clip(s * s / norms, 0.0, 1.0)
 
 
 def assert_physical(rho: np.ndarray, context: str = "state") -> None:
@@ -131,11 +115,11 @@ def assert_physical(rho: np.ndarray, context: str = "state") -> None:
     if not (np.all(np.isfinite(rho.real)) and np.all(np.isfinite(rho.imag))):
         raise ValueError(f"{context}: non-finite entries")
     herm_dev = np.abs(rho - _adjoint(rho)).max()
-    if herm_dev > HERMITICITY_ATOL:
+    if herm_dev > PHYSICAL_ATOL:
         raise ValueError(f"{context}: Hermiticity violated by {herm_dev:.3e}")
     trace_dev = np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0).max()
-    if trace_dev > TRACE_ATOL:
+    if trace_dev > PHYSICAL_ATOL:
         raise ValueError(f"{context}: trace deviates from 1 by {trace_dev:.3e}")
     lowest = np.linalg.eigvalsh((rho + _adjoint(rho)) / 2)[..., 0].min()
-    if lowest < -EIGENVALUE_ATOL:
+    if lowest < -PHYSICAL_ATOL:
         raise ValueError(f"{context}: negative eigenvalue {lowest:.3e}")

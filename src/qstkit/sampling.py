@@ -14,7 +14,7 @@ the public Philox state setter, rather than build one per stream, and copies
 the normals of a block of streams into the complex stack at once, with the
 bytes of sampling each stream alone. It checks the measure; the qubit-count and
 count limits of a dataset, and its physicality, are checked by
-``tomography.sample_dataset``.
+``tomography.sample_dataset``, and a factor's norm by ``qcore`` where it is used.
 
 ``sub_seed(seed, *labels)`` derives further 64-bit seeds from string labels
 via SHA-256 for coarser partitioning (train/validation/test roles and the
@@ -29,8 +29,6 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
-
-from . import qcore
 
 MEASURE_HS = "hilbert-schmidt"
 MEASURE_BURES = "bures"
@@ -104,7 +102,7 @@ def sample_streams(m: int, measure: str, seed: int, start: int, stop: int,
     reused) and makes all of the stream's normals in one call, into a real block
     of ``_BLOCK`` streams; each block goes into the complex stack by one
     real-part and one imaginary-part copy, so the bytes do not depend on the
-    block. A zero-trace draw, of probability zero, raises ArithmeticError.
+    block. A zero draw, of probability zero, comes back as a zero factor.
     """
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}; expected one of {MEASURES}")
@@ -121,8 +119,4 @@ def sample_streams(m: int, measure: str, seed: int, start: int, stop: int,
         z.real[:, b:b + len(block)] = block[:, :, :, 0].swapaxes(0, 1)
         z.imag[:, b:b + len(block)] = block[:, :, :, 1].swapaxes(0, 1)
     z /= np.sqrt(2.0)  # as the complex division (re + i·im)/√2, bit for bit
-    a = z[:, :, 0] if draws == 1 else (np.eye(d) + _haar(z[:, :, 1])) @ z[:, :, 0]
-    bad = np.flatnonzero(~np.all(qcore.norm_sq(a) > qcore.MIN_NORM_SQ, axis=0))
-    if bad.size:
-        raise ArithmeticError(f"degenerate zero-trace draw in stream {start + int(bad[0])}")
-    return a
+    return z[:, :, 0] if draws == 1 else (np.eye(d) + _haar(z[:, :, 1])) @ z[:, :, 0]

@@ -145,7 +145,7 @@ def measure(rho: np.ndarray) -> np.ndarray:
     evaluated one qubit at a time (``_measure_plan``) rather than materializing
     the joint projectors. ``rho`` is trusted to be physical, as by every kernel.
     """
-    m = qcore.num_qubits(rho)
+    m = qcore.qubit_count(rho.shape[-1], 2)
     t = rho.reshape((2,) * (2 * m))
     for perm, rows, shape in _measure_plan(m):
         t = np.dot(t.transpose(perm).reshape(rows, 4), _STEP_MATRIX).reshape(shape)
@@ -234,16 +234,12 @@ def read_dataset(path) -> Dataset:
     )
 
 
-def write_states(path, states) -> None:
-    """Binary container of reconstructed density matrices (complex doubles).
-
-    ``states`` is a (count, 2**n, 2**n) stack, or anything indexable that
-    stacks into one.
-    """
-    states = np.asarray(states, dtype="<c16")
-    if states.ndim != 3:
+def write_states(path, states: np.ndarray) -> None:
+    """Binary container of reconstructed density matrices (complex doubles): ``states``
+    is a (count, 2**n, 2**n) stack."""
+    if states.ndim != 3 or states.shape[1] != states.shape[2]:
         raise ValueError(f"expected a (count, d, d) stack of states, got shape {states.shape}")
-    header = _STATES_HEADER.pack(qcore.num_qubits(states), len(states))
+    header = _STATES_HEADER.pack(qcore.qubit_count(states.shape[-1], 2), len(states))
     write_container(path, STATES_MAGIC, STATES_VERSION, header, [states], "<c16")
 
 

@@ -367,6 +367,13 @@ class TestStatesFormat:
             tomography.write_states(path, np.eye(2))
         assert not path.exists()
 
+    def test_non_square_stack_not_written(self, tmp_path):
+        """The writer refuses a stack its own reader would reject, before opening a file."""
+        path = tmp_path / "s.qstst"
+        with pytest.raises(ValueError, match=r"\(count, d, d\) stack"):
+            tomography.write_states(path, np.zeros((3, 2, 4), dtype=complex))
+        assert not path.exists()
+
 
 class TestExperiments:
     def test_fig2_schema(self, trained, tmp_path):
@@ -647,11 +654,21 @@ class TestExitCodes:
         assert "not finite" in err and "Traceback" not in err
 
     def test_zero_trace_draws_are_numerical_error(self, tmp_path, capsys, monkeypatch):
+        """``generate`` meets the zero factors in ``qcore.density``."""
         zero_draws(monkeypatch)
         capsys.readouterr()
         assert run("generate", "--out", tmp_path / "z.qst", "--count", 3) == cli.EXIT_NUMERICAL
         err = capsys.readouterr().err
-        assert "zero-trace" in err and "Traceback" not in err
+        assert "zero norm" in err and "Traceback" not in err
+
+    def test_zero_trace_pairs_are_numerical_error(self, tmp_path, capsys, monkeypatch):
+        """``baselines`` meets the zero factors in ``qcore.fidelity``."""
+        zero_draws(monkeypatch)
+        capsys.readouterr()
+        assert run("baselines", "--pairs", 100, "--dims", 2,
+                   "--out-dir", tmp_path / "b") == cli.EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "zero norm" in err and "Traceback" not in err
 
     def test_failed_commands_leave_no_output_directory(self, trained, tmp_path, monkeypatch):
         root, _ = trained

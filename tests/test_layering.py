@@ -45,6 +45,12 @@ def test_no_module_imports_a_later_layer():
     assert {module: names for module, names in upward.items() if names} == {}
 
 
+def test_sampling_imports_no_package_module():
+    """The sampler only draws factors; every rule about their states is checked in
+    ``qcore``, where the states are used."""
+    assert package_imports(SRC / "sampling.py") == set()
+
+
 def test_deferred_imports_are_seen(tmp_path):
     source = tmp_path / "m.py"
     source.write_text("from . import qcore\nfrom .tomography import measure\n"

@@ -267,6 +267,12 @@ class TestZeroTrace:
     @pytest.mark.parametrize("per_stream", [1, 2])
     @pytest.mark.parametrize("measure", sampling.MEASURES)
     def test_draw_raises_naming_its_stream(self, monkeypatch, measure, per_stream):
+        """Stream 2's zeroed draw comes back as the zero factor at index 2, the others
+        untouched; ``qcore.density`` and ``qcore.fidelity`` reject its state."""
         zero_draws(monkeypatch, index=2)
-        with pytest.raises(ArithmeticError, match="zero-trace draw in stream 2$"):
-            sampling.sample_streams(2, measure, 31, 0, 5, per_stream)
+        factors = sampling.sample_streams(2, measure, 31, 0, 5, per_stream)
+        assert not factors[0, 2].any() and factors[0, [0, 1, 3, 4]].all(axis=(-2, -1)).all()
+        with pytest.raises(ArithmeticError, match="zero norm"):
+            qcore.density(factors)
+        with pytest.raises(ArithmeticError, match="zero norm"):
+            qcore.fidelity(factors[0], np.eye(4))

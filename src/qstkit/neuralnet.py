@@ -10,6 +10,8 @@ Architecture (valid boundaries, stride 1, all double precision):
 
 Pooling before conv1's ReLU leaves the ReLU a quarter of the elements and changes
 nothing: a monotone ReLU commutes with the max, and routes the gradient to the same tap.
+The pool is part of conv1 (``Conv2D`` with ``pool=POOL``), which computes only the outputs
+the pool reads, one window tap at a time, with the bits of a separate conv and pool.
 
 A 6**m measurement vector is laid out row-major on a 6**ceil(m/2) by
 6**floor(m/2) grid (m=2: 6x6, m=3: 36x6, m=4: 36x36). m=1 is rejected: the
@@ -36,7 +38,6 @@ import struct
 from dataclasses import astuple, dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import cholesky, qcore, sampling, tomography
 from .tomography import FormatError
@@ -124,29 +125,85 @@ class _Weighted:
 
 
 class Conv2D(_Weighted):
-    """Valid-boundary stride-1 convolution; weights (filters, channels, k, k).
+    """Valid-boundary stride-1 convolution, weights (filters, channels, k, k), then
+    ``pool`` x ``pool`` max pooling, stride ``pool``, floor division (``pool`` 1: none).
 
-    Each pass is one GEMM over a sliding-window view of the input (im2col).
-    Outputs have shape (n, f, oh, ow) but channels-last memory, so the pool's
-    strided taps and the next layer's windows step over contiguous channels.
+    Only the outputs the pool reads are computed, one window tap (p, q) at a time: the
+    outputs at rows p + s*i and columns q + s*j are one GEMM of their im2col rows, built by
+    k**2 shifted slice copies, plus the bias, and the output keeps the running max. Each is
+    the same GEMM row, bias sum and max as in a full map pooled afterwards, so it has those
+    bits. Outputs have shape (n, f, ph, pw) but channels-last memory, so the next layer's
+    slices step over contiguous channels.
+
+    A training forward keeps the input, until the weight gradient, and per output the tap
+    of its window's first maximum (row-major, as argmax picks); no im2col matrix is kept.
+    The weight gradient routes dout to that tap of a full-size map, zero elsewhere, and
+    runs its im2col GEMM.
     """
 
-    def forward(self, x, train=False, rng=None):
+    def __init__(self, w, b, dw, db, pool=1):
+        super().__init__(w, b, dw, db)
+        self.pool = pool
+
+    def _cols(self, x, p, q, s, oh, ow):
+        """im2col rows (n * oh * ow, c * k * k) of the outputs at rows p + s*i, columns
+        q + s*j: one row per output, its window in (channel, row, column) order."""
+        n, c = x.shape[:2]
         k = self.w.shape[-1]
-        # (n, c, oh, ow, k, k) view of every k x k window; no copy, kept for backward.
-        self.windows = sliding_window_view(x, (k, k), axis=(2, 3))
-        out = np.tensordot(self.windows, self.w, axes=([1, 4, 5], [1, 2, 3]))
-        out += self.b
-        return out.transpose(0, 3, 1, 2)  # channels-last memory, (n, f, oh, ow) shape
+        xc = x.transpose(0, 2, 3, 1)
+        cols = np.empty((n, oh, ow, c, k, k))
+        for a in range(k):
+            for b in range(k):
+                cols[..., a, b] = xc[:, p + a : p + a + s * oh : s, q + b : q + b + s * ow : s]
+        return cols.reshape(n * oh * ow, c * k * k)
+
+    def forward(self, x, train=False, rng=None):
+        self.x = x
+        f, s, k = len(self.w), self.pool, self.w.shape[-1]
+        ph, pw = (x.shape[2] - k + 1) // s, (x.shape[3] - k + 1) // s
+        # only a training forward is followed by a backward pass
+        self.first = np.zeros((len(x), ph, pw, f), np.uint8) if train and s > 1 else None
+        for t, (p, q) in enumerate(np.ndindex(s, s)):
+            tap = np.dot(self._cols(x, p, q, s, ph, pw), self.w.reshape(f, -1).T)
+            tap = tap.reshape(len(x), ph, pw, f)
+            tap += self.b
+            if t == 0:
+                out = tap
+                continue
+            if self.first is not None:  # t exceeds every earlier tap index: a masked write
+                np.maximum(self.first, (tap > out) * np.uint8(t), out=self.first)
+            np.maximum(out, tap, out=out)
+        return out.transpose(0, 3, 1, 2)  # channels-last memory, (n, f, ph, pw) shape
+
+    def _unpool(self, dout):
+        """dout of the full conv map: each output's at its first maximum's tap, zero at
+        the other taps and in the rows and columns the floor division drops."""
+        if self.pool == 1:
+            return dout
+        s, k = self.pool, self.w.shape[-1]
+        n, f, ph, pw = dout.shape
+        full = np.zeros((n, self.x.shape[2] - k + 1, self.x.shape[3] - k + 1, f))
+        full = full.transpose(0, 3, 1, 2)
+        first = self.first.transpose(0, 3, 1, 2)
+        for t, (p, q) in enumerate(np.ndindex(s, s)):
+            np.multiply(dout, first == t, out=full[:, :, p : ph * s : s, q : pw * s : s])
+        return full
 
     def weight_grads(self, dout):
-        """Write dw and db, without the input gradient ``backward`` also returns."""
-        self.dw[...] = np.tensordot(dout, self.windows, axes=([0, 2, 3], [0, 2, 3]))
+        """Write dw and db, without the input gradient ``backward`` also returns; returns
+        the full map's dout."""
+        dout = self._unpool(dout)
+        _, f, oh, ow = dout.shape
+        cols, self.x = self._cols(self.x, 0, 0, 1, oh, ow), None
+        self.dw[...] = np.dot(dout.transpose(1, 0, 2, 3).reshape(f, -1), cols).reshape(
+            self.dw.shape)
         np.einsum("nfhw->f", dout, out=self.db)  # twice as fast as sum() on channels-last dout
+        return dout
 
     def backward(self, dout):
-        self.weight_grads(dout)
-        n, c, oh, ow, _, k = self.windows.shape
+        dout = self.weight_grads(dout)
+        n, _, oh, ow = dout.shape
+        _, c, k, _ = self.w.shape
         # Columns (n, oh, ow, c, k, k), then col2im: add each tap back at its offset.
         cols = np.tensordot(dout, self.w, axes=([1], [0]))
         dx = np.zeros((n, oh + k - 1, ow + k - 1, c))
@@ -162,49 +219,10 @@ class ReLU:
         return self.out
 
     def backward(self, dout):
-        return dout * (self.out > 0)
-
-
-class MaxPool2D:
-    """``POOL`` x ``POOL`` max pooling, stride ``POOL``, floor division (no padding).
-
-    The maximum is taken elementwise over POOL**2 strided views of the input
-    ("taps"), one per position in the window, each of shape (n, c, ph, pw).
-    """
-
-    def _taps(self, x):
-        """The s*s strided views x[:, :, p::s, q::s] over whole windows, row-major."""
-        s = POOL
-        ph, pw = x.shape[2] // s, x.shape[3] // s
-        return [x[:, :, p : ph * s : s, q : pw * s : s] for p in range(s) for q in range(s)]
-
-    def forward(self, x, train=False, rng=None):
-        taps = self._taps(x)
-        out = taps[0].copy(order="K")
-        for tap in taps[1:]:
-            np.maximum(out, tap, out=out)
-        self.masks = None
-        if not train:  # only a training forward is followed by a backward pass
-            return out
-        self.in_shape = x.shape
-        # One mask per tap marking each window's first maximum in row-major
-        # order, the one argmax picks; the backward pass routes dout through it.
-        unclaimed = np.ones_like(out, dtype=bool)
-        self.masks = []
-        for tap in taps:
-            first = (tap == out) & unclaimed
-            unclaimed &= ~first
-            self.masks.append(first)
-        return out
-
-    def backward(self, dout):
-        n, c, h, w = self.in_shape
-        # Channels-last like the conv output; rows and columns dropped by the
-        # floor division stay zero.
-        dx = np.zeros((n, h, w, c)).transpose(0, 3, 1, 2)
-        for first, dtap in zip(self.masks, self._taps(dx)):
-            np.multiply(dout, first, out=dtap)
-        return dx
+        # Dropped here and by Conv2D.weight_grads, conv1's ReLU output is freed before
+        # conv1's full-size map is built: the peak of a training batch.
+        mask, self.out = self.out > 0, None
+        return dout * mask
 
 
 class Flatten:
@@ -279,8 +297,7 @@ class Network:
                 for v in (params, self.grads))
         conv1, conv2, dense1, dense2, out = zip(p[::2], p[1::2], g[::2], g[1::2])  # w, b, dw, db
         self.layers = [
-            Conv2D(*conv1),
-            MaxPool2D(),
+            Conv2D(*conv1, POOL),
             ReLU(),
             Conv2D(*conv2),
             ReLU(),

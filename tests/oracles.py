@@ -6,11 +6,18 @@ from ``tomography.pauli6_projectors``, and random states are drawn one at a
 time in plain 2-D numpy, not through ``sampling.sample_streams``. The one
 exception is ``measure_tensordot``, ``tomography.measure``'s contraction
 written as one ``np.tensordot`` per qubit: it is the bit-for-bit reference of
-the spelled-out steps, so it takes the library's projectors as given. They
-import nothing but numpy.
+the spelled-out steps, so it takes the library's projectors as given. The
+other is the network's reference front end, ``Conv2D`` (one ``np.tensordot``
+over a sliding-window view) and ``MaxPool2D`` (a separate strided-tap pool):
+the bit-for-bit reference of ``neuralnet.Conv2D``'s pooled, tap-by-tap GEMMs.
+They import nothing but numpy.
 """
 
 import numpy as np
+
+sliding_window_view = np.lib.stride_tricks.sliding_window_view
+# The network's pool size, ``neuralnet.POOL``.
+POOL = 2
 
 PAULIS = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -125,3 +132,86 @@ def initial_params(m: int, filters: int, widths: tuple[int, int], rng) -> np.nda
         signs = np.where(np.diagonal(r) < 0, -1.0, 1.0)
         tensors += [gain * (q * signs)[:n_in, :n_out], np.zeros(n_out)]
     return np.concatenate([t.ravel() for t in tensors])
+
+
+class _Weighted:
+    """A layer with weights ``w``, biases ``b`` and their gradients ``dw``, ``db``: views of
+    a network's ``params`` and ``grads``."""
+
+    def __init__(self, w: np.ndarray, b: np.ndarray, dw: np.ndarray, db: np.ndarray):
+        self.w, self.b, self.dw, self.db = w, b, dw, db
+
+
+class Conv2D(_Weighted):
+    """Valid-boundary stride-1 convolution; weights (filters, channels, k, k).
+
+    Each pass is one GEMM over a sliding-window view of the input (im2col).
+    Outputs have shape (n, f, oh, ow) but channels-last memory, so the pool's
+    strided taps and the next layer's windows step over contiguous channels.
+    """
+
+    def forward(self, x, train=False, rng=None):
+        k = self.w.shape[-1]
+        # (n, c, oh, ow, k, k) view of every k x k window; no copy, kept for backward.
+        self.windows = sliding_window_view(x, (k, k), axis=(2, 3))
+        out = np.tensordot(self.windows, self.w, axes=([1, 4, 5], [1, 2, 3]))
+        out += self.b
+        return out.transpose(0, 3, 1, 2)  # channels-last memory, (n, f, oh, ow) shape
+
+    def weight_grads(self, dout):
+        """Write dw and db, without the input gradient ``backward`` also returns."""
+        self.dw[...] = np.tensordot(dout, self.windows, axes=([0, 2, 3], [0, 2, 3]))
+        np.einsum("nfhw->f", dout, out=self.db)  # twice as fast as sum() on channels-last dout
+
+    def backward(self, dout):
+        self.weight_grads(dout)
+        n, c, oh, ow, _, k = self.windows.shape
+        # Columns (n, oh, ow, c, k, k), then col2im: add each tap back at its offset.
+        cols = np.tensordot(dout, self.w, axes=([1], [0]))
+        dx = np.zeros((n, oh + k - 1, ow + k - 1, c))
+        for p in range(k):
+            for q in range(k):
+                dx[:, p : p + oh, q : q + ow] += cols[..., p, q]
+        return dx.transpose(0, 3, 1, 2)
+
+
+class MaxPool2D:
+    """``POOL`` x ``POOL`` max pooling, stride ``POOL``, floor division (no padding).
+
+    The maximum is taken elementwise over POOL**2 strided views of the input
+    ("taps"), one per position in the window, each of shape (n, c, ph, pw).
+    """
+
+    def _taps(self, x):
+        """The s*s strided views x[:, :, p::s, q::s] over whole windows, row-major."""
+        s = POOL
+        ph, pw = x.shape[2] // s, x.shape[3] // s
+        return [x[:, :, p : ph * s : s, q : pw * s : s] for p in range(s) for q in range(s)]
+
+    def forward(self, x, train=False, rng=None):
+        taps = self._taps(x)
+        out = taps[0].copy(order="K")
+        for tap in taps[1:]:
+            np.maximum(out, tap, out=out)
+        self.masks = None
+        if not train:  # only a training forward is followed by a backward pass
+            return out
+        self.in_shape = x.shape
+        # One mask per tap marking each window's first maximum in row-major
+        # order, the one argmax picks; the backward pass routes dout through it.
+        unclaimed = np.ones_like(out, dtype=bool)
+        self.masks = []
+        for tap in taps:
+            first = (tap == out) & unclaimed
+            unclaimed &= ~first
+            self.masks.append(first)
+        return out
+
+    def backward(self, dout):
+        n, c, h, w = self.in_shape
+        # Channels-last like the conv output; rows and columns dropped by the
+        # floor division stay zero.
+        dx = np.zeros((n, h, w, c)).transpose(0, 3, 1, 2)
+        for first, dtap in zip(self.masks, self._taps(dx)):
+            np.multiply(dout, first, out=dtap)
+        return dx

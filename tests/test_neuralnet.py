@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+import oracles
 from oracles import initial_params
 from qstkit import adapt, neuralnet, qcore, sampling, tomography
 
@@ -24,9 +25,15 @@ def zero_net(cfg):
     return neuralnet.Network(cfg, np.zeros(size), np.zeros(size))
 
 
-def conv_layer(w, b):
+def conv_layer(w, b, pool=1):
     """A standalone Conv2D over the given weights and biases, with its own gradients."""
-    return neuralnet.Conv2D(w, b, np.empty_like(w), np.empty_like(b))
+    return neuralnet.Conv2D(w, b, np.empty_like(w), np.empty_like(b), pool)
+
+
+def pool_layer(channels):
+    """A pooled 1x1 convolution with identity weights and zero biases: the pool alone."""
+    return conv_layer(np.eye(channels).reshape(channels, channels, 1, 1), np.zeros(channels),
+                      neuralnet.POOL)
 
 
 def small_dataset(m, count, seed, measure=sampling.MEASURE_HS):
@@ -111,19 +118,18 @@ class TestForward:
         input [[1,2,0],[0,1,3],[4,1,0]], filter [[1,0],[-1,2]], bias 0.5:
         conv(0,0) = 1 - 0 + 2*1 + 0.5 = 3.5    conv(0,1) = 2 - 1 + 6 + 0.5 = 7.5
         conv(1,0) = 0 - 4 + 2  + 0.5 = -1.5    conv(1,1) = 1 - 1 + 0 + 0.5 = 0.5
-        ReLU zeroes the -1.5; maxpool over the 2x2 map keeps 7.5.
+        maxpool over the 2x2 map keeps 7.5, and ReLU keeps it.
         """
-        conv = conv_layer(np.array([[[[1.0, 0.0], [-1.0, 2.0]]]]), np.array([0.5]))
+        w, b = np.array([[[[1.0, 0.0], [-1.0, 2.0]]]]), np.array([0.5])
         x = np.array([[[[1.0, 2.0, 0.0], [0.0, 1.0, 3.0], [4.0, 1.0, 0.0]]]])
-        out = conv.forward(x)
+        out = conv_layer(w, b).forward(x)
         np.testing.assert_allclose(out[0, 0], [[3.5, 7.5], [-1.5, 0.5]], atol=1e-15)
-        relu = neuralnet.ReLU()
-        pooled = neuralnet.MaxPool2D().forward(relu.forward(out))
+        pooled = neuralnet.ReLU().forward(conv_layer(w, b, neuralnet.POOL).forward(x))
         np.testing.assert_allclose(pooled[0, 0], [[7.5]], atol=1e-15)
 
     def test_pool_floor_discards_trailing_row(self):
         x = np.arange(15.0).reshape(1, 1, 5, 3)
-        pool = neuralnet.MaxPool2D()
+        pool = pool_layer(1)
         out = pool.forward(x, train=True)
         np.testing.assert_array_equal(out[0, 0], [[4.0], [10.0]])
         dx = pool.backward(np.array([[[[2.0], [3.0]]]]))
@@ -173,25 +179,38 @@ def pool_oracle(x, s, dout):
     return out, dx
 
 
+def pooled_conv_oracle(x, w, b, s, dout):
+    """``conv_oracle`` then ``pool_oracle``: output, dw, db and dx of a convolution followed
+    by s x s max pooling."""
+    n, _, h, wd = x.shape
+    f, _, k, _ = w.shape
+    maps = conv_oracle(x, w, b, np.zeros((n, f, h - k + 1, wd - k + 1)))[0]
+    out, dmaps = pool_oracle(maps, s, dout)
+    return (out, *conv_oracle(x, w, b, dmaps)[1:])
+
+
 class TestKernels:
     @pytest.mark.parametrize("k", [2, 3])
     def test_conv_matches_loop_oracle(self, k):
+        """Unpooled, then pooled as conv1 is."""
         rng = sampling.stream(520 + k)
         x = rng.standard_normal((2, 3, 7, 4))
         w = rng.standard_normal((2, 3, k, k)) * np.sqrt(2.0 / (3 * k * k))
-        conv = conv_layer(w, rng.standard_normal(2))
-        out = conv.forward(x)
-        dout = rng.standard_normal(out.shape)
-        dx = conv.backward(dout)
-        want = conv_oracle(x, conv.w, conv.b, dout)
-        for got, ref in zip((out, conv.dw, conv.db, dx), want):
-            assert got.shape == ref.shape
-            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+        b = rng.standard_normal(2)
+        for pool in (1, neuralnet.POOL):
+            conv = conv_layer(w, b, pool)
+            out = conv.forward(x, train=True)
+            dout = rng.standard_normal(out.shape)
+            dx = conv.backward(dout)
+            want = pooled_conv_oracle(x, w, b, pool, dout)
+            for got, ref in zip((out, conv.dw, conv.db, dx), want):
+                assert got.shape == ref.shape
+                np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
 
     def test_pool_tie_goes_to_first_maximum(self):
         """Windows [[1, 3], [3, 0]] and all-zero (dead ReLU) ties."""
         x = np.array([[[[1.0, 3.0, 0.0, 0.0], [3.0, 0.0, 0.0, 0.0]]]])
-        pool = neuralnet.MaxPool2D()
+        pool = pool_layer(1)
         np.testing.assert_array_equal(pool.forward(x, train=True), [[[[3.0, 0.0]]]])
         dx = pool.backward(np.array([[[[5.0, 7.0]]]]))
         np.testing.assert_array_equal(dx, [[[[0.0, 5.0, 7.0, 0.0], [0.0, 0.0, 0.0, 0.0]]]])
@@ -203,12 +222,50 @@ class TestKernels:
         # signed, with negative ties, as the conv output the network pools.
         signed = np.round(rng.standard_normal((2, 3) + shape), 1)
         for x in (np.maximum(signed, 0.0), signed):
-            pool = neuralnet.MaxPool2D()
+            pool = pool_layer(3)
             out = pool.forward(x, train=True)
             dout = rng.standard_normal(out.shape)
-            want_out, want_dx = pool_oracle(x, size, dout)
+            want_out, _, _, want_dx = pooled_conv_oracle(x, pool.w, pool.b, size, dout)
             np.testing.assert_array_equal(out, want_out)
             np.testing.assert_array_equal(pool.backward(dout), want_dx)
+
+
+def reference_network(net):
+    """A network over ``net``'s parameters whose front end is the reference one: conv1
+    unpooled, then a separate max pool, and conv2, from ``oracles``."""
+    ref = neuralnet.Network(net.config, net.params, net.accumulator)
+    conv1, relu, conv2, *rest = ref.layers
+    ref.layers = [oracles.Conv2D(conv1.w, conv1.b, conv1.dw, conv1.db), oracles.MaxPool2D(),
+                  relu, oracles.Conv2D(conv2.w, conv2.b, conv2.dw, conv2.db), *rest]
+    return ref
+
+
+class TestReferenceFrontEnd:
+    """The pooled conv1 and the im2col conv2 give the bits of the reference front end."""
+
+    @pytest.mark.parametrize("count", [1, 37, 100])
+    @pytest.mark.parametrize("settings", [dict(num_qubits=2), dict(num_qubits=3), TINY,
+                                          dict(num_qubits=4, conv_filters=2, dense_widths=(8, 4))],
+                             ids=["m2", "m3", "tiny", "m4-smoke"])
+    def test_forward_gradients_and_predict_are_bit_equal(self, settings, count):
+        cfg = neuralnet.NetworkConfig(seed=13, **settings)
+        net = neuralnet.Network.build(cfg, sampling.stream(cfg.seed, neuralnet.TRAIN_STREAM))
+        rng = sampling.stream(560, count)
+        grids = rng.random((count, 1) + neuralnet.grid_shape(cfg.num_qubits))
+        targets = rng.standard_normal((count, cfg.tau_width))
+        results = []
+        for network in (net, reference_network(net)):
+            results.append([
+                network.forward(grids),
+                network.forward(grids, train=True, rng=sampling.stream(43)),
+                np.float64(neuralnet.compute_gradients(network, grids, targets,
+                                                       sampling.stream(43))),
+                network.grads.copy(),
+                network.predict(grids.reshape(count, -1)),
+            ])
+        for got, want in zip(*results):
+            assert got.shape == want.shape
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class OldReLU:
@@ -228,24 +285,25 @@ class TestLayerOrder:
 
         Rounded inputs and half-integer conv1 weights give conv1 maps with
         exact ties, negative ones included; the reference network shares the
-        parameters of ``Network.build``'s, with every ReLU in the old form.
+        parameters of ``Network.build``'s, with the reference front end (a separate conv
+        and pool) and every ReLU in the old form.
         """
         cfg, net = tiny_net()
         rng = sampling.stream(540)
-        conv1, pool, relu, *_ = net.layers
-        assert (type(conv1), type(pool), type(relu)) == (
-            neuralnet.Conv2D, neuralnet.MaxPool2D, neuralnet.ReLU)
+        conv1, relu, *_ = net.layers
+        assert (type(conv1), conv1.pool, type(relu)) == (
+            neuralnet.Conv2D, neuralnet.POOL, neuralnet.ReLU)
         conv1.w[...] = np.round(2 * conv1.w) / 2
         conv1.b[...] = [-0.5, 0.5]
-        old = neuralnet.Network(cfg, net.params, net.accumulator)
+        old = reference_network(net)
         old_conv1, old_pool, _, *old_rest = old.layers
         old.layers = [old_conv1, OldReLU(), old_pool] + [
             OldReLU() if isinstance(layer, neuralnet.ReLU) else layer for layer in old_rest]
         grids = np.round(rng.standard_normal((6, 1, 6, 6)))
         targets = rng.standard_normal((6, 16))
-        maps = conv1.forward(grids)
+        maps = old_conv1.forward(grids)
         assert (maps < 0).any() and (maps > 0).any()
-        taps = np.stack(pool._taps(maps))
+        taps = np.stack(old_pool._taps(maps))
         top = taps.max(axis=0)
         assert ((taps == top).sum(axis=0)[top < 0] > 1).any()  # a window with a negative tie
 

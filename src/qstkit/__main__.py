@@ -1,6 +1,8 @@
 """``python -m qstkit``: the ``qstkit`` command line."""
 
-from .cli import main_entry
+import sys
+
+from .cli import main
 
 if __name__ == "__main__":
-    main_entry()
+    sys.exit(main())

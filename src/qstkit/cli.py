@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -86,28 +87,23 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _load_train_val(args):
-    train_ds = tomography.read_dataset(args.dataset)
+def _load_train_val(args) -> tuple[tomography.Dataset, tomography.Dataset]:
+    """The training and validation datasets: the ``--val-dataset`` file, or else row
+    slices of the one training file, its last ``--val-count`` records validating."""
+    train = tomography.read_dataset(args.dataset)
     if args.val_dataset is not None:
-        val_ds = tomography.read_dataset(args.val_dataset)
-        return train_ds, train_ds.measurements, train_ds.taus, val_ds.measurements, val_ds.taus
-    if args.val_count >= train_ds.count:
+        return train, tomography.read_dataset(args.val_dataset)
+    if args.val_count >= train.count:
         raise ValueError(f"val_count {args.val_count} must be smaller than the dataset "
-                         f"({train_ds.count} states)")
-    split = train_ds.count - args.val_count
-    return (
-        train_ds,
-        train_ds.measurements[:split],
-        train_ds.taus[:split],
-        train_ds.measurements[split:],
-        train_ds.taus[split:],
-    )
+                         f"({train.count} states)")
+    split = train.count - args.val_count
+    return tuple(replace(train, records=rows) for rows in np.split(train.records, [split]))
 
 
 def cmd_train(args) -> int:
-    train_ds, tr_meas, tr_taus, va_meas, va_taus = _load_train_val(args)
+    train, val = _load_train_val(args)
     config = neuralnet.NetworkConfig(
-        num_qubits=train_ds.num_qubits,
+        num_qubits=train.num_qubits,
         conv_filters=args.filters,
         dense_widths=args.dense_widths,
         dropout_rate=args.dropout,
@@ -118,7 +114,8 @@ def cmd_train(args) -> int:
     )
     init = (None if args.init_checkpoint is None
             else neuralnet.load_checkpoint(args.init_checkpoint))
-    net, history = neuralnet.train(config, tr_meas, tr_taus, va_meas, va_taus, init)
+    net, history = neuralnet.train(config, train.measurements, train.taus, val.measurements,
+                                   val.taus, init)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ck_path = out_dir / "checkpoint.qstck"
@@ -362,11 +359,3 @@ def main(argv=None) -> int:
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-
-def main_entry() -> None:
-    sys.exit(main())
-
-
-if __name__ == "__main__":
-    main_entry()

@@ -13,12 +13,16 @@ factors for physicality; ``measure`` trusts its input.
 
 The dataset file and the reconstructed-states file are defined here; they and
 the network checkpoint are the binary containers framed by ``write_container``.
-A dataset header embeds the setting order tag, sampling measure and master
-seed alongside the record count, so a file fully determines how it was
-produced and how to interpret the payload. ``read_dataset`` rejects a tau
-target that defines no state (its squared norm at most ``qcore.MIN_NORM_SQ``
-or overflowing), and measurements that are not probabilities: an entry outside
-[0, 1], or a basis whose outcomes do not sum to 1 within 1e-9.
+A dataset header embeds the setting order tag, sampling measure and master seed
+alongside the record count, so a file fully determines how it was produced and
+how to interpret the payload. A ``Dataset`` holds its records as the file
+stores them, one (count, 6**m + 4**m) block: ``sample_dataset`` fills it in
+place, ``write_dataset`` writes it as it is, and ``read_dataset`` maps it from
+the file's bytes without a copy, so a read dataset is read-only.
+``read_dataset`` rejects a tau target that defines no state (its squared norm
+at most ``qcore.MIN_NORM_SQ`` or overflowing), and measurements that are not
+probabilities: an entry outside [0, 1], or a basis whose outcomes do not sum to
+1 within 1e-9.
 """
 
 from __future__ import annotations
@@ -154,23 +158,33 @@ def measure(rho: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Dataset:
-    """Measurement/target pairs for one ensemble, as stored on disk."""
+    """Measurement/target records of one ensemble: the (count, 6**m + 4**m) float64 block
+    exactly as the dataset file stores it, each record 6**m measurement probabilities then
+    the 4**m tau target. ``measurements`` and ``taus`` are its column views."""
 
     num_qubits: int
     measure: str
     seed: int
-    measurements: np.ndarray  # (count, 6**m) float64
-    taus: np.ndarray  # (count, 4**m) float64
+    records: np.ndarray
+
+    @property
+    def measurements(self) -> np.ndarray:
+        return self.records[:, : 6**self.num_qubits]
+
+    @property
+    def taus(self) -> np.ndarray:
+        return self.records[:, 6**self.num_qubits :]
 
     @property
     def count(self) -> int:
-        return self.measurements.shape[0]
+        return len(self.records)
 
 
 def sample_dataset(m: int, sampling_measure: str, count: int,
                    seed: int) -> tuple[np.ndarray, Dataset]:
     """``count`` m-qubit states, state i from ``stream(seed, i)``: their (count, 2**m, 2**m)
-    factors, and a dataset of their measurement rows and tau targets. The density matrices
+    factors, and a dataset whose records block is allocated once and filled in place with
+    each state's measurement row and the stack's tau targets. The density matrices
     (``qcore.density``) are checked for physicality once, as one stack."""
     if not 1 <= m <= 4 or count < 1 or not 0 <= seed < 2**64:
         raise ValueError(f"need 1 <= m <= 4, count >= 1 and 0 <= seed < 2**64, got m={m}, "
@@ -178,31 +192,31 @@ def sample_dataset(m: int, sampling_measure: str, count: int,
     factors = sampling.sample_streams(m, sampling_measure, seed, 0, count, 1)[0]
     states = qcore.density(factors)
     qcore.assert_physical(states, "sampled states")
-    measurements = np.stack([measure(rho) for rho in states])
-    return factors, Dataset(m, sampling_measure, seed, measurements, cholesky.rho_to_tau(states))
+    dataset = Dataset(m, sampling_measure, seed, np.empty((count, 6**m + 4**m)))
+    for row, rho in zip(dataset.measurements, states):
+        row[:] = measure(rho)
+    dataset.taus[:] = cholesky.rho_to_tau(states)
+    return factors, dataset
 
 
 def write_dataset(path, dataset: Dataset) -> None:
     """Write the versioned little-endian container described in the header."""
-    m = dataset.num_qubits
-    count = dataset.count
-    if dataset.measurements.shape != (count, 6**m):
-        raise ValueError(f"measurement block has shape {dataset.measurements.shape}")
-    if dataset.taus.shape != (count, 4**m):
-        raise ValueError(f"tau block has shape {dataset.taus.shape}")
+    m, records = dataset.num_qubits, dataset.records
+    if records.ndim != 2 or records.shape[1] != 6**m + 4**m:
+        raise ValueError(f"records have shape {records.shape}, not (count, {6**m + 4**m})")
     header = _HEADER.pack(
         m,
         dataset.measure.encode("ascii"),
         SETTING_ORDER_TAG.encode("ascii"),
-        count,
+        dataset.count,
         dataset.seed,
     )
-    records = np.hstack([dataset.measurements, dataset.taus])
     write_container(path, DATASET_MAGIC, DATASET_VERSION, header, [records], "<f8")
 
 
 def read_dataset(path) -> Dataset:
-    """Read and validate a dataset container."""
+    """Read and validate a dataset container; its records are a read-only view of the
+    file's bytes (no copy)."""
     (m, measure_raw, order_raw, count, seed), payload = read_container(
         path, DATASET_MAGIC, DATASET_VERSION, _HEADER
     )
@@ -212,12 +226,12 @@ def read_dataset(path) -> Dataset:
     measure_tag = measure_raw.rstrip(b"\x00").decode("ascii", "replace")
     if measure_tag not in sampling.MEASURES:
         raise FormatError(f"{path}: unknown measure tag {measure_tag!r}")
-    records = payload_array(path, payload, "<f8", (count, 6**m + 4**m))
+    ds = Dataset(m, measure_tag, seed, payload_array(path, payload, "<f8", (count, 6**m + 4**m)))
     with np.errstate(over="ignore", under="ignore"):
-        norm_sq = np.sum(records[:, 6**m :] ** 2, axis=1)
+        norm_sq = np.sum(ds.taus**2, axis=1)
     if (bad := np.flatnonzero((norm_sq <= qcore.MIN_NORM_SQ) | np.isinf(norm_sq))).size:
         raise FormatError(f"{path}: tau target of record {bad[0]} defines no state")
-    meas = records[:, : 6**m]
+    meas = ds.measurements
     if (bad := np.flatnonzero(((meas < 0.0) | (meas > 1.0)).any(axis=1))).size:
         raise FormatError(f"{path}: measurement of record {bad[0]} lies outside [0, 1]")
     # Setting s_q = 2 * basis + outcome on each qubit: sum every outcome axis.
@@ -225,13 +239,7 @@ def read_dataset(path) -> Dataset:
     off = np.abs(sums - 1.0).reshape(count, -1).max(axis=1) > _SUM_TOLERANCE
     if (bad := np.flatnonzero(off)).size:
         raise FormatError(f"{path}: outcomes of record {bad[0]} do not sum to 1 in every basis")
-    return Dataset(
-        num_qubits=m,
-        measure=measure_tag,
-        seed=seed,
-        measurements=records[:, : 6**m].astype(np.float64),
-        taus=records[:, 6**m :].astype(np.float64),
-    )
+    return ds
 
 
 def write_states(path, states: np.ndarray) -> None:

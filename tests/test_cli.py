@@ -3,10 +3,12 @@
 import argparse
 import configparser
 import csv
+import importlib
 import os
 import struct
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -82,9 +84,8 @@ class TestGenerate:
         states = np.stack([sample_state(m, measure, sampling.stream(seed, i))
                            for i in range(count)])
         expected = tmp_path / "e.qst"
-        tomography.write_dataset(expected, tomography.Dataset(
-            m, measure, seed, np.stack([tomography.measure(rho) for rho in states]),
-            cholesky.rho_to_tau(states)))
+        tomography.write_dataset(expected, tomography.Dataset(m, measure, seed, np.hstack([
+            np.stack([tomography.measure(rho) for rho in states]), cholesky.rho_to_tau(states)])))
         assert out.read_bytes() == expected.read_bytes()
 
     def test_header_roundtrip_and_config_written(self, tmp_path):
@@ -350,14 +351,11 @@ class TestStatesFormat:
             tomography.write_states(path, np.zeros((0, 2, 2)))
         assert not path.exists()
 
-    @pytest.mark.parametrize("meas_shape, tau_shape, match", [
-        ((3, 6), (3, 16), "measurement block"), ((3, 36), (2, 16), "tau block")])
-    def test_misshapen_dataset_not_written(self, tmp_path, meas_shape, tau_shape, match):
-        """The writer rejects blocks its own reader would reject, before opening a file."""
+    def test_misshapen_dataset_not_written(self, tmp_path):
+        """The writer rejects records its own reader would reject, before opening a file."""
         path = tmp_path / "d.qst"
-        dataset = tomography.Dataset(2, sampling.MEASURE_HS, 7, np.full(meas_shape, 0.5),
-                                     np.full(tau_shape, 0.5))
-        with pytest.raises(ValueError, match=match):
+        dataset = tomography.Dataset(2, sampling.MEASURE_HS, 7, np.full((3, 6 + 16), 0.5))
+        with pytest.raises(ValueError, match=r"shape \(3, 22\), not \(count, 52\)"):
             tomography.write_dataset(path, dataset)
         assert not path.exists()
 
@@ -515,6 +513,7 @@ def corrupt(kind, data, checkpoint, tmp_path):
         bad.write_bytes(bytes(raw))
     else:
         ds = tomography.read_dataset(data)
+        ds.records = ds.records.copy()  # a read dataset is a read-only view of its file
         if kind == "nan-measurement":
             ds.measurements[0, 5] = np.nan
         elif kind == "inf-tau":
@@ -754,6 +753,16 @@ class TestExitCodes:
         proc = run_module("--help", flags=("-W", "error"))
         assert proc.returncode == 0, proc.stderr
         assert "usage: qstkit" in proc.stdout
+
+    def test_console_script_is_main(self, monkeypatch, capsys):
+        """The installed ``qstkit`` script calls ``cli.main()`` and exits with its value."""
+        pyproject = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
+        module, _, name = pyproject["project"]["scripts"]["qstkit"].partition(":")
+        target = getattr(importlib.import_module(module), name)
+        assert target is cli.main
+        monkeypatch.setattr(sys, "argv", ["qstkit", "--help"])
+        assert target() == cli.EXIT_OK
+        assert "usage: qstkit" in capsys.readouterr().out
 
     @pytest.mark.parametrize("case", ["linalg-error", "missing-dataset", "missing-checkpoint",
                                       "out-under-a-file", "config-without-section",

@@ -8,7 +8,7 @@ import pytest
 
 from oracles import (joint_index, linear_inversion, maximally_mixed, measure_tensordot,
                      sample_state)
-from qstkit import cli, qcore, sampling, tomography
+from qstkit import cholesky, cli, qcore, sampling, tomography
 
 HS = sampling.MEASURE_HS
 BURES = sampling.MEASURE_BURES
@@ -168,11 +168,23 @@ class TestSampleDataset:
         assert calls[0][0].tobytes() == qcore.density(factors).tobytes()
         assert ds.measurements.shape == (7, 36)
 
+    @pytest.mark.parametrize("measure", [HS, BURES])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_records_are_stacked_rows_then_taus(self, m, measure):
+        """The block filled in place holds the bits of the measurement rows stacked, then
+        the tau targets of the same states."""
+        factors, ds = tomography.sample_dataset(m, measure, 6, 2**40 + m)
+        states = qcore.density(factors)
+        expected = np.hstack([np.stack([tomography.measure(rho) for rho in states]),
+                              cholesky.rho_to_tau(states)])
+        assert ds.records.shape == (6, 6**m + 4**m)
+        assert ds.records.tobytes() == expected.tobytes()
+
 
 class TestDatasetFormat:
     def _dataset(self, m=2, count=5, seed=7):
         ds = tomography.sample_dataset(m, sampling.MEASURE_HS, max(count, 1), seed)[1]
-        return tomography.Dataset(m, ds.measure, seed, ds.measurements[:count], ds.taus[:count])
+        return tomography.Dataset(m, ds.measure, seed, ds.records[:count])
 
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "data.qst"
@@ -185,6 +197,18 @@ class TestDatasetFormat:
         assert back.count == ds.count
         np.testing.assert_array_equal(back.measurements, ds.measurements)
         np.testing.assert_array_equal(back.taus, ds.taus)
+
+    def test_read_copies_nothing(self, tmp_path):
+        """A read dataset's records are a read-only view of the file's bytes, and its
+        measurements and taus are views of those records."""
+        path = tmp_path / "data.qst"
+        tomography.write_dataset(path, self._dataset())
+        ds = tomography.read_dataset(path)
+        assert not ds.records.flags.writeable
+        assert np.shares_memory(ds.measurements, ds.records)
+        assert np.shares_memory(ds.taus, ds.records)
+        with pytest.raises(ValueError, match="read-only"):
+            ds.taus[0, 0] = 1.0
 
     def test_writes_are_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.qst", tmp_path / "b.qst"

@@ -33,6 +33,7 @@ A checkpoint is one network: ``load_checkpoint`` builds it over the file's ``par
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import astuple, dataclass, field
@@ -124,16 +125,27 @@ class _Weighted:
         self.w, self.b, self.dw, self.db = w, b, dw, db
 
 
+@functools.cache
+def _window_index(c, h, w, k, p, q, s, oh, ow) -> np.ndarray:
+    """Flat offsets into one channels-last (h, w, c) map of the k x k windows of the outputs
+    at rows p + s*i, columns q + s*j: (oh * ow, c * k * k), each window in (channel, row,
+    column) order. Read-only, as one array serves every batch size."""
+    i, j, ch, a, b = np.ogrid[:oh, :ow, :c, :k, :k]
+    idx = (((p + s * i + a) * w + q + s * j + b) * c + ch).reshape(oh * ow, c * k * k)
+    idx.flags.writeable = False
+    return idx
+
+
 class Conv2D(_Weighted):
     """Valid-boundary stride-1 convolution, weights (filters, channels, k, k), then
     ``pool`` x ``pool`` max pooling, stride ``pool``, floor division (``pool`` 1: none).
 
     Only the outputs the pool reads are computed, one window tap (p, q) at a time: the
-    outputs at rows p + s*i and columns q + s*j are one GEMM of their im2col rows, built by
-    k**2 shifted slice copies, plus the bias, and the output keeps the running max. Each is
-    the same GEMM row, bias sum and max as in a full map pooled afterwards, so it has those
-    bits. Outputs have shape (n, f, ph, pw) but channels-last memory, so the next layer's
-    slices step over contiguous channels.
+    outputs at rows p + s*i and columns q + s*j are one GEMM of their im2col rows (one
+    ``take`` of a cached window index), plus the bias, and the output keeps the running max.
+    Each is the same GEMM row, bias sum and max as in a full map pooled afterwards, so it has
+    those bits. Outputs have shape (n, f, ph, pw) but channels-last memory, so the next
+    layer's slices step over contiguous channels.
 
     A training forward keeps the input, until the weight gradient, and per output the tap
     of its window's first maximum (row-major, as argmax picks); no im2col matrix is kept.
@@ -147,15 +159,12 @@ class Conv2D(_Weighted):
 
     def _cols(self, x, p, q, s, oh, ow):
         """im2col rows (n * oh * ow, c * k * k) of the outputs at rows p + s*i, columns
-        q + s*j: one row per output, its window in (channel, row, column) order."""
-        n, c = x.shape[:2]
-        k = self.w.shape[-1]
-        xc = x.transpose(0, 2, 3, 1)
-        cols = np.empty((n, oh, ow, c, k, k))
-        for a in range(k):
-            for b in range(k):
-                cols[..., a, b] = xc[:, p + a : p + a + s * oh : s, q + b : q + b + s * ow : s]
-        return cols.reshape(n * oh * ow, c * k * k)
+        q + s*j: one row per output, its window in (channel, row, column) order, gathered
+        from the channels-last input by one ``take`` of ``_window_index``."""
+        n, c, h, w = x.shape
+        idx = _window_index(c, h, w, self.w.shape[-1], p, q, s, oh, ow)
+        cols = np.take(x.transpose(0, 2, 3, 1).reshape(n, -1), idx, axis=1)
+        return cols.reshape(n * oh * ow, -1)
 
     def forward(self, x, train=False, rng=None):
         self.x = x
@@ -163,10 +172,12 @@ class Conv2D(_Weighted):
         ph, pw = (x.shape[2] - k + 1) // s, (x.shape[3] - k + 1) // s
         # only a training forward is followed by a backward pass
         self.first = np.zeros((len(x), ph, pw, f), np.uint8) if train and s > 1 else None
+        bias = np.tile(self.b, ph * pw)  # over whole rows: a long inner loop, the same adds
         for t, (p, q) in enumerate(np.ndindex(s, s)):
             tap = np.dot(self._cols(x, p, q, s, ph, pw), self.w.reshape(f, -1).T)
+            tap = tap.reshape(len(x), -1)
+            tap += bias
             tap = tap.reshape(len(x), ph, pw, f)
-            tap += self.b
             if t == 0:
                 out = tap
                 continue
@@ -247,7 +258,9 @@ class Dense(_Weighted):
 
     def forward(self, x, train=False, rng=None):
         self.x = x
-        return x @ self.w + self.b
+        out = x @ self.w
+        out += self.b
+        return out
 
     def backward(self, dout):
         np.matmul(self.x.T, dout, out=self.dw)

@@ -186,6 +186,28 @@ class TestExperiments:
         assert [(s.m, s.n, s.mode, s.count) for s in summaries] == [
             (2, n, mode, 3) for n in (1, 2) for mode in adapt.PADDING_MODES]
 
+    def test_padding_experiment_predicts_each_same_size_ensemble_once(self, monkeypatch):
+        """At n = m both modes share one prediction, and so bit-equal fidelities."""
+        calls = []
+        predict = neuralnet.Network.predict
+
+        def counted(net, rows):
+            calls.append(len(rows))
+            return predict(net, rows)
+
+        monkeypatch.setattr(neuralnet.Network, "predict", counted)
+        ensembles = {
+            1: measured(sampling.sample_streams(1, HS, 4, 0, 3, 1)[0]),
+            2: measured(sampling.sample_streams(2, HS, 5, 0, 3, 1)[0]),
+        }
+        records, summaries = adapt.padding_experiment({2: tiny_net()}, ensembles, HS)
+        assert calls == [3, 3, 3]  # n = 1 in each mode, then n = 2 once
+        engineered, zero = (np.array([r[6] for r in records if (r[3], r[4]) == (2, mode)])
+                            for mode in adapt.PADDING_MODES)
+        np.testing.assert_array_equal(engineered.view(np.uint64), zero.view(np.uint64))
+        engineered, zero = summaries[2:]
+        assert (engineered.mean, engineered.stderr) == (zero.mean, zero.stderr)
+
     def test_subsystem_summary_levels(self):
         """One summary per subsystem size, smallest first, over every state."""
         net = tiny_net()

@@ -268,6 +268,26 @@ class TestReferenceFrontEnd:
             np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+class TestWindowIndex:
+    def test_one_cached_index_serves_every_batch_size(self):
+        """The im2col index is keyed without the row count and cannot be written."""
+        cfg = neuralnet.NetworkConfig(num_qubits=3, seed=13)
+        net = neuralnet.Network.build(cfg, sampling.stream(cfg.seed, neuralnet.TRAIN_STREAM))
+        rng = sampling.stream(561)
+        sizes = []
+        for count in (1, 37, 100):
+            grids = rng.random((count, 1) + neuralnet.grid_shape(3))
+            net.forward(grids)
+            neuralnet.compute_gradients(net, grids, rng.standard_normal((count, cfg.tau_width)),
+                                        sampling.stream(43))
+            sizes.append(neuralnet._window_index.cache_info().currsize)
+        assert sizes[1:] == sizes[:1] * 2
+        idx = neuralnet._window_index(1, 36, 6, 2, 0, 0, 2, 17, 2)
+        assert idx.shape == (34, 4)
+        with pytest.raises(ValueError):
+            idx[0, 0] = 0
+
+
 class OldReLU:
     """The ReLU form the network used before pooling moved ahead of conv1's ReLU."""
 

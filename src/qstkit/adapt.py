@@ -28,11 +28,12 @@ Experiment drivers reconstruct test ensembles and compare them against
 ground truth (including every successive trace-down) with stacked
 fidelities of factors. They return record rows for ``records.csv`` and,
 straight from each fidelity array, its summary row: ``_curve`` is the one
-mean and standard error. ``mc_fidelities`` draws the Monte Carlo fidelities
-of random pairs, or of random states against I/2**n (the factor
-``np.eye(2**n)``), by the same ``qcore.fidelity``, and ``baseline_curves``
-turns them into the baseline rows of both the fig3 experiment and the
-``baselines`` command.
+mean and standard error. ``mc_fidelities`` draws random pairs once and gives
+both Monte Carlo rows from them, by the same ``qcore.fidelity``: each pair's
+fidelity, and its first state's against I/2**n (the factor ``np.eye(2**n)``).
+``baseline_curves`` turns them into the baseline rows of both the fig3
+experiment and the ``baselines`` command, seeding n qubits by
+``sub_seed(seed, "baseline-pair-<measure>-<2**n>")``.
 These estimates are the oracle for the reference values 0.67 / 0.59 / 0.57
 (Hilbert-Schmidt, dims 2 / 4 / 8) and 0.590 (Bures, dim 2).
 """
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -155,38 +156,34 @@ def padding_experiment(
     return records, summaries
 
 
-def mc_fidelities(measure: str, n: int, count: int, seed: int,
-                  against_mixed: bool) -> np.ndarray:
-    """Monte Carlo fidelities of random n-qubit states: ``count`` independent pairs, or
-    ``count`` states against I/2**n when ``against_mixed``.
+def mc_fidelities(measure: str, n: int, count: int, seed: int) -> np.ndarray:
+    """Monte Carlo fidelities of ``count`` random pairs of n-qubit states, a (2, count) array:
+    row 0 each pair's fidelity, row 1 its first state's against I/2**n.
 
-    Draw i comes from ``sampling.stream(seed, i)``; the draws are sampled and
-    compared in chunks, which changes no fidelity.
+    Pair i comes from ``sampling.stream(seed, i)``, whose first state is the stream's
+    one-state draw; the pairs are sampled and compared in chunks, which changes no fidelity.
     """
     if count < 100:
         raise ValueError(f"need at least 100 draws for a stable estimate, got {count}")
-    per_stream = 1 if against_mixed else 2
-    fids = np.empty(count)
+    fids = np.empty((2, count))
     for start in range(0, count, _MC_CHUNK):
         stop = min(start + _MC_CHUNK, count)
-        factors = sampling.sample_streams(n, measure, seed, start, stop, per_stream)
-        fids[start:stop] = qcore.fidelity(factors[0], np.eye(2**n) if against_mixed
-                                          else factors[1])
+        first, second = sampling.sample_streams(n, measure, seed, start, stop, 2)
+        fids[:, start:stop] = qcore.fidelity(first, second), qcore.fidelity(first, np.eye(2**n))
     return fids
 
 
-def baseline_curves(
-    measure: str, pairs: int, seeds: Mapping[int, tuple[int, int]]
-) -> list[CurveSummary]:
-    """Random-pair and maximally-mixed Monte Carlo rows for each qubit count.
+def baseline_curves(measure: str, pairs: int, qubit_counts: Iterable[int],
+                    seed: int) -> list[CurveSummary]:
+    """Random-pair and maximally-mixed Monte Carlo rows for each qubit count, in order.
 
-    ``seeds`` maps a qubit count to the seeds of its (random-pair, max-mixed)
-    estimates; rows follow its order.
+    Both rows of n qubits come from one draw of ``pairs`` pairs, seeded by
+    ``sub_seed(seed, "baseline-pair-<measure>-<2**n>")``.
     """
-    return [_curve("baseline", measure, n, n, mode, mc_fidelities(measure, n, pairs, seed, mixed))
-            for n, (pair_seed, mixed_seed) in seeds.items()
-            for mode, seed, mixed in (("random-pair", pair_seed, False),
-                                      ("max-mixed", mixed_seed, True))]
+    return [_curve("baseline", measure, n, n, mode, fids)
+            for n in qubit_counts
+            for mode, fids in zip(("random-pair", "max-mixed"), mc_fidelities(
+                measure, n, pairs, sampling.sub_seed(seed, f"baseline-pair-{measure}-{2**n}")))]
 
 
 def write_csv(path, header: Sequence[str], rows) -> None:

@@ -191,21 +191,17 @@ def _experiment_fig3(args) -> tuple[list, list]:
         ensembles[n] = (factors, ds.measurements)
     baselines = []
     if args.pairs != 0:  # first, so a --pairs the estimates reject costs no reconstruction
-        seed = sampling.sub_seed(args.seed, "fig3-baseline")
-        baselines = adapt.baseline_curves(args.measure, args.pairs,
-                                          {n: (seed, seed) for n in ensembles})
+        baselines = adapt.baseline_curves(args.measure, args.pairs, ensembles,
+                                          sampling.sub_seed(args.seed, "fig3-baseline"))
     records, summaries = adapt.padding_experiment(nets, ensembles, args.measure)
     return records, summaries + baselines
 
 
 def _experiment_baselines(args) -> tuple[None, list]:
-    measure, seed = args.measure, args.seed
     if len(set(args.dims)) != len(args.dims):
         raise ValueError(f"--dims {','.join(map(str, args.dims))} repeats a dimension")
-    seeds = {qubit_count(dim, 2): (sampling.sub_seed(seed, f"baseline-pair-{measure}-{dim}"),
-                                   sampling.sub_seed(seed, f"baseline-mixed-{measure}-{dim}"))
-             for dim in args.dims}
-    return None, adapt.baseline_curves(measure, args.pairs, seeds)
+    qubit_counts = [qubit_count(dim, 2) for dim in args.dims]
+    return None, adapt.baseline_curves(args.measure, args.pairs, qubit_counts, args.seed)
 
 
 def _run_experiment(args, experiment, unread=()) -> int:
@@ -359,3 +355,8 @@ def main(argv=None) -> int:
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+
+
+# ``python -m qstkit.cli`` would run a second copy of this already imported module.
+if __name__ == "__main__":
+    sys.exit("error: qstkit.cli is not an entry point; run python -m qstkit")

@@ -41,10 +41,10 @@ def make_dataset(m, measure, count, label):
     return factors, ds.measurements, ds.taus
 
 
-def mc_mean(measure, n, count, label, against_mixed):
-    """Mean Monte Carlo fidelity of random pairs, or against I/2**n."""
+def mc_mean(measure, n, count, label, row):
+    """Mean Monte Carlo fidelity of random pairs (row 0), or against I/2**n (row 1)."""
     seed = sampling.sub_seed(DATA_SEED, label)
-    return float(adapt.mc_fidelities(measure, n, count, seed, against_mixed).mean())
+    return float(adapt.mc_fidelities(measure, n, count, seed)[row].mean())
 
 
 @pytest.fixture(scope="module")
@@ -98,8 +98,8 @@ def test_c01_baseline_reproduction():
     start = time.perf_counter()
     results = {}
     for n, want in ((1, 0.67), (2, 0.59), (3, 0.57)):
-        results[f"hs{2**n}"] = (mc_mean(HS, n, 100000, f"c1-hs-{2**n}", False), want)
-    results["bures2"] = (mc_mean(BURES, 1, 100000, "c1-bures-2", False), 0.590)
+        results[f"hs{2**n}"] = (mc_mean(HS, n, 100000, f"c1-hs-{2**n}", 0), want)
+    results["bures2"] = (mc_mean(BURES, 1, 100000, "c1-bures-2", 0), 0.590)
     elapsed = time.perf_counter() - start
     detail = ", ".join(f"{k}: {got:.4f} (want {want}±0.01)" for k, (got, want) in results.items())
     ok = all(abs(got - want) <= 0.01 for got, want in results.values()) and elapsed < 120
@@ -217,7 +217,7 @@ def test_c06_desk_scale_training(desk_networks):
     """m=2 HS network at desk scale reaches >= 0.85 test fidelity."""
     net, train_seconds = desk_networks[(HS, 2)]
     fid = mean_test_fidelity(net, HS)
-    mixed_mean = mc_mean(HS, 2, 20000, "c6-mixed", True)
+    mixed_mean = mc_mean(HS, 2, 20000, "c6-mixed", 1)
     ok = fid >= 0.85 and fid > 0.59 and fid > mixed_mean and train_seconds < 1200
     report(
         "criterion 6 (desk-scale training)",
@@ -231,7 +231,7 @@ def test_c07_fig3_ordering(desk_networks):
     """Engineered beats zero padding by >= 5 points; zero is near random-pair."""
     net, _ = desk_networks[(HS, 2)]
     eng, zero = padding_means(net, HS)
-    random_pair = mc_mean(HS, 1, 20000, "c7-rp", False)
+    random_pair = mc_mean(HS, 1, 20000, "c7-rp", 0)
     ok = (eng - zero >= 0.05) and (zero >= random_pair - 0.02)
     report(
         "criterion 7 (fig3 ordering)",
@@ -251,7 +251,7 @@ def test_c09_bures_replication(desk_networks):
     """Criteria 6-8 rerun on Bures ensembles (threshold relaxed to 0.80)."""
     net2, _ = desk_networks[(BURES, 2)]
     fid = mean_test_fidelity(net2, BURES)
-    mixed_mean = mc_mean(BURES, 2, 20000, "c9-mixed", True)
+    mixed_mean = mc_mean(BURES, 2, 20000, "c9-mixed", 1)
     report(
         "criterion 9a (Bures desk-scale training)",
         fid >= 0.80 and fid > mixed_mean,
@@ -259,7 +259,7 @@ def test_c09_bures_replication(desk_networks):
     )
 
     eng, zero = padding_means(net2, BURES)
-    random_pair = mc_mean(BURES, 1, 20000, "c9-rp", False)
+    random_pair = mc_mean(BURES, 1, 20000, "c9-rp", 0)
     report(
         "criterion 9b (Bures fig3 ordering)",
         (eng - zero >= 0.05) and (zero >= random_pair - 0.02),

@@ -245,14 +245,13 @@ class TestExperiments:
         assert len(rows) == 3
 
     def test_baseline_curves_schema(self):
-        rows = adapt.baseline_curves(HS, 200, {1: (7, 8)})
+        rows = adapt.baseline_curves(HS, 200, [1], 7)
         assert [r.mode for r in rows] == ["random-pair", "max-mixed"]
         assert all(r.experiment == "baseline" and r.m == r.n == 1 for r in rows)
         assert all(0.0 < r.mean < 1.0 for r in rows)
-        assert rows == [
-            adapt._curve("baseline", HS, 1, 1, mode, adapt.mc_fidelities(HS, 1, 200, seed, mixed))
-            for mode, seed, mixed in (("random-pair", 7, False), ("max-mixed", 8, True))
-        ]
+        fids = adapt.mc_fidelities(HS, 1, 200, sampling.sub_seed(7, f"baseline-pair-{HS}-2"))
+        assert rows == [adapt._curve("baseline", HS, 1, 1, mode, row)
+                        for mode, row in zip(("random-pair", "max-mixed"), fids)]
 
 
 def curve(fids):
@@ -261,40 +260,40 @@ def curve(fids):
 
 class TestMonteCarlo:
     def test_reproducible_with_fixed_seed(self):
-        a = adapt.mc_fidelities(HS, 1, 500, 3, against_mixed=False)
-        b = adapt.mc_fidelities(HS, 1, 500, 3, against_mixed=False)
-        assert a.shape == (500,)
+        a = adapt.mc_fidelities(HS, 1, 500, 3)
+        b = adapt.mc_fidelities(HS, 1, 500, 3)
+        assert a.shape == (2, 500)
         assert a.tobytes() == b.tobytes()
 
     def test_standard_error_scales_as_inverse_sqrt_pairs(self):
         """stderr(1e3) / stderr(1e5) is close to sqrt(100) = 10."""
-        err_small = curve(adapt.mc_fidelities(HS, 1, 1000, 5, against_mixed=False)).stderr
-        err_large = curve(adapt.mc_fidelities(HS, 1, 100000, 5, against_mixed=False)).stderr
+        err_small = curve(adapt.mc_fidelities(HS, 1, 1000, 5)[0]).stderr
+        err_large = curve(adapt.mc_fidelities(HS, 1, 100000, 5)[0]).stderr
         assert err_small / err_large == pytest.approx(10.0, rel=0.15)
 
     def test_rejects_tiny_runs(self):
-        for against_mixed in (False, True):
-            with pytest.raises(ValueError, match="at least 100"):
-                adapt.mc_fidelities(HS, 1, 10, 0, against_mixed)
+        with pytest.raises(ValueError, match="at least 100"):
+            adapt.mc_fidelities(HS, 1, 10, 0)
 
     def test_vs_mixed_range_and_reproducibility(self):
-        fids = adapt.mc_fidelities(BURES, 1, 500, 9, against_mixed=True)
+        fids = adapt.mc_fidelities(BURES, 1, 500, 9)[1]
         assert np.all((fids > 0.0) & (fids <= 1.0)) and curve(fids).stderr > 0.0
-        assert fids.tobytes() == adapt.mc_fidelities(BURES, 1, 500, 9, True).tobytes()
+        assert fids.tobytes() == adapt.mc_fidelities(BURES, 1, 500, 9)[1].tobytes()
 
     def test_mixed_baseline_exceeds_random_pair_baseline(self):
         """Guessing I/N always beats guessing another random state, on average."""
         for n in (1, 2, 3):
-            pair = adapt.mc_fidelities(HS, n, 2000, 11, against_mixed=False).mean()
-            mixed = adapt.mc_fidelities(HS, n, 2000, 12, against_mixed=True).mean()
+            pair = adapt.mc_fidelities(HS, n, 2000, 11)[0].mean()
+            mixed = adapt.mc_fidelities(HS, n, 2000, 12)[1].mean()
             assert mixed > pair
 
-    @pytest.mark.parametrize("against_mixed", [False, True])
+    @pytest.mark.parametrize("mixed", [False, True])
     @pytest.mark.parametrize("measure,m", [("hilbert-schmidt", 3), ("bures", 2)])
-    def test_chunking_does_not_change_fidelities(self, monkeypatch, measure, m, against_mixed):
-        default = adapt.mc_fidelities(measure, m, 140, 21, against_mixed)
+    def test_chunking_does_not_change_fidelities(self, monkeypatch, measure, m, mixed):
+        """Neither row, the pairs' (0) or the max-mixed one (1), depends on the chunk."""
+        default = adapt.mc_fidelities(measure, m, 140, 21)[int(mixed)]
         monkeypatch.setattr(adapt, "_MC_CHUNK", 7)
-        chunked = adapt.mc_fidelities(measure, m, 140, 21, against_mixed)
+        chunked = adapt.mc_fidelities(measure, m, 140, 21)[int(mixed)]
         assert chunked.tobytes() == default.tobytes()
 
     def test_mixed_rows_match_uhlmann_fidelity_across_a_chunk(self):
@@ -306,8 +305,18 @@ class TestMonteCarlo:
             states = qcore.density(sampling.sample_streams(n, HS, 23, 0, count, 1)[0])
             spectra = np.clip(np.linalg.eigvalsh(states), 0.0, None)
             want = np.sqrt(spectra).sum(axis=-1) ** 2 / 2**n
-            got = adapt.mc_fidelities(HS, n, count, 23, against_mixed=True)
+            got = adapt.mc_fidelities(HS, n, count, 23)[1]
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("measure", [HS, BURES])
+    def test_mixed_row_is_the_one_state_draw_across_a_chunk(self, measure):
+        """Row 1 compares each pair's first state, bit for bit the stream's one-state
+        draw, with I/2**n: a mixed baseline and its pairs' row share one draw."""
+        count = adapt._MC_CHUNK + 100
+        for n in (1, 2, 3):
+            one = sampling.sample_streams(n, measure, 25, 0, count, 1)[0]
+            want = qcore.fidelity(one, np.eye(2**n))
+            assert adapt.mc_fidelities(measure, n, count, 25)[1].tobytes() == want.tobytes()
 
     def test_dimension_validation(self, tmp_path, capsys):
         """A dimension that is not a power of two is a usage error."""

@@ -26,13 +26,13 @@ def run(*argv):
     return cli.main([str(a) for a in argv])
 
 
-def run_module(*argv, flags=(), cwd=None, env=None):
-    """``python [flags] -m qstkit argv`` in a child process in ``cwd``, with this package
+def run_module(*argv, flags=(), cwd=None, env=None, module="qstkit"):
+    """``python [flags] -m module argv`` in a child process in ``cwd``, with this package
     on its path and the variables of ``env`` set."""
     src = str(Path(qstkit.__file__).parents[1])
     env = dict(os.environ, **(env or {}), PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, *flags, "-m", "qstkit", *map(str, argv)],
+    return subprocess.run([sys.executable, *flags, "-m", module, *map(str, argv)],
                           capture_output=True, text=True, env=env, cwd=cwd, timeout=300)
 
 
@@ -399,6 +399,10 @@ class TestExperiments:
                          for n in ("1", "2") for mode in ("random-pair", "max-mixed")}
             assert modes == (fig3 | baselines if pairs else fig3)
             assert len(rows) == 1 + len(modes)
+            if pairs:  # the baseline rows of n = 1, 2, seeded from --seed's fig3-baseline seed
+                adapt.write_summary_csv(tmp_path / "want.csv", adapt.baseline_curves(
+                    sampling.MEASURE_HS, pairs, [1, 2], sampling.sub_seed(1, "fig3-baseline")))
+                assert rows[-4:] == read_csv(tmp_path / "want.csv")[1:]
             assert len(read_csv(out_dir / "records.csv")) == 1 + 2 * 5 * 2
 
     @pytest.mark.parametrize("pairs", [50, -5])
@@ -442,6 +446,7 @@ class TestExperiments:
                 assert abs(float(stderr) - fids.std(ddof=1) / np.sqrt(len(fids))) <= 1e-11
 
     def test_baselines_command(self, tmp_path):
+        """Both rows of a dimension come from one draw of pairs, seeded by its label."""
         out_dir = tmp_path / "base"
         assert run("baselines", "--out-dir", out_dir, "--pairs", 400,
                    "--dims", "2,4", "--seed", 2) == 0
@@ -449,6 +454,12 @@ class TestExperiments:
         assert len(rows) == 1 + 4
         means = {(r[3], r[4]): float(r[5]) for r in rows[1:]}
         assert means[("1", "max-mixed")] > means[("1", "random-pair")]
+        hs = sampling.MEASURE_HS
+        want = [adapt._curve("baseline", hs, n, n, mode, fids) for n in (1, 2)
+                for mode, fids in zip(("random-pair", "max-mixed"), adapt.mc_fidelities(
+                    hs, n, 400, sampling.sub_seed(2, f"baseline-pair-{hs}-{2**n}")))]
+        adapt.write_summary_csv(tmp_path / "want.csv", want)
+        assert (out_dir / "summary.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
     def test_experiment_deterministic(self, tmp_path):
         for name in ("b1", "b2"):
@@ -753,6 +764,15 @@ class TestExitCodes:
         proc = run_module("--help", flags=("-W", "error"))
         assert proc.returncode == 0, proc.stderr
         assert "usage: qstkit" in proc.stdout
+
+    def test_python_m_qstkit_cli_is_refused(self, tmp_path):
+        """``python -m qstkit.cli`` runs no command: it exits 1 with one line naming the
+        entry point (after runpy's own warning about the module it imports twice)."""
+        proc = run_module("generate", "--out", "z.qst", cwd=tmp_path, module="qstkit.cli")
+        assert proc.returncode == cli.EXIT_USAGE
+        lines = [line for line in proc.stderr.splitlines() if "RuntimeWarning" not in line]
+        assert lines == ["error: qstkit.cli is not an entry point; run python -m qstkit"]
+        assert not (tmp_path / "z.qst").exists() and proc.stdout == ""
 
     def test_console_script_is_main(self, monkeypatch, capsys):
         """The installed ``qstkit`` script calls ``cli.main()`` and exits with its value."""

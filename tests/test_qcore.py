@@ -303,8 +303,8 @@ class TestFidelityStack:
             assert batch.shape == (40,)
             np.testing.assert_allclose(batch, loop, atol=1e-12)
             mixed = np.eye(2**m)
-            against_mixed = [qcore.fidelity(r, mixed) for r in rhos]
-            np.testing.assert_allclose(qcore.fidelity(rhos, mixed), against_mixed, atol=1e-12)
+            to_mixed = [qcore.fidelity(r, mixed) for r in rhos]
+            np.testing.assert_allclose(qcore.fidelity(rhos, mixed), to_mixed, atol=1e-12)
 
 
 class TestFidelityToMixed:
@@ -312,7 +312,7 @@ class TestFidelityToMixed:
     (sum of the singular values of A)**2 / (d Tr AA†)."""
 
     @pytest.mark.parametrize("measure", [HS, BURES])
-    def test_matches_uhlmann_fidelity_against_mixed(self, measure):
+    def test_matches_uhlmann_fidelity_to_mixed(self, measure):
         """The ``sqrtm`` oracle takes the square root of rho, so a state whose lowest
         eigenvalue is near zero loses digits in it as eps / sqrt(lowest): its round-off of
         a few eps is amplified by the slope of sqrt there. Bures draws reach a lowest

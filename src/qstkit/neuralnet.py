@@ -8,10 +8,12 @@ Architecture (valid boundaries, stride 1, all double precision):
                -> inverted dropout (rate 0.5, training only)
                -> linear output of 4**m tau coefficients
 
-Pooling before conv1's ReLU leaves the ReLU a quarter of the elements and changes
-nothing: a monotone ReLU commutes with the max, and routes the gradient to the same tap.
-The pool is part of conv1 (``Conv2D`` with ``pool=POOL``), which computes only the outputs
-the pool reads, one window tap at a time, with the bits of a separate conv and pool.
+``Network.layers`` is ``Conv2D(conv1, POOL)``, ``Conv2D(conv2)``, ``Dense(dense1)``,
+``Dense(dense2)``, ``Dropout(rate)``, ``Dense(out, relu=False)``. Each weighted layer applies
+its ReLU in place on its own output, and ``Dense`` flattens its input. Conv1 computes only the
+outputs its pool reads, one window tap at a time, with the bits of a separate conv and pool;
+its ReLU runs after the pool, on a quarter of the elements, which changes nothing: a monotone
+ReLU commutes with the max and routes the gradient to the same tap.
 
 A 6**m measurement vector is laid out row-major on a 6**ceil(m/2) by
 6**floor(m/2) grid (m=2: 6x6, m=3: 36x6, m=4: 36x36). m=1 is rejected: the
@@ -119,10 +121,28 @@ class NetworkConfig:
 
 class _Weighted:
     """A layer with weights ``w``, biases ``b`` and their gradients ``dw``, ``db``: views of
-    a network's ``params`` and ``grads``."""
+    a network's ``params`` and ``grads``; with ``relu``, a ReLU on its output."""
 
-    def __init__(self, w: np.ndarray, b: np.ndarray, dw: np.ndarray, db: np.ndarray):
-        self.w, self.b, self.dw, self.db = w, b, dw, db
+    def __init__(self, w: np.ndarray, b: np.ndarray, dw: np.ndarray, db: np.ndarray,
+                 relu: bool = True):
+        self.w, self.b, self.dw, self.db, self.relu = w, b, dw, db, relu
+
+    def _activate(self, out):
+        """The ReLU, in place on the layer's own output, kept for the backward mask."""
+        if self.relu:
+            np.maximum(out, 0.0, out=out)
+        self.out = out
+        return out
+
+    def _mask(self, dout):
+        """dout through the ReLU, in place: every masked dout is a new array made by the layer
+        above (the caller's reaches only the output layer, which has none). With the output
+        dropped here and conv2's input by its weight gradient, conv1's output is freed before
+        conv1's full-size map is built: the peak of a training batch."""
+        if self.relu:
+            dout *= self.out > 0
+        self.out = None
+        return dout
 
 
 @functools.cache
@@ -138,7 +158,8 @@ def _window_index(c, h, w, k, p, q, s, oh, ow) -> np.ndarray:
 
 class Conv2D(_Weighted):
     """Valid-boundary stride-1 convolution, weights (filters, channels, k, k), then
-    ``pool`` x ``pool`` max pooling, stride ``pool``, floor division (``pool`` 1: none).
+    ``pool`` x ``pool`` max pooling, stride ``pool``, floor division (``pool`` 1: none), and
+    the ReLU.
 
     Only the outputs the pool reads are computed, one window tap (p, q) at a time: the
     outputs at rows p + s*i and columns q + s*j are one GEMM of their im2col rows (one
@@ -153,8 +174,8 @@ class Conv2D(_Weighted):
     runs its im2col GEMM.
     """
 
-    def __init__(self, w, b, dw, db, pool=1):
-        super().__init__(w, b, dw, db)
+    def __init__(self, w, b, dw, db, pool=1, relu=True):
+        super().__init__(w, b, dw, db, relu)
         self.pool = pool
 
     def _cols(self, x, p, q, s, oh, ow):
@@ -184,7 +205,7 @@ class Conv2D(_Weighted):
             if self.first is not None:  # t exceeds every earlier tap index: a masked write
                 np.maximum(self.first, (tap > out) * np.uint8(t), out=self.first)
             np.maximum(out, tap, out=out)
-        return out.transpose(0, 3, 1, 2)  # channels-last memory, (n, f, ph, pw) shape
+        return self._activate(out.transpose(0, 3, 1, 2))  # channels-last, (n, f, ph, pw)
 
     def _unpool(self, dout):
         """dout of the full conv map: each output's at its first maximum's tap, zero at
@@ -203,7 +224,7 @@ class Conv2D(_Weighted):
     def weight_grads(self, dout):
         """Write dw and db, without the input gradient ``backward`` also returns; returns
         the full map's dout."""
-        dout = self._unpool(dout)
+        dout = self._unpool(self._mask(dout))
         _, f, oh, ow = dout.shape
         cols, self.x = self._cols(self.x, 0, 0, 1, oh, ow), None
         self.dw[...] = np.dot(dout.transpose(1, 0, 2, 3).reshape(f, -1), cols).reshape(
@@ -224,27 +245,6 @@ class Conv2D(_Weighted):
         return dx.transpose(0, 3, 1, 2)
 
 
-class ReLU:
-    def forward(self, x, train=False, rng=None):
-        self.out = np.maximum(x, 0.0)
-        return self.out
-
-    def backward(self, dout):
-        # Dropped here and by Conv2D.weight_grads, conv1's ReLU output is freed before
-        # conv1's full-size map is built: the peak of a training batch.
-        mask, self.out = self.out > 0, None
-        return dout * mask
-
-
-class Flatten:
-    def forward(self, x, train=False, rng=None):
-        self.in_shape = x.shape
-        return x.reshape(x.shape[0], -1)
-
-    def backward(self, dout):
-        return dout.reshape(self.in_shape)
-
-
 def _orthogonal(shape: tuple[int, int], rng, gain: float) -> np.ndarray:
     """Orthogonal matrix slice (QR of a square normal draw, sign-fixed)."""
     big = max(shape)
@@ -254,18 +254,20 @@ def _orthogonal(shape: tuple[int, int], rng, gain: float) -> np.ndarray:
 
 
 class Dense(_Weighted):
-    """Fully connected layer; weights (inputs, outputs)."""
+    """Fully connected layer over the flattened input; weights (inputs, outputs)."""
 
     def forward(self, x, train=False, rng=None):
-        self.x = x
+        self.in_shape = x.shape
+        self.x = x = x.reshape(len(x), -1)
         out = x @ self.w
         out += self.b
-        return out
+        return self._activate(out)
 
     def backward(self, dout):
+        dout = self._mask(dout)
         np.matmul(self.x.T, dout, out=self.dw)
         dout.sum(axis=0, out=self.db)
-        return dout @ self.w.T
+        return (dout @ self.w.T).reshape(self.in_shape)
 
 
 class Dropout:
@@ -309,19 +311,8 @@ class Network:
         p, g = ([t.reshape(shape) for t, shape in zip(np.split(v, cuts), shapes)]
                 for v in (params, self.grads))
         conv1, conv2, dense1, dense2, out = zip(p[::2], p[1::2], g[::2], g[1::2])  # w, b, dw, db
-        self.layers = [
-            Conv2D(*conv1, POOL),
-            ReLU(),
-            Conv2D(*conv2),
-            ReLU(),
-            Flatten(),
-            Dense(*dense1),
-            ReLU(),
-            Dense(*dense2),
-            ReLU(),
-            Dropout(config.dropout_rate),
-            Dense(*out),
-        ]
+        self.layers = [Conv2D(*conv1, POOL), Conv2D(*conv2), Dense(*dense1), Dense(*dense2),
+                       Dropout(config.dropout_rate), Dense(*out, relu=False)]
 
     @classmethod
     def build(cls, config: NetworkConfig, rng) -> "Network":

@@ -9,8 +9,9 @@ written as one ``np.tensordot`` per qubit: it is the bit-for-bit reference of
 the spelled-out steps, so it takes the library's projectors as given. The
 other is the network's reference front end, ``Conv2D`` (one ``np.tensordot``
 over a sliding-window view) and ``MaxPool2D`` (a separate strided-tap pool):
-the bit-for-bit reference of ``neuralnet.Conv2D``'s pooled, tap-by-tap GEMMs.
-They import nothing but numpy.
+the bit-for-bit reference of ``neuralnet.Conv2D``'s pooled, tap-by-tap GEMMs, with
+``ReLU`` and ``Flatten`` layers of their own, the reference of the ReLU each weighted
+layer applies and of the flatten ``neuralnet.Dense`` does. They import nothing but numpy.
 """
 
 import numpy as np
@@ -215,3 +216,26 @@ class MaxPool2D:
         for first, dtap in zip(self.masks, self._taps(dx)):
             np.multiply(dout, first, out=dtap)
         return dx
+
+
+class ReLU:
+    """max(x, 0) into a new array; the backward pass masks dout by the kept output."""
+
+    def forward(self, x, train=False, rng=None):
+        self.out = np.maximum(x, 0.0)
+        return self.out
+
+    def backward(self, dout):
+        mask, self.out = self.out > 0, None
+        return dout * mask
+
+
+class Flatten:
+    """(n, ...) to (n, features), row-major; the backward pass restores the shape."""
+
+    def forward(self, x, train=False, rng=None):
+        self.in_shape = x.shape
+        return x.reshape(x.shape[0], -1)
+
+    def backward(self, dout):
+        return dout.reshape(self.in_shape)

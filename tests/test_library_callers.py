@@ -2,8 +2,9 @@
 
 Library code that only tests call is either given a real caller or deleted,
 so this test parses the package's modules and fails on a public top-level
-function or class whose name no module refers to. A reference is a name, an
-attribute or an imported name, matched by name; docstrings do not count.
+function or class, or a public method of a top-level class, whose name no module
+refers to. A reference is a name, an attribute or an imported name, matched by
+name; docstrings do not count.
 """
 
 import ast
@@ -23,12 +24,19 @@ def test_every_public_name_has_a_library_caller():
                 referenced.add(node.attr)
             elif isinstance(node, ast.alias):
                 referenced.add(node.name)
-    uncalled = [
-        f"{module}.{node.name}"
+    defined = [
+        (f"{module}.{node.name}", node.name)
         for module, tree in trees.items()
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
-        and node.name not in referenced
+    ] + [
+        (f"{module}.{cls.name}.{node.name}", node.name)
+        for module, tree in trees.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
     ]
+    uncalled = [qualified for qualified, name in defined
+                if not name.startswith("_") and name not in referenced]
     assert uncalled == []

@@ -25,13 +25,15 @@ def zero_net(cfg):
     return neuralnet.Network(cfg, np.zeros(size), np.zeros(size))
 
 
-def conv_layer(w, b, pool=1):
-    """A standalone Conv2D over the given weights and biases, with its own gradients."""
-    return neuralnet.Conv2D(w, b, np.empty_like(w), np.empty_like(b), pool)
+def conv_layer(w, b, pool=1, relu=False):
+    """A standalone Conv2D over the given weights and biases, with its own gradients; no
+    ReLU unless asked for."""
+    return neuralnet.Conv2D(w, b, np.empty_like(w), np.empty_like(b), pool, relu)
 
 
 def pool_layer(channels):
-    """A pooled 1x1 convolution with identity weights and zero biases: the pool alone."""
+    """A pooled 1x1 convolution with identity weights, zero biases and no ReLU: the pool
+    alone."""
     return conv_layer(np.eye(channels).reshape(channels, channels, 1, 1), np.zeros(channels),
                       neuralnet.POOL)
 
@@ -88,6 +90,21 @@ class TestBuild:
         want = initial_params(m, filters, widths, sampling.stream(cfg.seed, neuralnet.TRAIN_STREAM))
         np.testing.assert_array_equal(net.params.view(np.uint64), want.view(np.uint64))
 
+    def test_six_layers_line_up_with_tensor_shapes(self):
+        """conv1, conv2, dense1, dense2, dropout, output: the weighted layers take the
+        tensor shapes in checkpoint order, and only the output layer has no ReLU."""
+        cfg = neuralnet.NetworkConfig(num_qubits=3)
+        layers = zero_net(cfg).layers
+        assert [type(layer) for layer in layers] == [
+            neuralnet.Conv2D, neuralnet.Conv2D, neuralnet.Dense, neuralnet.Dense,
+            neuralnet.Dropout, neuralnet.Dense]
+        weighted = layers[:4] + layers[5:]
+        shapes = neuralnet.tensor_shapes(cfg)
+        assert [layer.w.shape for layer in weighted] == shapes[::2]
+        assert [layer.b.shape for layer in weighted] == shapes[1::2]
+        assert [layer.relu for layer in weighted] == [True] * 4 + [False]
+        assert [layer.pool for layer in layers[:2]] == [neuralnet.POOL, 1]
+
     def test_layers_are_views_of_the_vectors(self):
         _, net = tiny_net()
         weighted = [layer for layer in net.layers if hasattr(layer, "w")]
@@ -118,13 +135,16 @@ class TestForward:
         input [[1,2,0],[0,1,3],[4,1,0]], filter [[1,0],[-1,2]], bias 0.5:
         conv(0,0) = 1 - 0 + 2*1 + 0.5 = 3.5    conv(0,1) = 2 - 1 + 6 + 0.5 = 7.5
         conv(1,0) = 0 - 4 + 2  + 0.5 = -1.5    conv(1,1) = 1 - 1 + 0 + 0.5 = 0.5
-        maxpool over the 2x2 map keeps 7.5, and ReLU keeps it.
+        maxpool over the 2x2 map keeps 7.5, and ReLU keeps it; the ReLU of the unpooled
+        map zeroes -1.5.
         """
         w, b = np.array([[[[1.0, 0.0], [-1.0, 2.0]]]]), np.array([0.5])
         x = np.array([[[[1.0, 2.0, 0.0], [0.0, 1.0, 3.0], [4.0, 1.0, 0.0]]]])
         out = conv_layer(w, b).forward(x)
         np.testing.assert_allclose(out[0, 0], [[3.5, 7.5], [-1.5, 0.5]], atol=1e-15)
-        pooled = neuralnet.ReLU().forward(conv_layer(w, b, neuralnet.POOL).forward(x))
+        out = conv_layer(w, b, relu=True).forward(x)
+        np.testing.assert_allclose(out[0, 0], [[3.5, 7.5], [0.0, 0.5]], atol=1e-15)
+        pooled = conv_layer(w, b, neuralnet.POOL, relu=True).forward(x)
         np.testing.assert_allclose(pooled[0, 0], [[7.5]], atol=1e-15)
 
     def test_pool_floor_discards_trailing_row(self):
@@ -231,12 +251,19 @@ class TestKernels:
 
 
 def reference_network(net):
-    """A network over ``net``'s parameters whose front end is the reference one: conv1
-    unpooled, then a separate max pool, and conv2, from ``oracles``."""
+    """A network over ``net``'s parameters built from the reference layers of ``oracles``:
+    conv1 unpooled, then a separate max pool, and conv2, each followed by a separate ReLU,
+    a separate flatten, and dense layers without their own ReLU, each followed by one."""
     ref = neuralnet.Network(net.config, net.params, net.accumulator)
-    conv1, relu, conv2, *rest = ref.layers
+    conv1, conv2, dense1, dense2, dropout, out = ref.layers
+
+    def bare(layer):
+        return neuralnet.Dense(layer.w, layer.b, layer.dw, layer.db, relu=False)
+
     ref.layers = [oracles.Conv2D(conv1.w, conv1.b, conv1.dw, conv1.db), oracles.MaxPool2D(),
-                  relu, oracles.Conv2D(conv2.w, conv2.b, conv2.dw, conv2.db), *rest]
+                  oracles.ReLU(), oracles.Conv2D(conv2.w, conv2.b, conv2.dw, conv2.db),
+                  oracles.ReLU(), oracles.Flatten(), bare(dense1), oracles.ReLU(),
+                  bare(dense2), oracles.ReLU(), dropout, out]
     return ref
 
 
@@ -310,15 +337,14 @@ class TestLayerOrder:
         """
         cfg, net = tiny_net()
         rng = sampling.stream(540)
-        conv1, relu, *_ = net.layers
-        assert (type(conv1), conv1.pool, type(relu)) == (
-            neuralnet.Conv2D, neuralnet.POOL, neuralnet.ReLU)
+        conv1, *_ = net.layers
+        assert (type(conv1), conv1.pool, conv1.relu) == (neuralnet.Conv2D, neuralnet.POOL, True)
         conv1.w[...] = np.round(2 * conv1.w) / 2
         conv1.b[...] = [-0.5, 0.5]
         old = reference_network(net)
         old_conv1, old_pool, _, *old_rest = old.layers
         old.layers = [old_conv1, OldReLU(), old_pool] + [
-            OldReLU() if isinstance(layer, neuralnet.ReLU) else layer for layer in old_rest]
+            OldReLU() if isinstance(layer, oracles.ReLU) else layer for layer in old_rest]
         grids = np.round(rng.standard_normal((6, 1, 6, 6)))
         targets = rng.standard_normal((6, 16))
         maps = old_conv1.forward(grids)
@@ -403,6 +429,33 @@ class TestGradients:
             assert abs(fd - grads[idx]) / scale <= 1e-4
             checked += 1
         assert checked == sum(math.prod(s) for s in neuralnet.tensor_shapes(cfg)) == 168
+
+    def test_backward_frees_the_forward_state(self):
+        """After a batch no weighted layer holds its output and neither conv its input, so
+        conv1's full-size map is built with conv1's output already freed."""
+        _, net = tiny_net()
+        rng = sampling.stream(513)
+        grids = rng.random((5, 1, 6, 6))
+        net.forward(grids, train=True, rng=sampling.stream(44))
+        weighted = [layer for layer in net.layers if hasattr(layer, "w")]
+        assert all(layer.out is not None for layer in weighted)
+        neuralnet.compute_gradients(net, grids, rng.standard_normal((5, 16)), sampling.stream(44))
+        assert [layer.out for layer in weighted] == [None] * 5
+        assert [layer.x for layer in net.layers[:2]] == [None] * 2
+
+    @pytest.mark.parametrize("rate", [0.5, 0.0])
+    def test_backward_leaves_the_callers_dout(self, rate):
+        """Each ReLU masks its dout in place, but the caller's dout reaches only the output
+        layer, which has none."""
+        cfg = neuralnet.NetworkConfig(seed=3, dropout_rate=rate, **TINY)
+        net = neuralnet.Network.build(cfg, sampling.stream(3, neuralnet.TRAIN_STREAM))
+        rng = sampling.stream(514)
+        pred = net.forward(rng.random((5, 1, 6, 6)), train=True, rng=sampling.stream(45))
+        dout = rng.standard_normal(pred.shape)
+        kept = dout.copy()
+        net.backward(dout)
+        assert np.abs(net.grads).max() > 0
+        np.testing.assert_array_equal(dout.view(np.uint64), kept.view(np.uint64))
 
     def test_batch_doubling_invariance(self):
         """Duplicating every example leaves the mean-loss gradient unchanged."""

@@ -171,43 +171,8 @@ def _parse_checkpoint_args(args) -> dict[int, neuralnet.Network]:
     return nets
 
 
-def _experiment_fig2(args) -> tuple[list, list]:
-    records, summaries = [], []
-    for m, net in sorted(_parse_checkpoint_args(args).items()):
-        seed = sampling.sub_seed(args.seed, f"fig2-test-{args.measure}-{m}")
-        factors, ds = tomography.sample_dataset(m, args.measure, args.test_count, seed)
-        rows, curves = adapt.subsystem_experiment(net, factors, ds.measurements, args.measure)
-        records += rows
-        summaries += curves
-    return records, summaries
-
-
-def _experiment_fig3(args) -> tuple[list, list]:
-    nets = _parse_checkpoint_args(args)
-    ensembles = {}
-    for n in range(1, max(nets) + 1):
-        seed = sampling.sub_seed(args.seed, f"fig3-test-{args.measure}-{n}")
-        factors, ds = tomography.sample_dataset(n, args.measure, args.test_count, seed)
-        ensembles[n] = (factors, ds.measurements)
-    baselines = []
-    if args.pairs != 0:  # first, so a --pairs the estimates reject costs no reconstruction
-        baselines = adapt.baseline_curves(args.measure, args.pairs, ensembles,
-                                          sampling.sub_seed(args.seed, "fig3-baseline"))
-    records, summaries = adapt.padding_experiment(nets, ensembles, args.measure)
-    return records, summaries + baselines
-
-
-def _experiment_baselines(args) -> tuple[None, list]:
-    if len(set(args.dims)) != len(args.dims):
-        raise ValueError(f"--dims {','.join(map(str, args.dims))} repeats a dimension")
-    qubit_counts = [qubit_count(dim, 2) for dim in args.dims]
-    return None, adapt.baseline_curves(args.measure, args.pairs, qubit_counts, args.seed)
-
-
-def _run_experiment(args, experiment, unread=()) -> int:
-    """Run ``experiment(args)``, then write its records.csv (unless it has no records),
-    summary.csv and config.ini."""
-    records, summaries = experiment(args)
+def _write_experiment(args, records, summaries, unread=()) -> int:
+    """Write an experiment's records.csv (unless it has none), summary.csv and config.ini."""
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if records is not None:
@@ -221,13 +186,35 @@ def _run_experiment(args, experiment, unread=()) -> int:
 
 
 def cmd_experiment(args) -> int:
+    nets = _parse_checkpoint_args(args)
     if args.name == "fig2":
-        return _run_experiment(args, _experiment_fig2, unread=("pairs",))
-    return _run_experiment(args, _experiment_fig3)
+        records, summaries = [], []
+        for m, net in sorted(nets.items()):
+            seed = sampling.sub_seed(args.seed, f"fig2-test-{args.measure}-{m}")
+            factors, ds = tomography.sample_dataset(m, args.measure, args.test_count, seed)
+            rows, curves = adapt.subsystem_experiment(net, factors, ds.measurements, args.measure)
+            records += rows
+            summaries += curves
+        return _write_experiment(args, records, summaries, unread=("pairs",))
+    ensembles = {}
+    for n in range(1, max(nets) + 1):
+        seed = sampling.sub_seed(args.seed, f"fig3-test-{args.measure}-{n}")
+        factors, ds = tomography.sample_dataset(n, args.measure, args.test_count, seed)
+        ensembles[n] = (factors, ds.measurements)
+    baselines = []
+    if args.pairs != 0:  # first, so a --pairs the estimates reject costs no reconstruction
+        baselines = adapt.baseline_curves(args.measure, args.pairs, ensembles,
+                                          sampling.sub_seed(args.seed, "fig3-baseline"))
+    records, summaries = adapt.padding_experiment(nets, ensembles, args.measure)
+    return _write_experiment(args, records, summaries + baselines)
 
 
 def cmd_baselines(args) -> int:
-    return _run_experiment(args, _experiment_baselines)
+    if len(set(args.dims)) != len(args.dims):
+        raise ValueError(f"--dims {','.join(map(str, args.dims))} repeats a dimension")
+    qubit_counts = [qubit_count(dim, 2) for dim in args.dims]
+    summaries = adapt.baseline_curves(args.measure, args.pairs, qubit_counts, args.seed)
+    return _write_experiment(args, None, summaries)
 
 
 def _ints(text: str) -> tuple[int, ...]:

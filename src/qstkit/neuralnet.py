@@ -9,11 +9,12 @@ Architecture (valid boundaries, stride 1, all double precision):
                -> linear output of 4**m tau coefficients
 
 ``Network.layers`` is ``Conv2D(conv1, POOL)``, ``Conv2D(conv2)``, ``Dense(dense1)``,
-``Dense(dense2)``, ``Dropout(rate)``, ``Dense(out, relu=False)``. Each weighted layer applies
-its ReLU in place on its own output, and ``Dense`` flattens its input. Conv1 computes only the
-outputs its pool reads, one window tap at a time, with the bits of a separate conv and pool;
-its ReLU runs after the pool, on a quarter of the elements, which changes nothing: a monotone
-ReLU commutes with the max and routes the gradient to the same tap.
+``Dense(dense2)``, ``Dense(out, relu=False, dropout=rate)``: five layers, one per checkpointed
+w and b. Each hidden layer applies its ReLU in place on its own output, ``Dense`` flattens its
+input, and the output layer drops its input in training. Conv1 computes only the outputs its
+pool reads, one window tap at a time, with the bits of a separate conv and pool; its ReLU runs
+after the pool, on a quarter of the elements, which changes nothing: a monotone ReLU commutes
+with the max and routes the gradient to the same tap.
 
 A 6**m measurement vector is laid out row-major on a 6**ceil(m/2) by
 6**floor(m/2) grid (m=2: 6x6, m=3: 36x6, m=4: 36x36). m=1 is rejected: the
@@ -254,11 +255,23 @@ def _orthogonal(shape: tuple[int, int], rng, gain: float) -> np.ndarray:
 
 
 class Dense(_Weighted):
-    """Fully connected layer over the flattened input; weights (inputs, outputs)."""
+    """Fully connected layer over the flattened input; weights (inputs, outputs). A training
+    forward at a ``dropout`` rate first drops that input, scaling kept units by 1/(1-rate)."""
+
+    def __init__(self, w, b, dw, db, relu=True, dropout=0.0):
+        super().__init__(w, b, dw, db, relu)
+        self.dropout = dropout
 
     def forward(self, x, train=False, rng=None):
         self.in_shape = x.shape
-        self.x = x = x.reshape(len(x), -1)
+        x = x.reshape(len(x), -1)
+        self.mask = None
+        if train and self.dropout != 0.0:
+            if rng is None:
+                raise ValueError("training-mode dropout needs a random generator")
+            self.mask = (rng.random(x.shape) >= self.dropout) / (1.0 - self.dropout)
+            x = x * self.mask
+        self.x = x
         out = x @ self.w
         out += self.b
         return self._activate(out)
@@ -267,26 +280,10 @@ class Dense(_Weighted):
         dout = self._mask(dout)
         np.matmul(self.x.T, dout, out=self.dw)
         dout.sum(axis=0, out=self.db)
-        return (dout @ self.w.T).reshape(self.in_shape)
-
-
-class Dropout:
-    """Inverted dropout: scales kept units by 1/(1-rate) so inference is identity."""
-
-    def __init__(self, rate: float):
-        self.rate = rate
-
-    def forward(self, x, train=False, rng=None):
-        if not train or self.rate == 0.0:
-            self.mask = None
-            return x
-        if rng is None:
-            raise ValueError("training-mode dropout needs a random generator")
-        self.mask = (rng.random(x.shape) >= self.rate) / (1.0 - self.rate)
-        return x * self.mask
-
-    def backward(self, dout):
-        return dout if self.mask is None else dout * self.mask
+        dx = dout @ self.w.T
+        if self.mask is not None:
+            dx *= self.mask
+        return dx.reshape(self.in_shape)
 
 
 def tensor_shapes(config: NetworkConfig) -> list[tuple[int, ...]]:
@@ -312,7 +309,7 @@ class Network:
                 for v in (params, self.grads))
         conv1, conv2, dense1, dense2, out = zip(p[::2], p[1::2], g[::2], g[1::2])  # w, b, dw, db
         self.layers = [Conv2D(*conv1, POOL), Conv2D(*conv2), Dense(*dense1), Dense(*dense2),
-                       Dropout(config.dropout_rate), Dense(*out, relu=False)]
+                       Dense(*out, relu=False, dropout=config.dropout_rate)]
 
     @classmethod
     def build(cls, config: NetworkConfig, rng) -> "Network":
@@ -361,15 +358,11 @@ def loss(pred: np.ndarray, target: np.ndarray) -> float:
     return float(np.mean((pred - target) ** 2))
 
 
-def loss_gradient(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
-    return 2.0 * (pred - target) / pred.size
-
-
 def compute_gradients(net: Network, grids, targets, rng) -> float:
     """Training-mode forward/backward into ``net.grads``; returns the batch loss."""
     pred = net.forward(grids, train=True, rng=rng)
     value = loss(pred, targets)
-    net.backward(loss_gradient(pred, targets))
+    net.backward(2.0 * (pred - targets) / pred.size)
     return value
 
 

@@ -10,8 +10,9 @@ the spelled-out steps, so it takes the library's projectors as given. The
 other is the network's reference front end, ``Conv2D`` (one ``np.tensordot``
 over a sliding-window view) and ``MaxPool2D`` (a separate strided-tap pool):
 the bit-for-bit reference of ``neuralnet.Conv2D``'s pooled, tap-by-tap GEMMs, with
-``ReLU`` and ``Flatten`` layers of their own, the reference of the ReLU each weighted
-layer applies and of the flatten ``neuralnet.Dense`` does. They import nothing but numpy.
+``ReLU``, ``Flatten`` and ``Dropout`` layers of their own, the reference of the ReLU each
+weighted layer applies and of the flatten and the dropout ``neuralnet.Dense`` does. They
+import nothing but numpy.
 """
 
 import numpy as np
@@ -239,3 +240,22 @@ class Flatten:
 
     def backward(self, dout):
         return dout.reshape(self.in_shape)
+
+
+class Dropout:
+    """Inverted dropout: scales kept units by 1/(1-rate) so inference is identity."""
+
+    def __init__(self, rate: float):
+        self.rate = rate
+
+    def forward(self, x, train=False, rng=None):
+        if not train or self.rate == 0.0:
+            self.mask = None
+            return x
+        if rng is None:
+            raise ValueError("training-mode dropout needs a random generator")
+        self.mask = (rng.random(x.shape) >= self.rate) / (1.0 - self.rate)
+        return x * self.mask
+
+    def backward(self, dout):
+        return dout if self.mask is None else dout * self.mask

@@ -2,6 +2,7 @@
 
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -90,26 +91,24 @@ class TestBuild:
         want = initial_params(m, filters, widths, sampling.stream(cfg.seed, neuralnet.TRAIN_STREAM))
         np.testing.assert_array_equal(net.params.view(np.uint64), want.view(np.uint64))
 
-    def test_six_layers_line_up_with_tensor_shapes(self):
-        """conv1, conv2, dense1, dense2, dropout, output: the weighted layers take the
-        tensor shapes in checkpoint order, and only the output layer has no ReLU."""
-        cfg = neuralnet.NetworkConfig(num_qubits=3)
+    def test_five_layers_line_up_with_tensor_shapes(self):
+        """conv1, conv2, dense1, dense2, output: the layers take the tensor shapes in
+        checkpoint order, and only the output layer has no ReLU and drops its input."""
+        cfg = neuralnet.NetworkConfig(num_qubits=3, dropout_rate=0.25)
         layers = zero_net(cfg).layers
         assert [type(layer) for layer in layers] == [
-            neuralnet.Conv2D, neuralnet.Conv2D, neuralnet.Dense, neuralnet.Dense,
-            neuralnet.Dropout, neuralnet.Dense]
-        weighted = layers[:4] + layers[5:]
+            neuralnet.Conv2D, neuralnet.Conv2D, neuralnet.Dense, neuralnet.Dense, neuralnet.Dense]
         shapes = neuralnet.tensor_shapes(cfg)
-        assert [layer.w.shape for layer in weighted] == shapes[::2]
-        assert [layer.b.shape for layer in weighted] == shapes[1::2]
-        assert [layer.relu for layer in weighted] == [True] * 4 + [False]
+        assert [layer.w.shape for layer in layers] == shapes[::2]
+        assert [layer.b.shape for layer in layers] == shapes[1::2]
+        assert [layer.relu for layer in layers] == [True] * 4 + [False]
         assert [layer.pool for layer in layers[:2]] == [neuralnet.POOL, 1]
+        assert [layer.dropout for layer in layers[2:]] == [0.0, 0.0, cfg.dropout_rate]
 
     def test_layers_are_views_of_the_vectors(self):
         _, net = tiny_net()
-        weighted = [layer for layer in net.layers if hasattr(layer, "w")]
-        assert len(weighted) == 5
-        for layer in weighted:
+        assert len(net.layers) == 5
+        for layer in net.layers:
             assert all(np.shares_memory(t, vector) for t, vector in (
                 (layer.w, net.params), (layer.b, net.params),
                 (layer.dw, net.grads), (layer.db, net.grads)))
@@ -158,7 +157,11 @@ class TestForward:
         np.testing.assert_array_equal(dx[0, 0], want)  # dropped row 4 and column 2 stay zero
 
     def test_dropout_train_versus_infer(self):
-        layer = neuralnet.Dropout(0.5)
+        """The output layer over identity weights and zero biases passes its dropped input
+        through."""
+        w = np.eye(10)
+        layer = neuralnet.Dense(w, np.zeros(10), np.empty_like(w), np.empty(10), relu=False,
+                                dropout=0.5)
         x = np.ones((4, 10))
         np.testing.assert_array_equal(layer.forward(x, train=False), x)
         masked = layer.forward(x, train=True, rng=sampling.stream(505))
@@ -253,9 +256,10 @@ class TestKernels:
 def reference_network(net):
     """A network over ``net``'s parameters built from the reference layers of ``oracles``:
     conv1 unpooled, then a separate max pool, and conv2, each followed by a separate ReLU,
-    a separate flatten, and dense layers without their own ReLU, each followed by one."""
+    a separate flatten, dense layers without their own ReLU or dropout, each hidden one
+    followed by a ReLU, and a separate dropout ahead of the output layer."""
     ref = neuralnet.Network(net.config, net.params, net.accumulator)
-    conv1, conv2, dense1, dense2, dropout, out = ref.layers
+    conv1, conv2, dense1, dense2, out = ref.layers
 
     def bare(layer):
         return neuralnet.Dense(layer.w, layer.b, layer.dw, layer.db, relu=False)
@@ -263,7 +267,8 @@ def reference_network(net):
     ref.layers = [oracles.Conv2D(conv1.w, conv1.b, conv1.dw, conv1.db), oracles.MaxPool2D(),
                   oracles.ReLU(), oracles.Conv2D(conv2.w, conv2.b, conv2.dw, conv2.db),
                   oracles.ReLU(), oracles.Flatten(), bare(dense1), oracles.ReLU(),
-                  bare(dense2), oracles.ReLU(), dropout, out]
+                  bare(dense2), oracles.ReLU(), oracles.Dropout(net.config.dropout_rate),
+                  bare(out)]
     return ref
 
 
@@ -437,10 +442,9 @@ class TestGradients:
         rng = sampling.stream(513)
         grids = rng.random((5, 1, 6, 6))
         net.forward(grids, train=True, rng=sampling.stream(44))
-        weighted = [layer for layer in net.layers if hasattr(layer, "w")]
-        assert all(layer.out is not None for layer in weighted)
+        assert all(layer.out is not None for layer in net.layers)
         neuralnet.compute_gradients(net, grids, rng.standard_normal((5, 16)), sampling.stream(44))
-        assert [layer.out for layer in weighted] == [None] * 5
+        assert [layer.out for layer in net.layers] == [None] * 5
         assert [layer.x for layer in net.layers[:2]] == [None] * 2
 
     @pytest.mark.parametrize("rate", [0.5, 0.0])
@@ -456,6 +460,27 @@ class TestGradients:
         net.backward(dout)
         assert np.abs(net.grads).max() > 0
         np.testing.assert_array_equal(dout.view(np.uint64), kept.view(np.uint64))
+
+    @pytest.mark.parametrize("m, bound_mb", [(2, 1.73), (3, 6.19)])
+    def test_training_batch_peak(self, m, bound_mb):
+        """The tracemalloc peak of one 100-row training batch at default widths stays under a
+        bound between the in-place masks' peak (1.586 MB at m=2, 6.024 MB at m=3) and that of
+        a ReLU mask that copies dout (1.881 and 6.347 MB), which keeps the unmasked array
+        alive through ``Network.backward``'s loop. Measured with numpy 2.4.6."""
+        cfg = neuralnet.NetworkConfig(num_qubits=m)
+        rng = sampling.stream(cfg.seed, neuralnet.TRAIN_STREAM)
+        net = neuralnet.Network.build(cfg, rng)
+        data = sampling.stream(515)
+        grids = data.random((100, 1) + neuralnet.grid_shape(m))
+        targets = data.standard_normal((100, cfg.tau_width))
+        neuralnet.compute_gradients(net, grids, targets, rng)  # caches the im2col indices
+        tracemalloc.start()
+        try:
+            neuralnet.compute_gradients(net, grids, targets, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mb * 1e6
 
     def test_batch_doubling_invariance(self):
         """Duplicating every example leaves the mean-loss gradient unchanged."""
@@ -652,7 +677,7 @@ class TestCheckpoints:
         entry per parameter tensor, then every parameter and accumulator as LE doubles."""
         path = tmp_path / "model.qstck"
         _, net = tiny_net(seed=8)
-        params = [t for layer in net.layers if hasattr(layer, "w") for t in (layer.w, layer.b)]
+        params = [t for layer in net.layers for t in (layer.w, layer.b)]
         accumulators = [np.full_like(p, 0.25) for p in params]
         net.accumulator[...] = 0.25
         neuralnet.save_checkpoint(path, net)
@@ -670,7 +695,7 @@ class TestCheckpoints:
         loaded = neuralnet.load_checkpoint(path)
         assert not loaded.params.flags.writeable and not loaded.accumulator.flags.writeable
         np.testing.assert_array_equal(loaded.params, net.params)
-        assert [t.shape for layer in loaded.layers if hasattr(layer, "w")
+        assert [t.shape for layer in loaded.layers
                 for t in (layer.w, layer.b)] == neuralnet.tensor_shapes(cfg)
         assert loaded.grads.flags.writeable and loaded.grads.shape == net.params.shape
 

@@ -279,10 +279,12 @@ class Dense(_Weighted):
     def backward(self, dout):
         dout = self._mask(dout)
         np.matmul(self.x.T, dout, out=self.dw)
+        self.x = None  # so dense1's input, conv2's output, is freed before conv2's backward
         dout.sum(axis=0, out=self.db)
         dx = dout @ self.w.T
         if self.mask is not None:
             dx *= self.mask
+        self.mask = None
         return dx.reshape(self.in_shape)
 
 

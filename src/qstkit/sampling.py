@@ -10,8 +10,9 @@ at counter 0. ``sample_streams``, the library's one sampler, draws the factors
 (``qcore``'s convention) of the states of stream i from exactly those draws, so
 the output does not depend on how the index range is split into chunks. It
 rekeys one generator to each stream in turn, through one reused state dict and
-the public Philox state setter, rather than build one per stream, and copies
-the normals of a block of streams into the complex stack at once, with the
+the public Philox state setter, rather than build one per stream, and works one
+block of ``_BLOCK`` streams at a time: their normals go into the complex draws
+at once, and a Bures block's factors are made from those draws alone, with the
 bytes of sampling each stream alone. It checks the measure; the qubit-count and
 count limits of a dataset, and its physicality, are checked by
 ``tomography.sample_dataset``, and a factor's norm by ``qcore`` where it is used.
@@ -36,9 +37,10 @@ MEASURES = (MEASURE_HS, MEASURE_BURES)
 
 _MASK64 = (1 << 64) - 1
 
-# Streams whose normals are drawn into one real block before they join the complex
-# stack: two copies per block, not per stream, and a buffer of 0.5 MB for m=3 pairs
-# (a buffer for the whole range raised the peak memory of dataset generation).
+# Streams sampled at a time, so that no temporary spans the whole range: their normals are
+# drawn into one real block (0.5 MB for m=3 pairs) and join the complex draws by two copies
+# per block, not per stream; a Bures block's draws and Haar unitaries are block-sized too.
+# ``tomography.sample_dataset`` measures its states in blocks of this size.
 _BLOCK = 256
 
 
@@ -100,23 +102,31 @@ def sample_streams(m: int, measure: str, seed: int, start: int, stop: int,
     imaginary one, divided by √2. Hilbert-Schmidt: the factor is G. Bures: it is
     (I + U)G. One generator is rekeyed to each stream in turn (one state dict,
     reused) and makes all of the stream's normals in one call, into a real block
-    of ``_BLOCK`` streams; each block goes into the complex stack by one
-    real-part and one imaginary-part copy, so the bytes do not depend on the
-    block. A zero draw, of probability zero, comes back as a zero factor.
+    of ``_BLOCK`` streams; each block becomes complex draws by one real-part and
+    one imaginary-part copy: Hilbert-Schmidt draws straight into the output
+    stack, Bures draws into one reused block, whose (I + U)G products are written
+    into the stack. Each operation acts on each state alone, so the bytes do not
+    depend on the block. A zero draw, of probability zero, comes back as a zero
+    factor.
     """
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}; expected one of {MEASURES}")
     draws, d, n = 1 if measure == MEASURE_HS else 2, 2**m, stop - start
-    z = np.empty((per_stream, n, draws, d, d), dtype=complex)
+    factors = np.empty((per_stream, n, d, d), dtype=complex)
+    bures = np.empty((per_stream, min(_BLOCK, n), 2, d, d), dtype=complex) if draws == 2 else None
     normals = np.empty((min(_BLOCK, n), per_stream, draws, 2, d, d))
     rng = stream(seed, start)
     rekey = _rekeyer(rng.bit_generator, seed)
     for b in range(0, n, _BLOCK):
         block = normals[:n - b]
-        for j, out in enumerate(block):
+        for j, row in enumerate(block):
             rekey(start + b + j)
-            rng.standard_normal(out=out)
-        z.real[:, b:b + len(block)] = block[:, :, :, 0].swapaxes(0, 1)
-        z.imag[:, b:b + len(block)] = block[:, :, :, 1].swapaxes(0, 1)
-    z /= np.sqrt(2.0)  # as the complex division (re + i·im)/√2, bit for bit
-    return z[:, :, 0] if draws == 1 else (np.eye(d) + _haar(z[:, :, 1])) @ z[:, :, 0]
+            rng.standard_normal(out=row)
+        out = factors[:, b:b + len(block)]
+        z = out[:, :, None] if draws == 1 else bures[:, :len(block)]
+        z.real[...] = block[:, :, :, 0].swapaxes(0, 1)
+        z.imag[...] = block[:, :, :, 1].swapaxes(0, 1)
+        z /= np.sqrt(2.0)  # as the complex division (re + i·im)/√2, bit for bit
+        if draws == 2:
+            np.matmul(np.eye(d) + _haar(z[:, :, 1]), z[:, :, 0], out=out)
+    return factors

@@ -9,7 +9,8 @@ is a tuple (s_0, ..., s_{m-1}) indexed base-6 with qubit 0 (the
 most-significant tensor factor) in the highest place value. Measurement
 vectors hold exact Born probabilities (the infinite-measurement limit); no
 shot noise is simulated. ``sample_dataset`` checks the states of its sampled
-factors for physicality; ``measure`` trusts its input.
+factors for physicality, every state once, one block of ``sampling._BLOCK``
+states at a time; ``measure`` trusts its input.
 
 The dataset file and the reconstructed-states file are defined here; they and
 the network checkpoint are the binary containers framed by ``write_container``.
@@ -17,8 +18,9 @@ A dataset header embeds the setting order tag, sampling measure and master seed
 alongside the record count, so a file fully determines how it was produced and
 how to interpret the payload. A ``Dataset`` holds its records as the file
 stores them, one (count, 6**m + 4**m) block: ``sample_dataset`` fills it in
-place, ``write_dataset`` writes it as it is, and ``read_dataset`` maps it from
-the file's bytes without a copy, so a read dataset is read-only.
+place, block by block, ``write_dataset`` writes it as it is, and
+``read_dataset`` maps it from the file's bytes without a copy, so a read
+dataset is read-only.
 ``read_dataset`` rejects a tau target that defines no state (its squared norm
 at most ``qcore.MIN_NORM_SQ`` or overflowing), and measurements that are not
 probabilities: an entry outside [0, 1], or a basis whose outcomes do not sum to
@@ -184,18 +186,22 @@ def sample_dataset(m: int, sampling_measure: str, count: int,
                    seed: int) -> tuple[np.ndarray, Dataset]:
     """``count`` m-qubit states, state i from ``stream(seed, i)``: their (count, 2**m, 2**m)
     factors, and a dataset whose records block is allocated once and filled in place with
-    each state's measurement row and the stack's tau targets. The density matrices
-    (``qcore.density``) are checked for physicality once, as one stack."""
+    each state's measurement row and tau target. The factors are taken ``sampling._BLOCK``
+    at a time: each block's density matrices (``qcore.density``) are checked for
+    physicality, every state once, then measured and written into the block's records, so
+    no temporary spans the whole count. The bits are those of one stack."""
     if not 1 <= m <= 4 or count < 1 or not 0 <= seed < 2**64:
         raise ValueError(f"need 1 <= m <= 4, count >= 1 and 0 <= seed < 2**64, got m={m}, "
                          f"count={count}, seed={seed}")
     factors = sampling.sample_streams(m, sampling_measure, seed, 0, count, 1)[0]
-    states = qcore.density(factors)
-    qcore.assert_physical(states, "sampled states")
     dataset = Dataset(m, sampling_measure, seed, np.empty((count, 6**m + 4**m)))
-    for row, rho in zip(dataset.measurements, states):
-        row[:] = measure(rho)
-    dataset.taus[:] = cholesky.rho_to_tau(states)
+    for b in range(0, count, sampling._BLOCK):
+        block = slice(b, b + sampling._BLOCK)
+        states = qcore.density(factors[block])
+        qcore.assert_physical(states, "sampled states")
+        for row, rho in zip(dataset.measurements[block], states):
+            row[:] = measure(rho)
+        dataset.taus[block] = cholesky.rho_to_tau(states)
     return factors, dataset
 
 

@@ -436,16 +436,18 @@ class TestGradients:
         assert checked == sum(math.prod(s) for s in neuralnet.tensor_shapes(cfg)) == 168
 
     def test_backward_frees_the_forward_state(self):
-        """After a batch no weighted layer holds its output and neither conv its input, so
-        conv1's full-size map is built with conv1's output already freed."""
+        """After a batch no layer holds its output, its input or a dropout mask, so conv1's
+        full-size map is built with conv1's output and conv2's already freed."""
         _, net = tiny_net()
         rng = sampling.stream(513)
         grids = rng.random((5, 1, 6, 6))
         net.forward(grids, train=True, rng=sampling.stream(44))
         assert all(layer.out is not None for layer in net.layers)
+        assert net.layers[-1].mask is not None
         neuralnet.compute_gradients(net, grids, rng.standard_normal((5, 16)), sampling.stream(44))
         assert [layer.out for layer in net.layers] == [None] * 5
-        assert [layer.x for layer in net.layers[:2]] == [None] * 2
+        assert [layer.x for layer in net.layers] == [None] * 5
+        assert net.layers[-1].mask is None
 
     @pytest.mark.parametrize("rate", [0.5, 0.0])
     def test_backward_leaves_the_callers_dout(self, rate):
@@ -461,12 +463,13 @@ class TestGradients:
         assert np.abs(net.grads).max() > 0
         np.testing.assert_array_equal(dout.view(np.uint64), kept.view(np.uint64))
 
-    @pytest.mark.parametrize("m, bound_mb", [(2, 1.73), (3, 6.19)])
+    @pytest.mark.parametrize("m, bound_mb", [(2, 1.32), (3, 5.05)])
     def test_training_batch_peak(self, m, bound_mb):
         """The tracemalloc peak of one 100-row training batch at default widths stays under a
-        bound between the in-place masks' peak (1.586 MB at m=2, 6.024 MB at m=3) and that of
-        a ReLU mask that copies dout (1.881 and 6.347 MB), which keeps the unmasked array
-        alive through ``Network.backward``'s loop. Measured with numpy 2.4.6."""
+        bound between its peak (1.175 MB at m=2, 4.884 MB at m=3) and those of a ReLU mask
+        that copies dout (1.472 and 5.207 MB), which keeps the unmasked array alive through
+        ``Network.backward``'s loop, and of dense layers that keep their inputs after their
+        backward pass (1.586 and 6.023 MB). Measured with numpy 2.4.6."""
         cfg = neuralnet.NetworkConfig(num_qubits=m)
         rng = sampling.stream(cfg.seed, neuralnet.TRAIN_STREAM)
         net = neuralnet.Network.build(cfg, rng)

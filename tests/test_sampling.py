@@ -1,5 +1,7 @@
 """Unit tests for the seeded random-ensemble generators."""
 
+import itertools
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -187,11 +189,12 @@ class TestEnsembles:
         from a nonzero start, and is split off the block grid.
         """
         block = sampling._BLOCK
-        for start, stop, split in ((0, 10, 4), (5, 5 + 2 * block + 3, 5 + block + 37)):
-            full = sampling.sample_streams(1, sampling.MEASURE_HS, 3, start, stop, 1)[0]
-            lo = sampling.sample_streams(1, sampling.MEASURE_HS, 3, start, split, 1)[0]
-            hi = sampling.sample_streams(1, sampling.MEASURE_HS, 3, split, stop, 1)[0]
-            np.testing.assert_array_equal(full, np.concatenate([lo, hi]))
+        for measure, (start, stop, split) in itertools.product(
+                sampling.MEASURES, ((0, 10, 4), (5, 5 + 2 * block + 3, 5 + block + 37))):
+            full = sampling.sample_streams(1, measure, 3, start, stop, 1)[0]
+            lo = sampling.sample_streams(1, measure, 3, start, split, 1)[0]
+            hi = sampling.sample_streams(1, measure, 3, split, stop, 1)[0]
+            assert full.tobytes() == np.concatenate([lo, hi]).tobytes()
 
     @pytest.mark.parametrize("measure", sampling.MEASURES)
     @pytest.mark.parametrize("m", [1, 2, 3])

@@ -2,12 +2,13 @@
 
 import itertools
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from oracles import (joint_index, linear_inversion, maximally_mixed, measure_tensordot,
-                     sample_state)
+                     sample_factor, sample_state)
 from qstkit import cholesky, cli, qcore, sampling, tomography
 
 HS = sampling.MEASURE_HS
@@ -152,33 +153,68 @@ class TestMeasure:
 
 class TestSampleDataset:
     def test_rejects_non_physical_member(self, monkeypatch):
-        """The sampled stack is checked once, so one bad member among good ones is caught."""
-        states = qcore.density(sampling.sample_streams(1, HS, 9, 0, 4, 1)[0])
-        states[2] = np.diag([1.5, -0.5])
-        monkeypatch.setattr(qcore, "density", lambda factors: states)
+        """Every block is checked, so one bad member among good ones in a later block is
+        caught, named by the same message as a bad member of a one-block dataset."""
+        density, calls = qcore.density, []
+
+        def bad_second_block(factors):
+            states = density(factors)
+            calls.append(len(states))
+            if len(calls) == 2:
+                states[2] = np.diag([1.5, -0.5])
+            return states
+
+        monkeypatch.setattr(qcore, "density", bad_second_block)
         with pytest.raises(ValueError, match="sampled states: negative eigenvalue -5.000e-01"):
-            tomography.sample_dataset(1, HS, 4, 9)
+            tomography.sample_dataset(1, HS, sampling._BLOCK + 4, 9)
+        assert calls == [sampling._BLOCK, 4]
 
     def test_checks_physicality_once_per_stack(self, monkeypatch):
+        """The checked blocks, in order, are the states of the factors, each state once."""
         calls = []
         check = qcore.assert_physical
         monkeypatch.setattr(qcore, "assert_physical", lambda *a: calls.append(a) or check(*a))
-        factors, ds = tomography.sample_dataset(2, HS, 7, 3)
-        assert len(calls) == 1
-        assert calls[0][0].tobytes() == qcore.density(factors).tobytes()
-        assert ds.measurements.shape == (7, 36)
+        count = 2 * sampling._BLOCK + 3
+        factors, ds = tomography.sample_dataset(2, HS, count, 3)
+        assert [len(states) for states, _ in calls] == [sampling._BLOCK] * 2 + [3]
+        checked = np.concatenate([states for states, _ in calls])
+        assert checked.tobytes() == qcore.density(factors).tobytes()
+        assert ds.measurements.shape == (count, 36)
+
+    @pytest.mark.parametrize("m, measure, count, bound_mb",
+                             [(3, HS, 2000, 10.2), (3, BURES, 2000, 9.4), (4, BURES, 600, 14.45)])
+    def test_peak_memory(self, m, measure, count, bound_mb):
+        """The tracemalloc peak stays under a bound between the streamed peak (7.71 MB at
+        m=3, 14.24 MB at m=4) and those of whole-count temporaries: the dataset builder's
+        (12.76 MB at m=3, 17.35 MB at m=4) or only the Bures sampler's (11.16 and 14.68 MB).
+        The outputs alone are 6.53 and 9.91 MB. Measured with numpy 2.4.6."""
+        tomography.sample_dataset(m, measure, 3, 1)  # builds the measurement plan
+        tracemalloc.start()
+        try:
+            tomography.sample_dataset(m, measure, count, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mb * 1e6
 
     @pytest.mark.parametrize("measure", [HS, BURES])
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_records_are_stacked_rows_then_taus(self, m, measure):
         """The block filled in place holds the bits of the measurement rows stacked, then
-        the tau targets of the same states."""
-        factors, ds = tomography.sample_dataset(m, measure, 6, 2**40 + m)
-        states = qcore.density(factors)
-        expected = np.hstack([np.stack([tomography.measure(rho) for rho in states]),
-                              cholesky.rho_to_tau(states)])
-        assert ds.records.shape == (6, 6**m + 4**m)
-        assert ds.records.tobytes() == expected.tobytes()
+        one whole-stack ``rho_to_tau`` of the same states, for counts within, at and across
+        the boundaries of ``sampling._BLOCK``; the factors there are their streams' own
+        draws, bit for bit."""
+        block = sampling._BLOCK
+        for count in (6, block - 1, block, block + 1, 2 * block + 3):
+            factors, ds = tomography.sample_dataset(m, measure, count, 2**40 + m)
+            states = qcore.density(factors)
+            expected = np.hstack([np.stack([tomography.measure(rho) for rho in states]),
+                                  cholesky.rho_to_tau(states)])
+            assert ds.records.shape == (count, 6**m + 4**m)
+            assert ds.records.tobytes() == expected.tobytes()
+            for i in {0, 5, block - 1, block, count - 1} & set(range(count)):
+                want = sample_factor(m, measure, sampling.stream(2**40 + m, i))
+                assert factors[i].tobytes() == want.tobytes()
 
 
 class TestDatasetFormat:

@@ -52,10 +52,6 @@ PADDING_ENGINEERED = "engineered"
 PADDING_ZERO = "zero"
 PADDING_MODES = (PADDING_ENGINEERED, PADDING_ZERO)
 
-# Monte Carlo pairs sampled and compared at a time: 10,000 m=3 pairs peak at 4.9 MB in chunks
-# of 1024 and at 17.5 MB in chunks of 4096, in the same time (each pair is its own small SVD).
-_MC_CHUNK = 1024
-
 
 def pad_measurements(values: np.ndarray, m: int, mode: str) -> np.ndarray:
     """Lift (..., 6**n) measurement rows to m >= n qubits: engineered padding tiles them
@@ -163,13 +159,14 @@ def mc_fidelities(measure: str, n: int, count: int, seed: int) -> np.ndarray:
     row 0 each pair's fidelity, row 1 its first state's against I/2**n.
 
     Pair i comes from ``sampling.stream(seed, i)``, whose first state is the stream's
-    one-state draw; the pairs are sampled and compared in chunks, which changes no fidelity.
+    one-state draw; the pairs are sampled and compared ``sampling.BLOCK`` at a time, which
+    changes no fidelity.
     """
     if count < 100:
         raise ValueError(f"need at least 100 draws for a stable estimate, got {count}")
     fids = np.empty((2, count))
-    for start in range(0, count, _MC_CHUNK):
-        stop = min(start + _MC_CHUNK, count)
+    for start in range(0, count, sampling.BLOCK):
+        stop = min(start + sampling.BLOCK, count)
         first, second = sampling.sample_streams(n, measure, seed, start, stop, 2)
         fids[:, start:stop] = qcore.fidelity(first, second), qcore.fidelity(first, np.eye(2**n))
     return fids

@@ -93,9 +93,9 @@ def _load_train_val(args) -> tuple[tomography.Dataset, tomography.Dataset]:
     train = tomography.read_dataset(args.dataset)
     if args.val_dataset is not None:
         return train, tomography.read_dataset(args.val_dataset)
-    if args.val_count >= train.count:
-        raise ValueError(f"val_count {args.val_count} must be smaller than the dataset "
-                         f"({train.count} states)")
+    if not 0 < args.val_count < train.count:
+        raise ValueError(f"--val-count {args.val_count} is outside 1..{train.count - 1} "
+                         f"for a dataset of {train.count} states")
     split = train.count - args.val_count
     return tuple(replace(train, records=rows) for rows in np.split(train.records, [split]))
 

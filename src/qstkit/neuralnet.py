@@ -21,15 +21,16 @@ A 6**m measurement vector is laid out row-major on a 6**ceil(m/2) by
 grid is a single column, too narrow for 2x2 kernels; single-qubit states are
 handled by padding into a larger network instead.
 
-Training minimizes the mean square loss between predicted and target tau
-with Adagrad, shuffling batches each epoch, and keeps the parameters from
+Training minimizes the mean square loss between predicted and target tau with Adagrad
+(``adagrad_step``, once per batch), shuffling batches each epoch, and keeps the parameters from
 the epoch with the best mean validation fidelity. Everything random (weight
 init, shuffling, dropout masks) is drawn from one Philox stream derived from
 the config seed, so a (seed, data, config) triple fully determines the run.
 ``Network.predict`` is the one inference path, forwarding rows in zero-filled chunks of
 ``PREDICT_ROWS``; validation and ``adapt.reconstruct`` use it.
-A network is its config plus flat vectors ``params``, ``grads`` and Adagrad's
-``accumulator``; each layer's w, b, dw and db are views cut by ``tensor_shapes(config)``.
+A network is its config plus flat vectors ``params``, ``grads`` and Adagrad's ``accumulator``,
+which ``adagrad_step`` steps in place; each layer's w, b, dw and db are views cut by
+``tensor_shapes(config)``.
 A checkpoint is one network: ``load_checkpoint`` builds it over the file's ``params`` and
 ``accumulator`` bytes, without a copy. Its header records the fixed kernel and pool (2).
 """
@@ -368,23 +369,15 @@ def compute_gradients(net: Network, grids, targets, rng) -> float:
     return value
 
 
-class Adagrad:
-    """accumulator += g**2; params -= (lr * g) / (sqrt(accumulator) + 1e-8).
-
-    ``params`` and ``accumulator`` are flat vectors, stepped in place; the update overwrites
-    the gradient vector, so one scratch vector (g**2, then the denominator) is all it allocates.
-    """
-
-    def __init__(self, params: np.ndarray, accumulator: np.ndarray, learning_rate: float):
-        self.params, self.accumulator, self.learning_rate = params, accumulator, learning_rate
-        self._scratch = np.empty_like(params)
-
-    def step(self, grads: np.ndarray) -> None:
-        den = self._scratch
-        self.accumulator += np.multiply(grads, grads, out=den)
-        np.add(np.sqrt(self.accumulator, out=den), _ADAGRAD_EPS, out=den)
-        grads *= self.learning_rate
-        self.params -= np.divide(grads, den, out=grads)
+def adagrad_step(params: np.ndarray, accumulator: np.ndarray, grads: np.ndarray,
+                 learning_rate: float) -> None:
+    """accumulator += g**2; params -= (lr * g) / (sqrt(accumulator) + 1e-8), on flat vectors
+    stepped in place; the update overwrites ``grads``."""
+    accumulator += grads * grads
+    den = np.sqrt(accumulator)
+    den += _ADAGRAD_EPS
+    grads *= learning_rate
+    params -= np.divide(grads, den, out=grads)
 
 
 @dataclass
@@ -427,7 +420,6 @@ def train(
             if dst != src:
                 raise ValueError(f"parameter shape mismatch: {dst} vs {src}")
         net.params[...], net.accumulator[...] = init.params, init.accumulator
-    opt = Adagrad(net.params, net.accumulator, config.learning_rate)
 
     grids = grids_from_measurements(train_measurements)
     count = grids.shape[0]
@@ -440,7 +432,7 @@ def train(
         for start in range(0, count, config.batch_size):
             idx = order[start : start + config.batch_size]
             value = compute_gradients(net, grids[idx], train_taus[idx], rng)
-            opt.step(net.grads)
+            adagrad_step(net.params, net.accumulator, net.grads, config.learning_rate)
             batch_losses.append(value)
         val_fid = mean_reconstruction_fidelity(net, val_measurements, val_taus)
         history.losses.append(float(np.mean(batch_losses)))

@@ -11,13 +11,13 @@ at counter 0. ``sample_streams``, the library's one sampler, draws the factors
 the output does not depend on how the index range is split into chunks. It
 rekeys one generator to each stream in turn, through one reused state dict and
 the public Philox state setter, rather than build one per stream, and works one
-block of ``_BLOCK`` streams at a time: their normals go into the complex draws
+block of ``BLOCK`` streams at a time: their normals go into the complex draws
 at once, and a Bures block's factors are made from those draws alone, with the
 bytes of sampling each stream alone. It checks the measure; the qubit-count and
 count limits of a dataset, and its physicality, are checked by
 ``tomography.sample_dataset``, and a factor's norm by ``qcore`` where it is used.
 
-``sub_seed(seed, *labels)`` derives further 64-bit seeds from string labels
+``sub_seed(seed, label)`` derives further 64-bit seeds from a string label
 via SHA-256 for coarser partitioning (train/validation/test roles and the
 like). Both derivations are part of the on-disk dataset contract: a dataset
 header records the master seed, and ``(seed, i)`` regenerate state i exactly.
@@ -37,11 +37,11 @@ MEASURES = (MEASURE_HS, MEASURE_BURES)
 
 _MASK64 = (1 << 64) - 1
 
-# Streams sampled at a time, so that no temporary spans the whole range: their normals are
-# drawn into one real block (0.5 MB for m=3 pairs) and join the complex draws by two copies
-# per block, not per stream; a Bures block's draws and Haar unitaries are block-sized too.
-# ``tomography.sample_dataset`` measures its states in blocks of this size.
-_BLOCK = 256
+# The one chunk size for sampled stacks, so that no temporary spans a whole range: a block's
+# normals go into one real buffer (0.5 MB for m=3 pairs) and join the complex draws by two
+# copies, and a Bures block's draws and Haar unitaries are block-sized too.
+# ``tomography.sample_dataset`` measures, and ``adapt.mc_fidelities`` compares, in blocks of it.
+BLOCK = 256
 
 
 def stream(seed: int, index: int = 0) -> np.random.Generator:
@@ -50,16 +50,13 @@ def stream(seed: int, index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def sub_seed(seed: int, *labels: str) -> int:
-    """Derive a 64-bit seed from a master seed in 0..2**64-1 and a label path."""
+def sub_seed(seed: int, label: str) -> int:
+    """Derive a 64-bit seed from a master seed in 0..2**64-1 and a label: the first 8 bytes,
+    little-endian, of the SHA-256 of the seed's 8 little-endian bytes, "/" and the label."""
     if not 0 <= seed <= _MASK64:
         raise ValueError(f"seed {seed} is outside 0..2**64-1")
-    h = hashlib.sha256()
-    h.update(seed.to_bytes(8, "little"))
-    for label in labels:
-        h.update(b"/")
-        h.update(label.encode("utf-8"))
-    return int.from_bytes(h.digest()[:8], "little")
+    digest = hashlib.sha256(seed.to_bytes(8, "little") + b"/" + label.encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "little")
 
 
 def _haar(z: np.ndarray) -> np.ndarray:
@@ -102,7 +99,7 @@ def sample_streams(m: int, measure: str, seed: int, start: int, stop: int,
     imaginary one, divided by √2. Hilbert-Schmidt: the factor is G. Bures: it is
     (I + U)G. One generator is rekeyed to each stream in turn (one state dict,
     reused) and makes all of the stream's normals in one call, into a real block
-    of ``_BLOCK`` streams; each block becomes complex draws by one real-part and
+    of ``BLOCK`` streams; each block becomes complex draws by one real-part and
     one imaginary-part copy: Hilbert-Schmidt draws straight into the output
     stack, Bures draws into one reused block, whose (I + U)G products are written
     into the stack. Each operation acts on each state alone, so the bytes do not
@@ -113,11 +110,11 @@ def sample_streams(m: int, measure: str, seed: int, start: int, stop: int,
         raise ValueError(f"unknown measure {measure!r}; expected one of {MEASURES}")
     draws, d, n = 1 if measure == MEASURE_HS else 2, 2**m, stop - start
     factors = np.empty((per_stream, n, d, d), dtype=complex)
-    bures = np.empty((per_stream, min(_BLOCK, n), 2, d, d), dtype=complex) if draws == 2 else None
-    normals = np.empty((min(_BLOCK, n), per_stream, draws, 2, d, d))
+    bures = np.empty((per_stream, min(BLOCK, n), 2, d, d), dtype=complex) if draws == 2 else None
+    normals = np.empty((min(BLOCK, n), per_stream, draws, 2, d, d))
     rng = stream(seed, start)
     rekey = _rekeyer(rng.bit_generator, seed)
-    for b in range(0, n, _BLOCK):
+    for b in range(0, n, BLOCK):
         block = normals[:n - b]
         for j, row in enumerate(block):
             rekey(start + b + j)

@@ -9,7 +9,7 @@ is a tuple (s_0, ..., s_{m-1}) indexed base-6 with qubit 0 (the
 most-significant tensor factor) in the highest place value. Measurement
 vectors hold exact Born probabilities (the infinite-measurement limit); no
 shot noise is simulated. ``sample_dataset`` checks the states of its sampled
-factors for physicality, every state once, one block of ``sampling._BLOCK``
+factors for physicality, every state once, one block of ``sampling.BLOCK``
 states at a time; ``measure`` trusts its input.
 
 The dataset file and the reconstructed-states file are defined here; they and
@@ -186,7 +186,7 @@ def sample_dataset(m: int, sampling_measure: str, count: int,
                    seed: int) -> tuple[np.ndarray, Dataset]:
     """``count`` m-qubit states, state i from ``stream(seed, i)``: their (count, 2**m, 2**m)
     factors, and a dataset whose records block is allocated once and filled in place with
-    each state's measurement row and tau target. The factors are taken ``sampling._BLOCK``
+    each state's measurement row and tau target. The factors are taken ``sampling.BLOCK``
     at a time: each block's density matrices (``qcore.density``) are checked for
     physicality, every state once, then measured and written into the block's records, so
     no temporary spans the whole count. The bits are those of one stack."""
@@ -195,8 +195,8 @@ def sample_dataset(m: int, sampling_measure: str, count: int,
                          f"count={count}, seed={seed}")
     factors = sampling.sample_streams(m, sampling_measure, seed, 0, count, 1)[0]
     dataset = Dataset(m, sampling_measure, seed, np.empty((count, 6**m + 4**m)))
-    for b in range(0, count, sampling._BLOCK):
-        block = slice(b, b + sampling._BLOCK)
+    for b in range(0, count, sampling.BLOCK):
+        block = slice(b, b + sampling.BLOCK)
         states = qcore.density(factors[block])
         qcore.assert_physical(states, "sampled states")
         for row, rho in zip(dataset.measurements[block], states):

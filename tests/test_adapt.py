@@ -293,16 +293,16 @@ class TestMonteCarlo:
     def test_chunking_does_not_change_fidelities(self, monkeypatch, measure, m, mixed):
         """Neither row, the pairs' (0) or the max-mixed one (1), depends on the chunk."""
         default = adapt.mc_fidelities(measure, m, 140, 21)[int(mixed)]
-        monkeypatch.setattr(adapt, "_MC_CHUNK", 7)
+        monkeypatch.setattr(sampling, "BLOCK", 7)
         chunked = adapt.mc_fidelities(measure, m, 140, 21)[int(mixed)]
         assert chunked.tobytes() == default.tobytes()
 
     def test_mixed_rows_match_uhlmann_fidelity_across_a_chunk(self):
         """Rows against I/2**n equal the Uhlmann fidelity's closed form there,
-        (sum of sqrt(eigenvalue))**2 / d, on both sides of a ``_MC_CHUNK`` boundary
+        (sum of sqrt(eigenvalue))**2 / d, on both sides of a ``sampling.BLOCK`` boundary
         (Hilbert-Schmidt draws; see test_qcore for Bures)."""
         for n in (1, 2, 3):
-            count = adapt._MC_CHUNK + 100
+            count = sampling.BLOCK + 100
             states = qcore.density(sampling.sample_streams(n, HS, 23, 0, count, 1)[0])
             spectra = np.clip(np.linalg.eigvalsh(states), 0.0, None)
             want = np.sqrt(spectra).sum(axis=-1) ** 2 / 2**n
@@ -313,16 +313,16 @@ class TestMonteCarlo:
     def test_mixed_row_is_the_one_state_draw_across_a_chunk(self, measure):
         """Row 1 compares each pair's first state, bit for bit the stream's one-state
         draw, with I/2**n: a mixed baseline and its pairs' row share one draw."""
-        count = adapt._MC_CHUNK + 100
+        count = sampling.BLOCK + 100
         for n in (1, 2, 3):
             one = sampling.sample_streams(n, measure, 25, 0, count, 1)[0]
             want = qcore.fidelity(one, np.eye(2**n))
             assert adapt.mc_fidelities(measure, n, count, 25)[1].tobytes() == want.tobytes()
 
     def test_peak_memory(self):
-        """The tracemalloc peak of 5000 m=3 pairs stays under a bound between that of the
-        1024-pair chunks (4.80 MB) and that of 4096-pair chunks (16.93 MB). Measured with
-        numpy 2.4.6."""
+        """The tracemalloc peak of 5000 m=3 pairs stays under a bound between that of
+        ``sampling.BLOCK`` (256-pair) chunks (1.66 MB; 4.80 MB in chunks of 1024) and that of
+        4096-pair chunks (16.93 MB). Measured with numpy 2.4.6."""
         adapt.mc_fidelities(HS, 3, 100, 1)
         tracemalloc.start()
         try:

@@ -750,11 +750,13 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("error: ") and str(setting[1]) in err[0]
         assert list(tmp_path.iterdir()) == []
 
-    def test_bad_val_count_is_usage_error(self, tmp_path):
+    def test_bad_val_count_is_usage_error(self, tmp_path, capsys):
         data = tmp_path / "d.qst"
         assert run("generate", "--out", data, "--m", 2, "--count", 10, "--seed", 1) == 0
+        capsys.readouterr()
         assert run("train", "--dataset", data, "--out-dir", tmp_path / "x",
                    "--val-count", 10, "--epochs", 1) == cli.EXIT_USAGE
+        assert "--val-count 10 is outside 1..9" in capsys.readouterr().err
 
     def test_help_exits_zero(self):
         assert run("--help") == cli.EXIT_OK
@@ -790,6 +792,7 @@ class TestExitCodes:
                                       "learning-rate-inf", "missing-config",
                                       "checkpoint-m-repeated", "no-filters",
                                       "one-dense-width", "no-val-count",
+                                      "negative-val-count",
                                       "val-dataset-of-another-m"])
     def test_failures_get_their_exit_code(self, trained, tmp_path, capsys, monkeypatch, case):
         """One message line naming the failure, no traceback and no output directory."""
@@ -829,7 +832,9 @@ class TestExitCodes:
             "one-dense-width": ([*train, "--dense-widths", 8], cli.EXIT_USAGE,
                                 "expected two positive dense widths"),
             "no-val-count": ([*train, "--val-count", 0], cli.EXIT_USAGE,
-                             "training and validation sets must be non-empty"),
+                             "--val-count 0 is outside 1..259"),
+            "negative-val-count": ([*train, "--val-count", -5], cli.EXIT_USAGE,
+                                   "--val-count -5 is outside 1..259"),
             "val-dataset-of-another-m": ([*train, "--val-dataset", val], cli.EXIT_USAGE,
                                          "rows of 36 entries, got 36 and 6"),
         }[case]

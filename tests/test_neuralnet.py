@@ -504,28 +504,25 @@ class TestGradients:
 class TestAdagrad:
     def test_zero_gradient_leaves_parameters(self):
         p = np.ones(4)
-        opt = neuralnet.Adagrad(p, np.zeros_like(p), 0.01)
-        opt.step(np.zeros(4))
+        neuralnet.adagrad_step(p, np.zeros_like(p), np.zeros(4), 0.01)
         np.testing.assert_array_equal(p, np.ones(4))
 
     def test_first_step_is_signed_learning_rate(self):
         """From a zero accumulator the step is lr * sign(g) for |g| >> eps."""
         p = np.zeros(3)
-        opt = neuralnet.Adagrad(p, np.zeros_like(p), 0.01)
-        opt.step(np.array([0.5, -2.0, 1e-3]))
+        neuralnet.adagrad_step(p, np.zeros_like(p), np.array([0.5, -2.0, 1e-3]), 0.01)
         np.testing.assert_allclose(p, [-0.01, 0.01, -0.01], rtol=1e-4)
 
     def test_accumulators_never_decrease(self):
         rng = sampling.stream(511)
-        p = np.zeros(8)
-        opt = neuralnet.Adagrad(p, np.zeros_like(p), 0.01)
-        prev = opt.accumulator.copy()
+        p, accumulator = np.zeros(8), np.zeros(8)
+        prev = accumulator.copy()
         for _ in range(100):
-            opt.step(rng.standard_normal(8))
-            assert np.all(opt.accumulator >= prev)
-            prev = opt.accumulator.copy()
+            neuralnet.adagrad_step(p, accumulator, rng.standard_normal(8), 0.01)
+            assert np.all(accumulator >= prev)
+            prev = accumulator.copy()
 
-    def test_scratch_buffers_match_plain_formula(self):
+    def test_step_matches_plain_formula(self):
         """50 steps on several shapes' concatenation equal a += g*g;
         p -= lr*g/(sqrt(a)+1e-8) per shape, bit for bit."""
         rng = sampling.stream(512)
@@ -534,13 +531,13 @@ class TestAdagrad:
         want_acc = [np.zeros_like(p) for p in want]
         params = np.concatenate([p.ravel() for p in want])
         accumulator = np.zeros_like(params)
-        opt = neuralnet.Adagrad(params, accumulator, 0.01)
         for _ in range(50):
             grads = [rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 2) for shape in shapes]
             for p, g, a in zip(want, grads, want_acc):
                 a += g * g
                 p -= 0.01 * g / (np.sqrt(a) + 1e-8)
-            opt.step(np.concatenate([g.ravel() for g in grads]))
+            neuralnet.adagrad_step(params, accumulator,
+                                   np.concatenate([g.ravel() for g in grads]), 0.01)
         np.testing.assert_array_equal(params, np.concatenate([p.ravel() for p in want]))
         np.testing.assert_array_equal(accumulator,
                                       np.concatenate([a.ravel() for a in want_acc]))
@@ -660,8 +657,8 @@ class TestCheckpoints:
         """A network whose accumulator an Adagrad step changed loads as a network with the
         saved parameters and accumulator, bit for bit."""
         cfg, net = tiny_net(seed=8)
-        opt = neuralnet.Adagrad(net.params, net.accumulator, cfg.learning_rate)
-        opt.step(np.full_like(net.params, 0.125))
+        neuralnet.adagrad_step(net.params, net.accumulator, np.full_like(net.params, 0.125),
+                               cfg.learning_rate)
         assert net.accumulator.all()
         path = tmp_path / "model.qstck"
         neuralnet.save_checkpoint(path, net)

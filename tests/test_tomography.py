@@ -166,17 +166,17 @@ class TestSampleDataset:
 
         monkeypatch.setattr(qcore, "density", bad_second_block)
         with pytest.raises(ValueError, match="sampled states: negative eigenvalue -5.000e-01"):
-            tomography.sample_dataset(1, HS, sampling._BLOCK + 4, 9)
-        assert calls == [sampling._BLOCK, 4]
+            tomography.sample_dataset(1, HS, sampling.BLOCK + 4, 9)
+        assert calls == [sampling.BLOCK, 4]
 
     def test_checks_physicality_once_per_stack(self, monkeypatch):
         """The checked blocks, in order, are the states of the factors, each state once."""
         calls = []
         check = qcore.assert_physical
         monkeypatch.setattr(qcore, "assert_physical", lambda *a: calls.append(a) or check(*a))
-        count = 2 * sampling._BLOCK + 3
+        count = 2 * sampling.BLOCK + 3
         factors, ds = tomography.sample_dataset(2, HS, count, 3)
-        assert [len(states) for states, _ in calls] == [sampling._BLOCK] * 2 + [3]
+        assert [len(states) for states, _ in calls] == [sampling.BLOCK] * 2 + [3]
         checked = np.concatenate([states for states, _ in calls])
         assert checked.tobytes() == qcore.density(factors).tobytes()
         assert ds.measurements.shape == (count, 36)
@@ -202,9 +202,9 @@ class TestSampleDataset:
     def test_records_are_stacked_rows_then_taus(self, m, measure):
         """The block filled in place holds the bits of the measurement rows stacked, then
         one whole-stack ``rho_to_tau`` of the same states, for counts within, at and across
-        the boundaries of ``sampling._BLOCK``; the factors there are their streams' own
+        the boundaries of ``sampling.BLOCK``; the factors there are their streams' own
         draws, bit for bit."""
-        block = sampling._BLOCK
+        block = sampling.BLOCK
         for count in (6, block - 1, block, block + 1, 2 * block + 3):
             factors, ds = tomography.sample_dataset(m, measure, count, 2**40 + m)
             states = qcore.density(factors)

@@ -112,10 +112,10 @@ def cmd_train(args) -> int:
         max_epochs=args.epochs,
         seed=args.seed,
     )
-    init = (None if args.init_checkpoint is None
-            else neuralnet.load_checkpoint(args.init_checkpoint))
-    net, history = neuralnet.train(config, train.measurements, train.taus, val.measurements,
-                                   val.taus, init)
+    # No name for the init network here, so train can free it once it has copied it.
+    net, history = neuralnet.train(
+        config, train.measurements, train.taus, val.measurements, val.taus,
+        None if args.init_checkpoint is None else neuralnet.load_checkpoint(args.init_checkpoint))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ck_path = out_dir / "checkpoint.qstck"

@@ -22,10 +22,11 @@ grid is a single column, too narrow for 2x2 kernels; single-qubit states are
 handled by padding into a larger network instead.
 
 Training minimizes the mean square loss between predicted and target tau with Adagrad
-(``adagrad_step``, once per batch), shuffling batches each epoch, and keeps the parameters from
-the epoch with the best mean validation fidelity. Everything random (weight
-init, shuffling, dropout masks) is drawn from one Philox stream derived from
-the config seed, so a (seed, data, config) triple fully determines the run.
+(``adagrad_step``, once per batch), shuffling batches each epoch, and keeps the parameters and
+accumulator of the epoch with the best mean validation fidelity in one snapshot, refreshed in
+place at each improving epoch; an ``init`` network is copied, then released. Everything random
+(weight init, shuffling, dropout masks) is drawn from one Philox stream derived from the config
+seed, so a (seed, data, config) triple fully determines the run.
 ``Network.predict`` is the one inference path, forwarding rows in zero-filled chunks of
 ``PREDICT_ROWS``; validation and ``adapt.reconstruct`` use it.
 A network is its config plus flat vectors ``params``, ``grads`` and Adagrad's ``accumulator``,
@@ -403,10 +404,12 @@ def train(
     val_taus: np.ndarray,
     init: Network | None = None,
 ) -> tuple[Network, TrainingHistory]:
-    """Run the full training loop; returns the network at its best validation epoch.
+    """Run the full training loop; returns the network at its best validation epoch, copied
+    back from the one snapshot that each improving epoch refreshes in place.
 
     ``init`` (a network, as ``load_checkpoint`` returns) replaces the drawn weights and zero
-    accumulator; its config must give the same tensor shapes."""
+    accumulator; its config must give the same tensor shapes. It is copied, then released, so
+    a network no caller holds (``cmd_train``'s) is freed before the first batch."""
     if len(train_measurements) == 0 or len(val_measurements) == 0:
         raise ValueError("training and validation sets must be non-empty")
     if {train_measurements.shape[1], val_measurements.shape[1]} != {6**config.num_qubits}:
@@ -420,6 +423,7 @@ def train(
             if dst != src:
                 raise ValueError(f"parameter shape mismatch: {dst} vs {src}")
         net.params[...], net.accumulator[...] = init.params, init.accumulator
+        del init
 
     grids = grids_from_measurements(train_measurements)
     count = grids.shape[0]
@@ -440,7 +444,8 @@ def train(
         if val_fid > best_fid:
             best_fid = val_fid
             history.best_epoch = epoch
-            best_state = net.params.copy(), net.accumulator.copy()
+            best_state = best_state or (np.empty_like(net.params), np.empty_like(net.accumulator))
+            best_state[0][...], best_state[1][...] = net.params, net.accumulator
 
     if best_state is None:
         raise ArithmeticError("no epoch produced a finite validation fidelity")

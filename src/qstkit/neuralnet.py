@@ -22,11 +22,13 @@ grid is a single column, too narrow for 2x2 kernels; single-qubit states are
 handled by padding into a larger network instead.
 
 Training minimizes the mean square loss between predicted and target tau with Adagrad
-(``adagrad_step``, once per batch), shuffling batches each epoch, and keeps the parameters and
-accumulator of the epoch with the best mean validation fidelity in one snapshot, refreshed in
-place at each improving epoch; an ``init`` network is copied, then released. Everything random
-(weight init, shuffling, dropout masks) is drawn from one Philox stream derived from the config
-seed, so a (seed, data, config) triple fully determines the run.
+(``adagrad_step``, once per batch, one cache-sized slice of the vectors at a time), shuffling
+batches each epoch, and keeps the parameters and accumulator of the epoch with the best mean
+validation fidelity in one snapshot, refreshed in place at each improving epoch; an ``init``
+network is copied, then released, and the weights it replaces are never formed. Everything
+random (weight init, shuffling, dropout masks) is drawn from one Philox stream derived from the
+config seed, so a (seed, data, config) triple fully determines the run: a resumed run draws,
+and discards, the normals of the weights it does not build.
 ``Network.predict`` is the one inference path, forwarding rows in zero-filled chunks of
 ``PREDICT_ROWS``; validation and ``adapt.reconstruct`` use it.
 A network is its config plus flat vectors ``params``, ``grads`` and Adagrad's ``accumulator``,
@@ -65,6 +67,9 @@ PREDICT_ROWS = 100
 
 # Adagrad's denominator offset: no 0/0 where every gradient so far was zero.
 _ADAGRAD_EPS = 1e-8
+# Elements per slice of an Adagrad step: three slices and the scratch vector, 1 MB, stay in
+# cache between the step's passes. Of 8,192 to 65,536, the fastest at m=2 and m=3.
+_ADAGRAD_BLOCK = 32768
 
 
 def grid_shape(m: int) -> tuple[int, int]:
@@ -171,10 +176,12 @@ class Conv2D(_Weighted):
     those bits. Outputs have shape (n, f, ph, pw) but channels-last memory, so the next
     layer's slices step over contiguous channels.
 
-    A training forward keeps the input, until the weight gradient, and per output the tap
-    of its window's first maximum (row-major, as argmax picks); no im2col matrix is kept.
-    The weight gradient routes dout to that tap of a full-size map, zero elsewhere, and
-    runs its im2col GEMM.
+    A training forward keeps, until the weight gradient, what that gradient reads: pooled
+    (conv1), the input and per output the tap of its window's first maximum (row-major, as
+    argmax picks), but no im2col matrix, as the full map's differs from every tap's;
+    unpooled (conv2), its one im2col matrix, which is the full map's. The weight gradient
+    routes dout to the first maximum's tap of a full-size map, zero elsewhere, and runs its
+    im2col GEMM. An inference forward keeps nothing.
     """
 
     def __init__(self, w, b, dw, db, pool=1, relu=True):
@@ -191,14 +198,17 @@ class Conv2D(_Weighted):
         return cols.reshape(n * oh * ow, -1)
 
     def forward(self, x, train=False, rng=None):
-        self.x = x
         f, s, k = len(self.w), self.pool, self.w.shape[-1]
         ph, pw = (x.shape[2] - k + 1) // s, (x.shape[3] - k + 1) // s
         # only a training forward is followed by a backward pass
-        self.first = np.zeros((len(x), ph, pw, f), np.uint8) if train and s > 1 else None
+        pooled = train and s > 1
+        self.x = x if pooled else None
+        self.first = np.zeros((len(x), ph, pw, f), np.uint8) if pooled else None
         bias = np.tile(self.b, ph * pw)  # over whole rows: a long inner loop, the same adds
         for t, (p, q) in enumerate(np.ndindex(s, s)):
-            tap = np.dot(self._cols(x, p, q, s, ph, pw), self.w.reshape(f, -1).T)
+            cols = self._cols(x, p, q, s, ph, pw)
+            self.cols = cols if train and s == 1 else None
+            tap = np.dot(cols, self.w.reshape(f, -1).T)
             tap = tap.reshape(len(x), -1)
             tap += bias
             tap = tap.reshape(len(x), ph, pw, f)
@@ -229,7 +239,8 @@ class Conv2D(_Weighted):
         the full map's dout."""
         dout = self._unpool(self._mask(dout))
         _, f, oh, ow = dout.shape
-        cols, self.x = self._cols(self.x, 0, 0, 1, oh, ow), None
+        cols = self._cols(self.x, 0, 0, 1, oh, ow) if self.cols is None else self.cols
+        self.x = self.cols = None
         self.dw[...] = np.dot(dout.transpose(1, 0, 2, 3).reshape(f, -1), cols).reshape(
             self.dw.shape)
         np.einsum("nfhw->f", dout, out=self.db)  # twice as fast as sum() on channels-last dout
@@ -254,6 +265,17 @@ def _orthogonal(shape: tuple[int, int], rng, gain: float) -> np.ndarray:
     q, r = np.linalg.qr(rng.standard_normal((big, big)))
     q = q * np.where(np.diagonal(r) >= 0, 1.0, -1.0)
     return gain * q[: shape[0], : shape[1]]
+
+
+def _skip_build_draws(config: NetworkConfig, rng) -> None:
+    """Advance ``rng`` past the normals ``Network.build`` draws for ``config``, and form no
+    weight: per weight shape, a convolution's own count, or the square an orthogonal layer's
+    QR takes, one row at a time. Normals are drawn one after another, so the stream ends where
+    one draw of each would."""
+    for shape in tensor_shapes(config)[::2]:
+        rows, cols = (1, math.prod(shape)) if len(shape) == 4 else (max(shape),) * 2
+        for _ in range(rows):
+            rng.standard_normal(cols)
 
 
 class Dense(_Weighted):
@@ -373,12 +395,20 @@ def compute_gradients(net: Network, grids, targets, rng) -> float:
 def adagrad_step(params: np.ndarray, accumulator: np.ndarray, grads: np.ndarray,
                  learning_rate: float) -> None:
     """accumulator += g**2; params -= (lr * g) / (sqrt(accumulator) + 1e-8), on flat vectors
-    stepped in place; the update overwrites ``grads``."""
-    accumulator += grads * grads
-    den = np.sqrt(accumulator)
-    den += _ADAGRAD_EPS
-    grads *= learning_rate
-    params -= np.divide(grads, den, out=grads)
+    stepped in place; the update overwrites ``grads``.
+
+    The vectors are stepped ``_ADAGRAD_BLOCK`` elements at a time, with one scratch vector of
+    that size, so each slice's seven passes run in cache; every element sees the same
+    operations in the same order as a step over the whole vectors, so the bits are its bits."""
+    scratch = np.empty(min(_ADAGRAD_BLOCK, len(params)))
+    for start in range(0, len(params), _ADAGRAD_BLOCK):
+        p, a, g = (v[start : start + _ADAGRAD_BLOCK] for v in (params, accumulator, grads))
+        den = scratch[: len(p)]
+        a += np.multiply(g, g, out=den)
+        den = np.sqrt(a, out=den)
+        den += _ADAGRAD_EPS
+        g *= learning_rate
+        p -= np.divide(g, den, out=g)
 
 
 @dataclass
@@ -408,8 +438,10 @@ def train(
     back from the one snapshot that each improving epoch refreshes in place.
 
     ``init`` (a network, as ``load_checkpoint`` returns) replaces the drawn weights and zero
-    accumulator; its config must give the same tensor shapes. It is copied, then released, so
-    a network no caller holds (``cmd_train``'s) is freed before the first batch."""
+    accumulator; its config must give the same tensor shapes. The stream still advances past
+    the build's draws, so shuffles and dropout masks are those of a built network, but no
+    weight is formed. ``init`` is copied, then released, so a network no caller holds
+    (``cmd_train``'s) is freed before the first batch."""
     if len(train_measurements) == 0 or len(val_measurements) == 0:
         raise ValueError("training and validation sets must be non-empty")
     if {train_measurements.shape[1], val_measurements.shape[1]} != {6**config.num_qubits}:
@@ -417,12 +449,14 @@ def train(
                          f"{train_measurements.shape[1]} and {val_measurements.shape[1]}")
 
     rng = sampling.stream(config.seed, TRAIN_STREAM)
-    net = Network.build(config, rng)
-    if init is not None:
+    if init is None:
+        net = Network.build(config, rng)
+    else:
         for dst, src in zip(tensor_shapes(config), tensor_shapes(init.config)):
             if dst != src:
                 raise ValueError(f"parameter shape mismatch: {dst} vs {src}")
-        net.params[...], net.accumulator[...] = init.params, init.accumulator
+        _skip_build_draws(config, rng)
+        net = Network(config, init.params.copy(), init.accumulator.copy())
         del init
 
     grids = grids_from_measurements(train_measurements)

@@ -11,8 +11,10 @@ other is the network's reference front end, ``Conv2D`` (one ``np.tensordot``
 over a sliding-window view) and ``MaxPool2D`` (a separate strided-tap pool):
 the bit-for-bit reference of ``neuralnet.Conv2D``'s pooled, tap-by-tap GEMMs, with
 ``ReLU``, ``Flatten`` and ``Dropout`` layers of their own, the reference of the ReLU each
-weighted layer applies and of the flatten and the dropout ``neuralnet.Dense`` does. They
-import nothing but numpy.
+weighted layer applies and of the flatten and the dropout ``neuralnet.Dense`` does. A third
+is ``adagrad_step``, one Adagrad step over the whole vectors at once: the bit-for-bit
+reference of ``neuralnet.adagrad_step``, which steps them a slice at a time. They import
+nothing but numpy.
 """
 
 import numpy as np
@@ -259,3 +261,13 @@ class Dropout:
 
     def backward(self, dout):
         return dout if self.mask is None else dout * self.mask
+
+
+def adagrad_step(params, accumulator, grads, learning_rate):
+    """a += g*g; p -= (lr*g) / (sqrt(a) + 1e-8), each operation over the whole flat vectors,
+    in place; the update overwrites ``grads``."""
+    accumulator += grads * grads
+    den = np.sqrt(accumulator)
+    den += 1e-8
+    grads *= learning_rate
+    params -= np.divide(grads, den, out=grads)

@@ -37,6 +37,8 @@ PIPELINE = [
     ("train", "--dataset", "data/hs3.qst", "--epochs", "2", *_VAL, *_S, "--out-dir", "train3"),
     ("train", "--dataset", "data/hs3.qst", "--epochs", "1", *_VAL, *_S,
      "--init-checkpoint", "train3/checkpoint.qstck", "--out-dir", "resume3"),
+    ("train", "--dataset", "data/hs3.qst", "--epochs", "2", "--batch-size", "25", *_VAL, *_S,
+     "--out-dir", "train3-b25"),
     ("reconstruct", "--checkpoint", "train3/checkpoint.qstck", "--input", "data/hs1.qst",
      "--mode", "engineered", "--out-dir", "rec1-engineered"),
     ("reconstruct", "--checkpoint", "train3/checkpoint.qstck", "--input", "data/hs1.qst",
@@ -84,6 +86,9 @@ DIGESTS = {
     "train2/checkpoint.qstck": "fff24c60ea77634b0911e081fb2578de4ca3056ad6041246b1ac978926fdb7c0",
     "train2/config.ini": "2805a4ae28cf24fa9802d04cda523e1031511beffcc0c7ad36a5fb28f8ddb7b9",
     "train2/history.csv": "88a5fd4c540a485909edc768ef54e7ba7be19c5e5a8605eb853f78d996f23706",
+    "train3-b25/checkpoint.qstck": "ca83381f195499275abda6353d35a118a10ec5dab0cc6f1ea77a57d7440e6246",
+    "train3-b25/config.ini": "4af8065c119176f540ff2a266af69e0544e03177a2e1edf7665ea0ca34dbb636",
+    "train3-b25/history.csv": "42eacca5f45d64613875d809bcc175a6affdc015c979f06b3f8a74d4dc247459",
     "train3/checkpoint.qstck": "36d22e10175051b637e48aa0f8b21dea8eedfcd5206d177c1c1c8779ce68166c",
     "train3/config.ini": "56d629e18b7d8c26f5e33cb48a87ddb75cddfc5d762bb5292efd496f2e43fa34",
     "train3/history.csv": "c59028a9c78cb1fdf43d1325a493a198d4d47201ebda1bf80a833b87ad9f4f83",

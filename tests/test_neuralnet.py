@@ -462,6 +462,29 @@ class TestGradients:
             checked += 1
         assert checked == sum(math.prod(s) for s in neuralnet.tensor_shapes(cfg)) == 168
 
+    def test_conv2_keeps_its_im2col_from_a_training_forward_to_its_weight_gradient(
+            self, monkeypatch):
+        """A training batch gathers conv2's windows once, in the forward pass, and conv1's
+        five times (four pool taps, then the full map in its weight gradient); no conv holds
+        an im2col matrix after an inference forward or after the backward pass."""
+        cfg = neuralnet.NetworkConfig(num_qubits=3, seed=3)
+        net = neuralnet.Network.build(cfg, sampling.stream(cfg.seed, neuralnet.TRAIN_STREAM))
+        convs = net.layers[:2]
+        cols, gathered = neuralnet.Conv2D._cols, []
+        monkeypatch.setattr(neuralnet.Conv2D, "_cols", lambda layer, *args: gathered.append(
+            convs.index(layer)) or cols(layer, *args))
+        rng = sampling.stream(517)
+        grids = rng.random((7, 1) + neuralnet.grid_shape(3))
+        net.forward(grids, train=True, rng=sampling.stream(46))
+        assert convs[0].cols is None and convs[1].cols.shape == (7 * 16, 25 * 2 * 2)
+        net.forward(grids)
+        assert [conv.cols for conv in convs] == [None, None]
+        gathered.clear()
+        neuralnet.compute_gradients(net, grids, rng.standard_normal((7, cfg.tau_width)),
+                                    sampling.stream(46))
+        assert gathered == [0, 0, 0, 0, 1, 0]
+        assert [conv.cols for conv in convs] == [None, None]
+
     def test_backward_frees_the_forward_state(self):
         """After a batch no layer holds its output, its input or a dropout mask, so conv1's
         full-size map is built with conv1's output and conv2's already freed."""
@@ -493,10 +516,11 @@ class TestGradients:
     @pytest.mark.parametrize("m, bound_mb", [(2, 1.32), (3, 5.05)])
     def test_training_batch_peak(self, m, bound_mb):
         """The tracemalloc peak of one 100-row training batch at default widths stays under a
-        bound between its peak (1.175 MB at m=2, 4.884 MB at m=3) and those of a ReLU mask
-        that copies dout (1.472 and 5.207 MB), which keeps the unmasked array alive through
-        ``Network.backward``'s loop, and of dense layers that keep their inputs after their
-        backward pass (1.586 and 6.023 MB). Measured with numpy 2.4.6."""
+        bound between its peak (1.255 MB at m=2, where conv2's kept im2col matrix is alive at
+        the peak, and 4.884 MB at m=3) and those of a ReLU mask that copies dout (1.552 and
+        5.207 MB), which keeps the unmasked array alive through ``Network.backward``'s loop,
+        and of dense layers that keep their inputs after their backward pass (1.448 and
+        5.819 MB). Measured with numpy 2.4.6."""
         cfg = neuralnet.NetworkConfig(num_qubits=m)
         rng = sampling.stream(cfg.seed, neuralnet.TRAIN_STREAM)
         net = neuralnet.Network.build(cfg, rng)
@@ -548,6 +572,30 @@ class TestAdagrad:
             neuralnet.adagrad_step(p, accumulator, rng.standard_normal(8), 0.01)
             assert np.all(accumulator >= prev)
             prev = accumulator.copy()
+
+    @pytest.mark.parametrize("size", [
+        1, neuralnet._ADAGRAD_BLOCK - 1, neuralnet._ADAGRAD_BLOCK, neuralnet._ADAGRAD_BLOCK + 1,
+        3 * neuralnet._ADAGRAD_BLOCK + 7,
+        *(sum(math.prod(shape) for shape in neuralnet.tensor_shapes(
+            neuralnet.NetworkConfig(num_qubits=m))) for m in (2, 3))])
+    def test_blocked_step_equals_whole_vector_step(self, size):
+        """50 steps a slice at a time give the bits of 50 steps over the whole vectors, at
+        lengths around the slice size and at the m=2 and m=3 parameter counts, with elements
+        whose gradient is always zero and whole slices of zero gradient at some steps."""
+        block = neuralnet._ADAGRAD_BLOCK
+        rng = sampling.stream(516, size)
+        params = rng.standard_normal(size)
+        want, accumulator, want_acc = params.copy(), np.zeros(size), np.zeros(size)
+        for step in range(50):
+            grads = rng.standard_normal(size) * 10.0 ** rng.integers(-6, 2)
+            grads[::7] = 0.0
+            if step % 5 == 0:
+                start = (step // 5) % math.ceil(size / block) * block
+                grads[start : start + block] = 0.0
+            oracles.adagrad_step(want, want_acc, grads.copy(), 0.01)
+            neuralnet.adagrad_step(params, accumulator, grads, 0.01)
+        np.testing.assert_array_equal(params.view(np.uint64), want.view(np.uint64))
+        np.testing.assert_array_equal(accumulator.view(np.uint64), want_acc.view(np.uint64))
 
     def test_step_matches_plain_formula(self):
         """50 steps on several shapes' concatenation equal a += g*g;
@@ -637,6 +685,38 @@ class TestTraining:
                                  meas[100:], taus[100:])
         assert net.params.tobytes() == cut.params.tobytes()
         assert net.accumulator.tobytes() == cut.accumulator.tobytes()
+
+    @pytest.mark.parametrize("settings", [
+        dict(num_qubits=2), dict(num_qubits=3),
+        dict(num_qubits=4, conv_filters=2, dense_widths=(8, 4)),
+        dict(num_qubits=2, dense_widths=(300, 200))], ids=["m2", "m3", "m4-smoke", "m2-300-200"])
+    def test_skipped_build_draws_leave_the_stream_where_a_build_does(self, settings):
+        """A resumed run's stream continues from the state a build leaves, also where the
+        dense widths are not the default ones."""
+        cfg = neuralnet.NetworkConfig(seed=7, **settings)
+        built, skipped = (sampling.stream(cfg.seed, neuralnet.TRAIN_STREAM) for _ in range(2))
+        neuralnet.Network.build(cfg, built)
+        neuralnet._skip_build_draws(cfg, skipped)
+        np.testing.assert_equal(skipped.bit_generator.state, built.bit_generator.state)
+        assert skipped.standard_normal(3).tobytes() == built.standard_normal(3).tobytes()
+
+    def test_resumed_run_forms_no_orthogonal_matrix(self, monkeypatch):
+        """With ``np.linalg.qr`` raising, a resumed run still trains, and gives the bytes of
+        the same resumed run with it in place."""
+        _, meas, taus = small_dataset(2, 40, 612)
+        cfg = neuralnet.NetworkConfig(num_qubits=2, max_epochs=2, seed=3)
+        init = neuralnet.Network.build(cfg, sampling.stream(8))
+        runs = [neuralnet.train(cfg, meas[:30], taus[:30], meas[30:], taus[30:], init)]
+
+        def no_qr(*args, **kwargs):
+            raise AssertionError("a resumed run took a QR")
+
+        monkeypatch.setattr(np.linalg, "qr", no_qr)
+        runs.append(neuralnet.train(cfg, meas[:30], taus[:30], meas[30:], taus[30:], init))
+        (a, a_history), (b, b_history) = runs
+        assert a_history == b_history
+        assert a.params.tobytes() == b.params.tobytes()
+        assert a.accumulator.tobytes() == b.accumulator.tobytes()
 
     def test_init_state_of_another_architecture_rejected(self):
         """Equal parameter counts, other shapes: the per-tensor check names the first pair."""

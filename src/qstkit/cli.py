@@ -187,20 +187,18 @@ def _write_experiment(args, records, summaries, unread=()) -> int:
 
 def cmd_experiment(args) -> int:
     nets = _parse_checkpoint_args(args)
+    ensembles = {}  # test states of q qubits: fig2's per network, fig3's for q = 1 to max m
+    for q in sorted(nets) if args.name == "fig2" else range(1, max(nets) + 1):
+        seed = sampling.sub_seed(args.seed, f"{args.name}-test-{args.measure}-{q}")
+        factors, ds = tomography.sample_dataset(q, args.measure, args.test_count, seed)
+        ensembles[q] = (factors, ds.measurements)
     if args.name == "fig2":
         records, summaries = [], []
-        for m, net in sorted(nets.items()):
-            seed = sampling.sub_seed(args.seed, f"fig2-test-{args.measure}-{m}")
-            factors, ds = tomography.sample_dataset(m, args.measure, args.test_count, seed)
-            rows, curves = adapt.subsystem_experiment(net, factors, ds.measurements, args.measure)
+        for m, ensemble in ensembles.items():
+            rows, curves = adapt.subsystem_experiment(nets[m], *ensemble, args.measure)
             records += rows
             summaries += curves
         return _write_experiment(args, records, summaries, unread=("pairs",))
-    ensembles = {}
-    for n in range(1, max(nets) + 1):
-        seed = sampling.sub_seed(args.seed, f"fig3-test-{args.measure}-{n}")
-        factors, ds = tomography.sample_dataset(n, args.measure, args.test_count, seed)
-        ensembles[n] = (factors, ds.measurements)
     baselines = []
     if args.pairs != 0:  # first, so a --pairs the estimates reject costs no reconstruction
         baselines = adapt.baseline_curves(args.measure, args.pairs, ensembles,

@@ -25,10 +25,10 @@ Training minimizes the mean square loss between predicted and target tau with Ad
 (``adagrad_step``, once per batch, one cache-sized slice of the vectors at a time), shuffling
 batches each epoch, and keeps the parameters and accumulator of the epoch with the best mean
 validation fidelity in one snapshot, refreshed in place at each improving epoch; an ``init``
-network is copied, then released, and the weights it replaces are never formed. Everything
+network is copied, then released, and the weights it replaces are never drawn. Everything
 random (weight init, shuffling, dropout masks) is drawn from one Philox stream derived from the
-config seed, so a (seed, data, config) triple fully determines the run: a resumed run draws,
-and discards, the normals of the weights it does not build.
+config seed, so a (seed, data, config) triple fully determines the run. A layer holds what a
+training forward saves for its backward only until that backward (``_Weighted``).
 ``Network.predict`` is the one inference path, forwarding rows in zero-filled chunks of
 ``PREDICT_ROWS``; validation and ``adapt.reconstruct`` use it.
 A network is its config plus flat vectors ``params``, ``grads`` and Adagrad's ``accumulator``,
@@ -129,17 +129,21 @@ class NetworkConfig:
 
 class _Weighted:
     """A layer with weights ``w``, biases ``b`` and their gradients ``dw``, ``db``: views of
-    a network's ``params`` and ``grads``; with ``relu``, a ReLU on its output."""
+    a network's ``params`` and ``grads``; with ``relu``, a ReLU on its output.
+
+    Each forward replaces the layer's saved state: a training forward saves what its backward
+    reads, an inference forward saves nothing, and the backward pass removes it all."""
 
     def __init__(self, w: np.ndarray, b: np.ndarray, dw: np.ndarray, db: np.ndarray,
                  relu: bool = True):
         self.w, self.b, self.dw, self.db, self.relu = w, b, dw, db, relu
 
-    def _activate(self, out):
-        """The ReLU, in place on the layer's own output, kept for the backward mask."""
+    def _activate(self, out, train):
+        """The ReLU, in place on the layer's own output, saved for the backward mask by a
+        training forward."""
         if self.relu:
             np.maximum(out, 0.0, out=out)
-        self.out = out
+        self.out = out if train else None
         return out
 
     def _mask(self, dout):
@@ -176,12 +180,11 @@ class Conv2D(_Weighted):
     those bits. Outputs have shape (n, f, ph, pw) but channels-last memory, so the next
     layer's slices step over contiguous channels.
 
-    A training forward keeps, until the weight gradient, what that gradient reads: pooled
-    (conv1), the input and per output the tap of its window's first maximum (row-major, as
-    argmax picks), but no im2col matrix, as the full map's differs from every tap's;
-    unpooled (conv2), its one im2col matrix, which is the full map's. The weight gradient
-    routes dout to the first maximum's tap of a full-size map, zero elsewhere, and runs its
-    im2col GEMM. An inference forward keeps nothing.
+    The weight gradient reads, pooled (conv1), the input and per output the tap of its
+    window's first maximum (row-major, as argmax picks), but no im2col matrix, as the full
+    map's differs from every tap's; unpooled (conv2), its one im2col matrix, which is the
+    full map's. It routes dout to the first maximum's tap of a full-size map, zero elsewhere,
+    and runs its im2col GEMM.
     """
 
     def __init__(self, w, b, dw, db, pool=1, relu=True):
@@ -218,7 +221,7 @@ class Conv2D(_Weighted):
             if self.first is not None:  # t exceeds every earlier tap index: a masked write
                 np.maximum(self.first, (tap > out) * np.uint8(t), out=self.first)
             np.maximum(out, tap, out=out)
-        return self._activate(out.transpose(0, 3, 1, 2))  # channels-last, (n, f, ph, pw)
+        return self._activate(out.transpose(0, 3, 1, 2), train)  # channels-last, (n, f, ph, pw)
 
     def _unpool(self, dout):
         """dout of the full conv map: each output's at its first maximum's tap, zero at
@@ -240,7 +243,7 @@ class Conv2D(_Weighted):
         dout = self._unpool(self._mask(dout))
         _, f, oh, ow = dout.shape
         cols = self._cols(self.x, 0, 0, 1, oh, ow) if self.cols is None else self.cols
-        self.x = self.cols = None
+        self.x = self.cols = self.first = None
         self.dw[...] = np.dot(dout.transpose(1, 0, 2, 3).reshape(f, -1), cols).reshape(
             self.dw.shape)
         np.einsum("nfhw->f", dout, out=self.db)  # twice as fast as sum() on channels-last dout
@@ -267,17 +270,6 @@ def _orthogonal(shape: tuple[int, int], rng, gain: float) -> np.ndarray:
     return gain * q[: shape[0], : shape[1]]
 
 
-def _skip_build_draws(config: NetworkConfig, rng) -> None:
-    """Advance ``rng`` past the normals ``Network.build`` draws for ``config``, and form no
-    weight: per weight shape, a convolution's own count, or the square an orthogonal layer's
-    QR takes, one row at a time. Normals are drawn one after another, so the stream ends where
-    one draw of each would."""
-    for shape in tensor_shapes(config)[::2]:
-        rows, cols = (1, math.prod(shape)) if len(shape) == 4 else (max(shape),) * 2
-        for _ in range(rows):
-            rng.standard_normal(cols)
-
-
 class Dense(_Weighted):
     """Fully connected layer over the flattened input; weights (inputs, outputs). A training
     forward at a ``dropout`` rate first drops that input, scaling kept units by 1/(1-rate)."""
@@ -287,18 +279,17 @@ class Dense(_Weighted):
         self.dropout = dropout
 
     def forward(self, x, train=False, rng=None):
-        self.in_shape = x.shape
-        x = x.reshape(len(x), -1)
+        in_shape, x = x.shape, x.reshape(len(x), -1)
         self.mask = None
         if train and self.dropout != 0.0:
             if rng is None:
                 raise ValueError("training-mode dropout needs a random generator")
             self.mask = (rng.random(x.shape) >= self.dropout) / (1.0 - self.dropout)
             x = x * self.mask
-        self.x = x
+        self.in_shape, self.x = (in_shape, x) if train else (None, None)
         out = x @ self.w
         out += self.b
-        return self._activate(out)
+        return self._activate(out, train)
 
     def backward(self, dout):
         dout = self._mask(dout)
@@ -308,8 +299,9 @@ class Dense(_Weighted):
         dx = dout @ self.w.T
         if self.mask is not None:
             dx *= self.mask
-        self.mask = None
-        return dx.reshape(self.in_shape)
+        dx = dx.reshape(self.in_shape)
+        self.mask = self.in_shape = None
+        return dx
 
 
 def tensor_shapes(config: NetworkConfig) -> list[tuple[int, ...]]:
@@ -438,10 +430,9 @@ def train(
     back from the one snapshot that each improving epoch refreshes in place.
 
     ``init`` (a network, as ``load_checkpoint`` returns) replaces the drawn weights and zero
-    accumulator; its config must give the same tensor shapes. The stream still advances past
-    the build's draws, so shuffles and dropout masks are those of a built network, but no
-    weight is formed. ``init`` is copied, then released, so a network no caller holds
-    (``cmd_train``'s) is freed before the first batch."""
+    accumulator; its config must give the same tensor shapes. No weight is drawn, so the
+    stream starts at the first shuffle. ``init`` is copied, then released, so a network no
+    caller holds (``cmd_train``'s) is freed before the first batch."""
     if len(train_measurements) == 0 or len(val_measurements) == 0:
         raise ValueError("training and validation sets must be non-empty")
     if {train_measurements.shape[1], val_measurements.shape[1]} != {6**config.num_qubits}:
@@ -455,7 +446,6 @@ def train(
         for dst, src in zip(tensor_shapes(config), tensor_shapes(init.config)):
             if dst != src:
                 raise ValueError(f"parameter shape mismatch: {dst} vs {src}")
-        _skip_build_draws(config, rng)
         net = Network(config, init.params.copy(), init.accumulator.copy())
         del init
 

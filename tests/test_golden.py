@@ -80,9 +80,9 @@ DIGESTS = {
     "rec1-zero/config.ini": "a7dd33e5321c2b73c0dd40a3c9342ac8a2734c9c20e0fc3a6e9f05db08f0b38e",
     "rec1-zero/fidelity.csv": "b4a60a328d6c18e29a4a9e70adc848c815874bcd79d04482b36c0312cd1a6d52",
     "rec1-zero/states.qstst": "1f5c25c459007f139a10a170cade63b761a08fd8397179327116f7e11fd3e694",
-    "resume3/checkpoint.qstck": "4dd2f9112b0a131d954ab3fcfb57db5110701b6c0e7c7cc37aa5893b76c448ea",
+    "resume3/checkpoint.qstck": "edd196e216c8be8101aa7ecd642c299f9b88fc9a07fd39bcaa5cab4822707d61",
     "resume3/config.ini": "c86fa53fcfc1b3b7c6907a03e06677776e1bea519e9c3775c7cd149650dd1b4f",
-    "resume3/history.csv": "16e4cba33de59706101689f5bdceaa03dd671ae2ca0f24109ae3a12dcb361bce",
+    "resume3/history.csv": "bc09dda6ccb3b5012e437f626fe56184e6b74f773ee46250feec206773e776a2",
     "train2/checkpoint.qstck": "fff24c60ea77634b0911e081fb2578de4ca3056ad6041246b1ac978926fdb7c0",
     "train2/config.ini": "2805a4ae28cf24fa9802d04cda523e1031511beffcc0c7ad36a5fb28f8ddb7b9",
     "train2/history.csv": "88a5fd4c540a485909edc768ef54e7ba7be19c5e5a8605eb853f78d996f23706",

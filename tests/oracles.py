@@ -120,10 +120,12 @@ def initial_params(m: int, filters: int, widths: tuple[int, int], rng) -> np.nda
     max pool with floor division and a second valid 2x2 convolution leave an h x w map
     of ``filters`` channels. Each convolution's (filters, channels, 2, 2) weights are
     He-normal, standard normals times sqrt(2 / fan-in) with fan-in 4·channels. Each dense
-    layer's (n_in, n_out) weights are the leading block of Q·diag(±1), the signs those of
-    R's diagonal, from the QR of one max(n_in, n_out)-square standard normal draw, times
-    the gain: sqrt(2) for the two hidden layers, 1 for the 4**m outputs. Every bias is
-    zero, and each layer's weights then biases are flattened row-major, one after another.
+    layer's (n_in, n_out) weights come from one standard normal draw of its tall
+    orientation, (max(n_in, n_out), min(n_in, n_out)): the Q of its reduced QR, each column
+    times the sign of R's matching diagonal entry (+1 for a zero), transposed when
+    n_in < n_out, times the gain: sqrt(2) for the two hidden layers, 1 for the 4**m outputs.
+    Every bias is zero, and each layer's weights then biases are flattened row-major, one
+    after another.
     """
     h, w = ((6 ** side - 1) // 2 - 1 for side in ((m + 1) // 2, m // 2))
     tensors = []
@@ -132,9 +134,10 @@ def initial_params(m: int, filters: int, widths: tuple[int, int], rng) -> np.nda
         tensors += [rng.standard_normal((filters, channels, 2, 2)) * scale, np.zeros(filters)]
     sizes = (filters * h * w, *widths, 4**m)
     for n_in, n_out, gain in zip(sizes, sizes[1:], (np.sqrt(2.0), np.sqrt(2.0), 1.0)):
-        q, r = np.linalg.qr(rng.standard_normal((max(n_in, n_out),) * 2))
-        signs = np.where(np.diagonal(r) < 0, -1.0, 1.0)
-        tensors += [gain * (q * signs)[:n_in, :n_out], np.zeros(n_out)]
+        tall, short = max(n_in, n_out), min(n_in, n_out)
+        q, r = np.linalg.qr(rng.standard_normal((tall, short)), mode="reduced")
+        q = q * np.where(np.diagonal(r) < 0, -1.0, 1.0)
+        tensors += [gain * (q.T if n_in < n_out else q), np.zeros(n_out)]
     return np.concatenate([t.ravel() for t in tensors])
 
 

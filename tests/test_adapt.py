@@ -9,16 +9,10 @@ import pytest
 
 from oracles import joint_index, linear_inversion, maximally_mixed, sample_state
 from qstkit import adapt, cholesky, cli, neuralnet, qcore, sampling, tomography
+from test_neuralnet import tiny_net
 
 HS = sampling.MEASURE_HS
 BURES = sampling.MEASURE_BURES
-
-
-def tiny_net(m=2, seed=3):
-    cfg = neuralnet.NetworkConfig(
-        num_qubits=m, conv_filters=2, dense_widths=(8, 4), seed=seed
-    )
-    return neuralnet.Network.build(cfg, sampling.stream(seed, neuralnet.TRAIN_STREAM))
 
 
 class TestEngineeredPad:
@@ -104,13 +98,13 @@ def plain_inference(net, values):
 
 class TestReconstructAdaptive:
     def test_same_size_equals_plain_inference(self):
-        net = tiny_net()
+        _, net = tiny_net()
         v = tomography.measure(sample_state(2, HS, sampling.stream(708)))[None]
         for mode in adapt.PADDING_MODES:
             np.testing.assert_array_equal(adapt.reconstruct(net, v, mode), plain_inference(net, v))
 
     def test_output_dimension_and_physicality(self):
-        net = tiny_net()
+        _, net = tiny_net()
         rng = sampling.stream(709)
         for n in (1, 2):
             rhos = [sample_state(n, HS, rng) for _ in range(3)]
@@ -120,14 +114,14 @@ class TestReconstructAdaptive:
             qcore.assert_physical(qcore.density(out))
 
     def test_modes_differ_for_padded_input(self):
-        net = tiny_net()
+        _, net = tiny_net()
         v = tomography.measure(sample_state(1, HS, sampling.stream(710)))[None]
         a = adapt.reconstruct(net, v, "engineered")
         b = adapt.reconstruct(net, v, "zero")
         assert np.abs(a - b).max() > 1e-12
 
     def test_oversized_input_rejected(self):
-        net = tiny_net()
+        _, net = tiny_net()
         with pytest.raises(ValueError, match="trained on"):
             adapt.reconstruct(net, np.zeros((1, 216)), "engineered")
         with pytest.raises(ValueError, match="mode"):
@@ -159,7 +153,7 @@ class TestExperiments:
     def test_subsystem_records_bookkeeping(self):
         """A single product test state, |0><0| ⊗ I/2 as its factor, yields one record row
         with m fidelities."""
-        net = tiny_net()
+        _, net = tiny_net()
         factor = np.kron(np.diag([1.0, 0.0]), np.eye(2)).astype(complex)
         records, summaries = adapt.subsystem_experiment(net, *measured(factor[None]), HS)
         assert len(records) == 1
@@ -171,7 +165,7 @@ class TestExperiments:
             (1, fids[1], 0.0, 1), (2, fids[0], 0.0, 1)]
 
     def test_padding_experiment_covers_modes_and_sizes(self):
-        nets = {2: tiny_net()}
+        nets = {2: tiny_net()[1]}
         ensembles = {
             1: measured(sampling.sample_streams(1, HS, 4, 0, 3, 1)[0]),
             2: measured(sampling.sample_streams(2, HS, 5, 0, 3, 1)[0]),
@@ -201,7 +195,7 @@ class TestExperiments:
             1: measured(sampling.sample_streams(1, HS, 4, 0, 3, 1)[0]),
             2: measured(sampling.sample_streams(2, HS, 5, 0, 3, 1)[0]),
         }
-        records, summaries = adapt.padding_experiment({2: tiny_net()}, ensembles, HS)
+        records, summaries = adapt.padding_experiment({2: tiny_net()[1]}, ensembles, HS)
         assert calls == [3, 3, 3]  # n = 1 in each mode, then n = 2 once
         engineered, zero = (np.array([r[6] for r in records if (r[3], r[4]) == (2, mode)])
                             for mode in adapt.PADDING_MODES)
@@ -211,7 +205,7 @@ class TestExperiments:
 
     def test_subsystem_summary_levels(self):
         """One summary per subsystem size, smallest first, over every state."""
-        net = tiny_net()
+        _, net = tiny_net()
         states = sampling.sample_streams(2, HS, 6, 0, 4, 1)[0]
         records, summaries = adapt.subsystem_experiment(net, *measured(states), HS)
         assert [(s.experiment, s.m, s.n, s.mode, s.count) for s in summaries] == [

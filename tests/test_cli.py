@@ -18,7 +18,7 @@ import pytest
 import qstkit
 from oracles import sample_state
 from qstkit import adapt, cholesky, cli, neuralnet, qcore, sampling, tomography
-from test_neuralnet import improving_epochs, peak_from_first_batch, zero_net
+from test_neuralnet import improving_epochs, traced_peak, zero_net
 from test_sampling import zero_draws
 
 
@@ -181,17 +181,17 @@ class TestTrain:
         assert (tmp_path / "resume1" / "history.csv").read_bytes() == \
                (tmp_path / "resume2" / "history.csv").read_bytes()
 
-    def test_resumed_run_peak(self, tmp_path, monkeypatch):
+    def test_resumed_run_peak(self, tmp_path):
         """A 3-epoch run at m=2 default widths resumed from a checkpoint, on a seed where two
-        or more epochs improve, peaks from its first batch under a bound between its peak
-        (7.56 MB) and that of a run in which ``cmd_train`` or ``train`` still holds the init
-        network, the file's bytes and its gradient vector (11.20 MB), or which copies a fresh
-        snapshot at each improving epoch (9.35 MB). Measured with numpy 2.4.6."""
+        or more epochs improve, peaks under a bound between its peak (7.47 MB) and that of a
+        run in which ``cmd_train`` or ``train`` still holds the init network, the file's bytes
+        and its gradient vector (11.10 MB), or which copies a fresh snapshot at each improving
+        epoch (8.59 MB). Measured with numpy 2.4.6."""
         _, ds = tomography.sample_dataset(2, sampling.MEASURE_HS, 120, 5)
         tomography.write_dataset(tmp_path / "d.qst", ds)
         flags = ["train", "--dataset", tmp_path / "d.qst", "--val-count", 20, "--seed", 1]
         assert run(*flags, "--epochs", 1, "--out-dir", tmp_path / "init") == 0
-        peak = peak_from_first_batch(monkeypatch, lambda: run(
+        peak = traced_peak(lambda: run(
             *flags, "--epochs", 3, "--init-checkpoint", tmp_path / "init" / "checkpoint.qstck",
             "--out-dir", tmp_path / "resumed"))
         rows = read_csv(tmp_path / "resumed" / "history.csv")[1:]

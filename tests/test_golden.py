@@ -69,29 +69,29 @@ DIGESTS = {
     "data/hs3.qst": "a460fdb6055a5f6630b5e1f97c6d76773adcb2842f7745dffb732509e9ab20f6",
     "data/hs3.qst.config.ini": "8d52353b6b49e57562ed92491379987b116bc3556da7735faf07efdbda8cda81",
     "fig2/config.ini": "eecc8c06d6bf5dd33e9e796a4b66f2c75dca511d43177c8894446b305c520be2",
-    "fig2/records.csv": "e0126941bbccf00f97a73fb653bdcc5845ec0b7ec5c083311d9b20a334333f6f",
-    "fig2/summary.csv": "aab1301715254a304f1d4a9d7780d884cff4230c833653a1242eba464b02ed19",
+    "fig2/records.csv": "7b5239e2ac8c522f7d4ef2a7ec060cff8aa50ffcba591d558c09b1b8d739ecef",
+    "fig2/summary.csv": "b2817614da477f42116fee00c7aa30c5b09dcdedb49fd5b3b12b74946a860976",
     "fig3/config.ini": "8f6bdbbb18d5af8a43785a2ac6366b4476206ea33832f8eb570107bed64962c5",
-    "fig3/records.csv": "7ce653b182d5d50f18a6a9bdfc5a94522b0ed709feb9cada7ff364fa23861722",
-    "fig3/summary.csv": "9918ac6f2d86e8f42aa4234eaaa527e06ae0f94af09c4ac8151f8a23364ef650",
+    "fig3/records.csv": "ece531cbc5d1cdc8afdb8f7c8dbf0ef4048c45011bec3896ff47f4f4b311a213",
+    "fig3/summary.csv": "9db63ad12c0647bbb66bd2398b93703739b9bd2fa4b660bb10bfbebfc3d9d243",
     "rec1-engineered/config.ini": "673803b889848fbdb6ca909f75426054674bae5771342af18447026242243557",
-    "rec1-engineered/fidelity.csv": "1125bf888ad97ae17402e1d9cfa237a6cf9c1ee8a8055e71b2d508d02783ab11",
-    "rec1-engineered/states.qstst": "40ab070819d587e0cd3fa6ae4a9d41cdd0ca193c3dc09b9609547142a1d7bb73",
+    "rec1-engineered/fidelity.csv": "1fd971736da6e370e6a8b0411d010032fc42959df73417f5deed9d6f97ceec71",
+    "rec1-engineered/states.qstst": "39603136b86f5af7f3c7f39972b9743aa11cd016f1c712f7651a482cdc82e6d1",
     "rec1-zero/config.ini": "a7dd33e5321c2b73c0dd40a3c9342ac8a2734c9c20e0fc3a6e9f05db08f0b38e",
-    "rec1-zero/fidelity.csv": "b4a60a328d6c18e29a4a9e70adc848c815874bcd79d04482b36c0312cd1a6d52",
-    "rec1-zero/states.qstst": "1f5c25c459007f139a10a170cade63b761a08fd8397179327116f7e11fd3e694",
-    "resume3/checkpoint.qstck": "edd196e216c8be8101aa7ecd642c299f9b88fc9a07fd39bcaa5cab4822707d61",
+    "rec1-zero/fidelity.csv": "31ec0b2fbfbea1e7a68bdcd6399c9ca8043145043b9565c886029c7d4b05a744",
+    "rec1-zero/states.qstst": "faa1f4565b89bf7b1eb173df65402732c02e5d29854c6d1f24834431b473474e",
+    "resume3/checkpoint.qstck": "3b0f1538358c5c0b9d09cc2df96d59a44e52bc73271521aa6a679cc0138775f1",
     "resume3/config.ini": "c86fa53fcfc1b3b7c6907a03e06677776e1bea519e9c3775c7cd149650dd1b4f",
-    "resume3/history.csv": "bc09dda6ccb3b5012e437f626fe56184e6b74f773ee46250feec206773e776a2",
-    "train2/checkpoint.qstck": "fff24c60ea77634b0911e081fb2578de4ca3056ad6041246b1ac978926fdb7c0",
+    "resume3/history.csv": "d9bff37d24957402ebffd7922ac58e84cf5ffa43a8611f3850d3ec206d487878",
+    "train2/checkpoint.qstck": "e8f686fb74b74439483dd7de794e49fe2f3b4c84cdefb07268abe626df1532b5",
     "train2/config.ini": "2805a4ae28cf24fa9802d04cda523e1031511beffcc0c7ad36a5fb28f8ddb7b9",
-    "train2/history.csv": "88a5fd4c540a485909edc768ef54e7ba7be19c5e5a8605eb853f78d996f23706",
-    "train3-b25/checkpoint.qstck": "ca83381f195499275abda6353d35a118a10ec5dab0cc6f1ea77a57d7440e6246",
-    "train3-b25/config.ini": "4af8065c119176f540ff2a266af69e0544e03177a2e1edf7665ea0ca34dbb636",
-    "train3-b25/history.csv": "42eacca5f45d64613875d809bcc175a6affdc015c979f06b3f8a74d4dc247459",
-    "train3/checkpoint.qstck": "36d22e10175051b637e48aa0f8b21dea8eedfcd5206d177c1c1c8779ce68166c",
+    "train2/history.csv": "6cac911e146169f6ebd35c8aeff0978a8aff602514a1a75962b380a361119525",
+    "train3/checkpoint.qstck": "7547c9d5a8f1c29e8193c0519fb7be43a7b826a493073cee1170c40e8df1bd56",
     "train3/config.ini": "56d629e18b7d8c26f5e33cb48a87ddb75cddfc5d762bb5292efd496f2e43fa34",
-    "train3/history.csv": "c59028a9c78cb1fdf43d1325a493a198d4d47201ebda1bf80a833b87ad9f4f83",
+    "train3/history.csv": "89d2d914968db8cf69336addffe92a2593598e6199b90da28191cd025f5ee3ce",
+    "train3-b25/checkpoint.qstck": "2578e7baa3905a442042e2d7a3fed38cb8110f3d140ad0a56dac5be2b58d6a1c",
+    "train3-b25/config.ini": "4af8065c119176f540ff2a266af69e0544e03177a2e1edf7665ea0ca34dbb636",
+    "train3-b25/history.csv": "c0e22261c65da2bc59871c51beb790154f6bb8773a0c83142eacdad08ad98038",
 }
 
 

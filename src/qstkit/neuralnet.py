@@ -34,8 +34,8 @@ training forward saves for its backward only until that backward (``_Weighted``)
 A network is its config plus flat vectors ``params``, ``grads`` and Adagrad's ``accumulator``,
 which ``adagrad_step`` steps in place; each layer's w, b, dw and db are views cut by
 ``tensor_shapes(config)``.
-A checkpoint is one network: ``load_checkpoint`` builds it over the file's ``params`` and
-``accumulator`` bytes, without a copy. Its header records the fixed kernel and pool (2).
+A checkpoint is one network: ``load_checkpoint`` builds it over one read-only, aligned copy of
+the file's ``params`` and ``accumulator``. Its header records the fixed kernel and pool (2).
 """
 
 from __future__ import annotations
@@ -495,8 +495,8 @@ def load_checkpoint(path) -> Network:
     """Read a checkpoint; returns the ready-to-infer network.
 
     The header's config, the shape table and the payload length are checked before
-    anything is built; the network's ``params`` and ``accumulator`` are read-only views
-    of the file's bytes."""
+    anything is built; the network's ``params`` and ``accumulator`` are one read-only,
+    8-byte aligned copy of the file's vectors."""
     fields, payload = tomography.read_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
                                                 _CONFIG)
     m, filters, kernel, pool, d1, d2, *rest, n_tensors = fields
@@ -511,5 +511,6 @@ def load_checkpoint(path) -> Network:
     if n_tensors != len(shapes) or payload[: len(table)] != table:
         raise FormatError(f"{path}: shape table does not match the declared config")
     size = sum(math.prod(shape) for shape in shapes)
-    values = tomography.payload_array(path, payload[len(table) :], "<f8", (2, size))
+    values = tomography.payload_array(path, payload[len(table) :], "<f8", (2, size)).copy()
+    values.flags.writeable = False
     return Network(config, *values)

@@ -21,6 +21,10 @@ stores them, one (count, 6**m + 4**m) block: ``sample_dataset`` fills it in
 place, block by block, ``write_dataset`` writes it as it is, and
 ``read_dataset`` maps it from the file's bytes without a copy, so a read
 dataset is read-only.
+Every array a container reader returns is 8-byte aligned, since numpy's matmul copies a
+misaligned operand on each call. ``read_container``'s bytes start at an 8-byte boundary, so a
+dataset's records (file byte 64) are aligned in place; ``read_states`` copies its stack, and a
+checkpoint's vectors, which start at byte 188, are copied once by ``load_checkpoint``.
 ``read_dataset`` rejects a tau target that defines no state (its squared norm
 at most ``qcore.MIN_NORM_SQ`` or overflowing), and measurements that are not
 probabilities: an entry outside [0, 1], or a basis whose outcomes do not sum to
@@ -155,7 +159,9 @@ def measure(rho: np.ndarray) -> np.ndarray:
     t = rho.reshape((2,) * (2 * m))
     for perm, rows, shape in _measure_plan(m):
         t = np.dot(t.transpose(perm).reshape(rows, 4), _STEP_MATRIX).reshape(shape)
-    return np.clip(t.real.reshape(-1), 0.0, 1.0)
+    # np.clip's bits, NaN included; zero first, so that a -0.0 stays -0.0, as in np.clip
+    out = np.maximum(0.0, t.real.reshape(-1))
+    return np.minimum(out, 1.0, out=out)
 
 
 @dataclass

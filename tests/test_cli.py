@@ -183,10 +183,10 @@ class TestTrain:
 
     def test_resumed_run_peak(self, tmp_path):
         """A 3-epoch run at m=2 default widths resumed from a checkpoint, on a seed where two
-        or more epochs improve, peaks under a bound between its peak (7.47 MB) and that of a
-        run in which ``cmd_train`` or ``train`` still holds the init network, the file's bytes
-        and its gradient vector (11.10 MB), or which copies a fresh snapshot at each improving
-        epoch (8.59 MB). Measured with numpy 2.4.6."""
+        or more epochs improve, peaks under a bound between its peak (7.45 MB) and that of a
+        run in which ``cmd_train`` or ``train`` still holds the init network, its loaded
+        vectors and its gradient vector (11.09 MB), or which copies a fresh snapshot at each
+        improving epoch (8.58 MB). Measured with numpy 2.4.6."""
         _, ds = tomography.sample_dataset(2, sampling.MEASURE_HS, 120, 5)
         tomography.write_dataset(tmp_path / "d.qst", ds)
         flags = ["train", "--dataset", tmp_path / "d.qst", "--val-count", 20, "--seed", 1]

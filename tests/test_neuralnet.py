@@ -893,7 +893,8 @@ class TestCheckpoints:
         payload = b"".join(t.astype("<f8").tobytes() for t in params + accumulators)
         assert path.read_bytes() == header + payload
 
-    def test_loaded_network_is_a_read_only_view(self, tmp_path):
+    def test_loaded_network_is_read_only(self, tmp_path):
+        """The loaded vectors are one copy of the file's, made read-only."""
         cfg, net = tiny_net(seed=8)
         path = tmp_path / "model.qstck"
         net.accumulator[...] = 0.25
@@ -904,6 +905,26 @@ class TestCheckpoints:
         assert [t.shape for layer in loaded.layers
                 for t in (layer.w, layer.b)] == neuralnet.tensor_shapes(cfg)
         assert loaded.grads.flags.writeable and loaded.grads.shape == net.params.shape
+
+    def test_every_container_reader_returns_aligned_arrays(self, tmp_path):
+        """numpy's matmul copies an operand that is not 8-byte aligned on every call, so each
+        array a reader returns starts at a multiple of 8: a dataset's records, a states
+        stack, a checkpoint's vectors (file byte 188) and every layer's w and b. The loaded
+        network predicts the bytes of the network that was saved."""
+        _, net = tiny_net(seed=8)
+        net.accumulator[...] = 0.25
+        _, ds = tomography.sample_dataset(2, sampling.MEASURE_HS, 5, 611)
+        tomography.write_dataset(tmp_path / "data.qst", ds)
+        tomography.write_states(tmp_path / "states.qstst", np.eye(4, dtype=complex)[None] / 4)
+        neuralnet.save_checkpoint(tmp_path / "model.qstck", net)
+        loaded = neuralnet.load_checkpoint(tmp_path / "model.qstck")
+        arrays = {"records": tomography.read_dataset(tmp_path / "data.qst").records,
+                  "states": tomography.read_states(tmp_path / "states.qstst"),
+                  "params": loaded.params, "accumulator": loaded.accumulator}
+        arrays.update((f"layer {i} {name}", getattr(layer, name))
+                      for i, layer in enumerate(loaded.layers) for name in ("w", "b"))
+        assert {key: a.ctypes.data % 8 for key, a in arrays.items()} == dict.fromkeys(arrays, 0)
+        assert loaded.predict(ds.measurements).tobytes() == net.predict(ds.measurements).tobytes()
 
     def test_training_from_a_loaded_checkpoint_matches_the_saved_state(self, tmp_path):
         """A run resumed from the file's read-only vectors writes the bytes of one resumed
